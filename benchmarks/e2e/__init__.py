@@ -1,0 +1,1 @@
+"""The two-clock end-to-end benchmark; see README.md in this directory."""
