@@ -511,7 +511,20 @@ class ConsensusNode:
 
         # The prefix matches; integrate the entries, deleting conflicts
         # ("the primary's ledger is the ground truth", section 4.2).
-        for entry in message.entries:
+        entries = message.entries
+        # A re-sent window mostly covers entries this ledger already holds.
+        # By the induction of section 4.1 an equal transaction ID means an
+        # equal prefix, so one comparison at the last held entry skips them
+        # all; on a mismatch the loop below finds the first conflict.
+        held = min(len(entries), self.ledger.last_seqno - message.prev_txid.seqno)
+        if held > 0:
+            last_held = entries[held - 1].txid
+            if (
+                last_held.seqno == message.prev_txid.seqno + held
+                and self.ledger.txid_at(last_held.seqno) == last_held
+            ):
+                entries = entries[held:]
+        for entry in entries:
             seqno = entry.txid.seqno
             if seqno <= self.ledger.last_seqno:
                 if self.ledger.entry_at(seqno).txid == entry.txid:

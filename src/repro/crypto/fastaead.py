@@ -30,6 +30,16 @@ from repro.errors import CryptoError, VerificationError
 TAG_SIZE = 16
 _BLOCK = 32  # one SHA-256 output per keystream block
 
+# Big-endian block counters for the first 8 KiB of keystream, which covers
+# nearly every message; longer ones encode their counters on the fly.
+_COUNTERS = tuple(n.to_bytes(8, "big") for n in range(256))
+
+
+def _counters(blocks: int):
+    if blocks <= len(_COUNTERS):
+        return _COUNTERS[:blocks]
+    return [n.to_bytes(8, "big") for n in range(blocks)]
+
 
 @dataclass(frozen=True)
 class FastAEADKey:
@@ -46,23 +56,30 @@ class FastAEADKey:
         return cls(bytes(sha256(b"fast-aead-keygen", seed)))
 
     def _keystream(self, nonce: bytes, length: int) -> bytes:
+        # Block i is SHA256(key || nonce || i): hash the shared prefix once
+        # and fork it per counter.
+        prefix = hashlib.sha256(self.key)
+        prefix.update(nonce)
         blocks = []
-        for counter in range((length + _BLOCK - 1) // _BLOCK):
-            h = hashlib.sha256(self.key)
-            h.update(nonce)
-            h.update(counter.to_bytes(8, "big"))
+        for counter in _counters((length + _BLOCK - 1) // _BLOCK):
+            h = prefix.copy()
+            h.update(counter)
             blocks.append(h.digest())
         return b"".join(blocks)[:length]
 
-    def _mac_key(self) -> bytes:
-        cached = self.__dict__.get("_mac_key_cache")
-        if cached is None:
-            cached = bytes(sha256(b"fast-aead-mac", self.key))
-            object.__setattr__(self, "_mac_key_cache", cached)
-        return cached
+    def _mac(self) -> "hmac.HMAC":
+        """A fresh HMAC keyed with the MAC key: the keyed state is built
+        once per key object and forked per tag."""
+        keyed = self.__dict__.get("_mac_cache")
+        if keyed is None:
+            keyed = hmac.new(
+                bytes(sha256(b"fast-aead-mac", self.key)), digestmod=hashlib.sha256
+            )
+            object.__setattr__(self, "_mac_cache", keyed)
+        return keyed.copy()
 
     def _tag(self, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
-        mac = hmac.new(self._mac_key(), digestmod=hashlib.sha256)
+        mac = self._mac()
         mac.update(nonce)
         mac.update(len(aad).to_bytes(8, "big"))
         mac.update(aad)
@@ -72,10 +89,9 @@ class FastAEADKey:
     @staticmethod
     def _xor(data: bytes, keystream: bytes) -> bytes:
         # Single big-integer XOR: far faster than per-byte loops in Python.
-        n = len(data)
         return (
-            int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")
-        ).to_bytes(n, "big")
+            int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
+        ).to_bytes(len(data), "big")
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         if len(nonce) != NONCE_SIZE:

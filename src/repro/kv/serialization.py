@@ -30,7 +30,15 @@ _TAG_DICT = 0x08
 MAX_DECODE_DEPTH = 128
 
 
+# Length prefixes below this are shared objects instead of a fresh
+# ``to_bytes`` per value: nearly every length on the write path (key names,
+# 20-character messages, digests, row counts) is small.
+_SMALL_LENGTHS = tuple(n.to_bytes(4, "big") for n in range(256))
+
+
 def _encode_length(value: int) -> bytes:
+    if value < 256:
+        return _SMALL_LENGTHS[value]
     return value.to_bytes(4, "big")
 
 
@@ -42,62 +50,99 @@ def encode_value(value: Any) -> bytes:
     return bytes(out)
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
-    """Append the canonical encoding of ``value`` to ``out``.
+def _encode_none(out: bytearray, value: None) -> None:
+    out.append(_TAG_NONE)
 
-    Scalars and lists write straight into the shared accumulator; only dict
-    entries take a per-item scratch buffer, because canonical form sorts
-    entries by their encoded bytes before emission.
-    """
-    if value is None:
-        out.append(_TAG_NONE)
-        return
-    if value is True:
-        out.append(_TAG_TRUE)
-        return
-    if value is False:
-        out.append(_TAG_FALSE)
-        return
-    if isinstance(value, int):
-        magnitude = value if value >= 0 else -value - 1
-        body = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
-        out.append(_TAG_INT_POS if value >= 0 else _TAG_INT_NEG)
-        out += _encode_length(len(body))
-        out += body
-        return
+
+def _encode_bool(out: bytearray, value: bool) -> None:
+    out.append(_TAG_TRUE if value else _TAG_FALSE)
+
+
+def _encode_int(out: bytearray, value: int) -> None:
+    if value >= 0:
+        magnitude = value
+        out.append(_TAG_INT_POS)
+    else:
+        magnitude = -value - 1
+        out.append(_TAG_INT_NEG)
+    body = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
+    out += _encode_length(len(body))
+    out += body
+
+
+def _encode_str(out: bytearray, value: str) -> None:
+    body = value.encode()
+    out.append(_TAG_STR)
+    out += _encode_length(len(body))
+    out += body
+
+
+def _encode_bytes(out: bytearray, value: bytes | bytearray) -> None:
+    out.append(_TAG_BYTES)
+    out += _encode_length(len(value))
+    out += value
+
+
+def _encode_list(out: bytearray, value: list | tuple) -> None:
+    out.append(_TAG_LIST)
+    out += _encode_length(len(value))
+    for item in value:
+        _encode_into(out, item)
+
+
+def _encode_dict(out: bytearray, value: dict) -> None:
+    # Canonical form sorts entries by their encoded bytes, so each entry
+    # takes scratch buffers; everything else writes straight into ``out``.
+    pairs = []
+    for key, val in value.items():
+        key_buf = bytearray()
+        _encode_into(key_buf, key)
+        val_buf = bytearray()
+        _encode_into(val_buf, val)
+        pairs.append((bytes(key_buf), bytes(val_buf)))
+    pairs.sort()
+    out.append(_TAG_DICT)
+    out += _encode_length(len(pairs))
+    for key_bytes, val_bytes in pairs:
+        out += key_bytes
+        out += val_bytes
+
+
+# Exact type -> encoder. Subclasses (IntEnum, namedtuple, OrderedDict, ...)
+# miss here and take the ``isinstance`` ladder in ``_encoder_for_subclass``.
+_ENCODERS = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    list: _encode_list,
+    tuple: _encode_list,
+    dict: _encode_dict,
+}
+
+
+def _encoder_for_subclass(value: Any):
+    if isinstance(value, int):  # bool cannot be subclassed
+        return _encode_int
     if isinstance(value, str):
-        body = value.encode()
-        out.append(_TAG_STR)
-        out += _encode_length(len(body))
-        out += body
-        return
+        return _encode_str
     if isinstance(value, (bytes, bytearray)):
-        out.append(_TAG_BYTES)
-        out += _encode_length(len(value))
-        out += value
-        return
+        return _encode_bytes
     if isinstance(value, (list, tuple)):
-        out.append(_TAG_LIST)
-        out += _encode_length(len(value))
-        for item in value:
-            _encode_into(out, item)
-        return
+        return _encode_list
     if isinstance(value, dict):
-        pairs = []
-        for key, val in value.items():
-            key_buf = bytearray()
-            _encode_into(key_buf, key)
-            val_buf = bytearray()
-            _encode_into(val_buf, val)
-            pairs.append((bytes(key_buf), bytes(val_buf)))
-        pairs.sort()
-        out.append(_TAG_DICT)
-        out += _encode_length(len(pairs))
-        for key_bytes, val_bytes in pairs:
-            out += key_bytes
-            out += val_bytes
-        return
+        return _encode_dict
     raise KVError(f"cannot serialize {type(value).__name__} values")
+
+
+def _encode_into(out: bytearray, value: Any) -> None:
+    """Append the canonical encoding of ``value`` to ``out``."""
+    encoder = _ENCODERS.get(type(value))
+    if encoder is None:
+        encoder = _encoder_for_subclass(value)
+    encoder(out, value)
 
 
 def encode_dict_from_encoded(pairs: list[tuple[bytes, bytes]]) -> bytes:
@@ -175,6 +220,41 @@ def _decode(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
             result[_freeze_key(key)] = value
         return result, offset
     raise KVError(f"unknown type tag 0x{tag:02x}")
+
+
+def canonical_items(mapping: dict) -> list[tuple[Any, Any]]:
+    """``mapping``'s items in canonical order: sorted by encoded key, the
+    order a dict's entries take on the wire and keep when decoded."""
+    if len(mapping) < 2:
+        return list(mapping.items())
+    return sorted(mapping.items(), key=lambda item: encode_value(item[0]))
+
+
+def canonical_value(value: Any) -> Any:
+    """What ``decode_value(encode_value(value))`` returns, computed without
+    the bytes: tuples become lists, ``bytearray`` becomes ``bytes``,
+    subclass instances their base type, and dicts are rebuilt in canonical
+    order under frozen keys. Raises :class:`KVError` where encoding would.
+
+    The primary uses this to keep the write set it just sealed in exactly
+    the shape its backups get by opening the entry."""
+    kind = type(value)
+    if kind is str or kind is int or kind is bytes or kind is bool or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [canonical_value(item) for item in value]
+    if isinstance(value, dict):
+        return {
+            freeze_key(canonical_value(key)): canonical_value(val)
+            for key, val in canonical_items(value)
+        }
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, str):
+        return value.encode().decode()
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value)
+    raise KVError(f"cannot serialize {type(value).__name__} values")
 
 
 def freeze_key(key: Any) -> Any:

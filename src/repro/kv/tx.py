@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.errors import KVError
-from repro.kv.serialization import decode_value, encode_value, freeze_key
+from repro.kv.serialization import (
+    canonical_items,
+    canonical_value,
+    decode_value,
+    encode_value,
+    freeze_key,
+)
 
 PUBLIC_PREFIX = "public:"
 
@@ -80,14 +86,26 @@ class WriteSet:
         shaped = {
             map_name: [
                 [key, value is not REMOVED, None if value is REMOVED else value]
-                for key, value in sorted(
-                    entries.items(), key=lambda item: encode_value(item[0])
-                )
+                for key, value in canonical_items(entries)
             ]
             for map_name, entries in self.updates.items()
             if entries
         }
         return encode_value(shaped)
+
+    def canonical(self) -> "WriteSet":
+        """What ``WriteSet.decode(self.encode())`` returns, computed without
+        the bytes (see :func:`repro.kv.serialization.canonical_value`)."""
+        write_set = WriteSet()
+        occupied = {name: entries for name, entries in self.updates.items() if entries}
+        for map_name, entries in canonical_items(occupied):
+            write_set.updates[canonical_value(map_name)] = {
+                freeze_key(canonical_value(key)): (
+                    REMOVED if value is REMOVED else canonical_value(value)
+                )
+                for key, value in canonical_items(entries)
+            }
+        return write_set
 
     @classmethod
     def decode(cls, data: bytes) -> "WriteSet":

@@ -61,6 +61,27 @@ class EntryKind(enum.Enum):
     RECONFIGURATION = "reconfiguration"
 
 
+# The constant stretches of ``LedgerEntry.leaf_data``, each built by the
+# canonical encoder. Canonical order sorts a dict's keys by their encoded
+# bytes (length first): kind, view, seqno, claims_digest, public_digest,
+# private_digest.
+_DICT_OF_SIX = encode_value(dict.fromkeys(range(6)))[:5]  # dict tag + entry count
+_DIGEST_HEAD = encode_value(bytes(32))[:5]  # bytes tag + length 32
+_LEAF_HEAD = {  # from the dict header through the "view" key
+    kind: _DICT_OF_SIX
+    + encode_value("kind")
+    + encode_value(kind.value)
+    + encode_value("view")
+    for kind in EntryKind
+}
+_LEAF_SEQNO = encode_value("seqno")
+_LEAF_CLAIMS = encode_value("claims_digest")
+_NO_CLAIMS = encode_value(b"")
+_LEAF_PUBLIC = encode_value("public_digest") + _DIGEST_HEAD
+_LEAF_PRIVATE = encode_value("private_digest") + _DIGEST_HEAD
+_EMPTY_PUBLIC_DIGEST = sha256(WriteSet().encode())
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     """One transaction as it appears in the ledger.
@@ -89,16 +110,30 @@ class LedgerEntry:
         Covers the transaction ID, kind, a digest of the public write set,
         a digest of the encrypted private payload, and the claims digest —
         so a receipt commits to all of them.
+
+        Byte-identical to ``encode_value`` of the six-key dict
+        ``{view, seqno, kind, public_digest, private_digest, claims_digest}``,
+        spliced from its constant parts: every node computes this for every
+        entry it appends, the keys (and so their canonical order) never
+        change, and the public write set is almost always empty.
         """
-        return encode_value(
-            {
-                "view": self.txid.view,
-                "seqno": self.txid.seqno,
-                "kind": self.kind.value,
-                "public_digest": bytes(sha256(self.public_writes.encode())),
-                "private_digest": bytes(sha256(self.private_blob)),
-                "claims_digest": self.claims_digest,
-            }
+        if self.public_writes.is_empty():
+            public_digest = _EMPTY_PUBLIC_DIGEST
+        else:
+            public_digest = sha256(self.public_writes.encode())
+        return b"".join(
+            (
+                _LEAF_HEAD[self.kind],
+                encode_value(self.txid.view),
+                _LEAF_SEQNO,
+                encode_value(self.txid.seqno),
+                _LEAF_CLAIMS,
+                encode_value(self.claims_digest) if self.claims_digest else _NO_CLAIMS,
+                _LEAF_PUBLIC,
+                public_digest,
+                _LEAF_PRIVATE,
+                sha256(self.private_blob),
+            )
         )
 
     def digest(self) -> Digest:

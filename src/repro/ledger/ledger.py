@@ -9,6 +9,7 @@ as "signature transaction replicated to a majority".
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -87,6 +88,13 @@ class Ledger:
         self._base_last_sig = TxID(0, 0)
         self._tree = MerkleTree()
         self.secrets = secrets if secrets is not None else LedgerSecretStore()
+        # The opened-entry window (DESIGN.md, "Fast-path discipline"):
+        # seqno -> (entry, its full write set) for entries this ledger
+        # opened or built and whose commit scan has not consumed them yet.
+        # It holds private plaintext, so it belongs to this enclave's ledger
+        # and never to the LedgerEntry, which every simulated enclave shares
+        # through the decode cache.
+        self._opened: dict[int, tuple[LedgerEntry, WriteSet]] = {}
         # Optional observability wiring (set by the owning node).
         self.obs = None
         self.obs_owner = ""
@@ -273,6 +281,35 @@ class Ledger:
         return combined
 
     # ------------------------------------------------------------------
+    # The opened-entry window: open each uncommitted entry once per node
+
+    def open_appended(self, entry: LedgerEntry) -> WriteSet:
+        """Open the entry this ledger just appended (a backup applying a
+        replicated entry) and carry the result until its commit scan."""
+        write_set = self.decrypt_private(entry)
+        self._opened[entry.txid.seqno] = (entry, write_set)
+        return write_set
+
+    def carry_built(self, entry: LedgerEntry, write_set: WriteSet) -> None:
+        """Carry the write set the just-appended ``entry`` was built from
+        (the primary), in the shape ``decrypt_private(entry)`` would return:
+        the entry's own public half, and the private half as it comes back
+        from the canonical codec."""
+        _, private = write_set.split()
+        opened = WriteSet()
+        opened.merge(entry.public_writes)
+        opened.merge(private.canonical())
+        self._opened[entry.txid.seqno] = (entry, opened)
+
+    def take_opened(self, entry: LedgerEntry) -> WriteSet:
+        """The full write set of ``entry``, releasing the carried one if
+        this ledger holds it and opening the entry otherwise."""
+        carried = self._opened.pop(entry.txid.seqno, None)
+        if carried is not None and carried[0] is entry:
+            return carried[1]
+        return self.decrypt_private(entry)
+
+    # ------------------------------------------------------------------
     # Signature transactions (section 3.2)
 
     def build_signature_entry(
@@ -305,8 +342,6 @@ class Ledger:
     def next_signature_seqno(self, after: int) -> int | None:
         """The seqno of the first signature entry strictly after ``after``
         (among the entries this node retains)."""
-        import bisect
-
         index = bisect.bisect_right(self._sig_seqnos, after)
         if index < len(self._sig_seqnos):
             return self._sig_seqnos[index]
@@ -315,8 +350,6 @@ class Ledger:
     def prev_signature_seqno(self, at_or_before: int) -> int | None:
         """The seqno of the last signature entry at or before
         ``at_or_before`` (among the entries this node retains)."""
-        import bisect
-
         index = bisect.bisect_right(self._sig_seqnos, at_or_before)
         if index:
             return self._sig_seqnos[index - 1]
@@ -343,7 +376,9 @@ class Ledger:
             raise LedgerError(f"cannot truncate to {seqno} (base {self.base_seqno})")
         del self._entries[seqno - self.base_seqno:]
         del self._txids[seqno:]
-        self._sig_seqnos = [s for s in self._sig_seqnos if s <= seqno]
+        del self._sig_seqnos[bisect.bisect_right(self._sig_seqnos, seqno):]
+        for stale in [s for s in self._opened if s > seqno]:
+            del self._opened[stale]
         self._tree.retract_to(seqno)
         if self.obs is not None:
             self.obs.ledger_truncate(self.obs_owner, seqno)

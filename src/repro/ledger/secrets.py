@@ -36,14 +36,22 @@ class LedgerSecret:
         key_bytes = bytes(sha256(b"ledger-secret", generation.to_bytes(4, "big"), seed))
         return cls(generation=generation, key_bytes=key_bytes, suite=suite)
 
+    def _key(self):
+        """The suite's key object for this secret, built once: the key
+        object caches its own derived MAC state, which a fresh object per
+        operation would throw away."""
+        key = self.__dict__.get("_key_cache")
+        if key is None:
+            key = make_key(self.suite, self.key_bytes)
+            object.__setattr__(self, "_key_cache", key)
+        return key
+
     def seal(self, seqno: int, plaintext: bytes, aad: bytes) -> bytes:
         """Encrypt a private write set for the entry at ``seqno``."""
-        key = make_key(self.suite, self.key_bytes)
-        return key.seal(nonce_from_counter(seqno, _LEDGER_DOMAIN), plaintext, aad)
+        return self._key().seal(nonce_from_counter(seqno, _LEDGER_DOMAIN), plaintext, aad)
 
     def open(self, seqno: int, sealed: bytes, aad: bytes) -> bytes:
-        key = make_key(self.suite, self.key_bytes)
-        return key.open(nonce_from_counter(seqno, _LEDGER_DOMAIN), sealed, aad)
+        return self._key().open(nonce_from_counter(seqno, _LEDGER_DOMAIN), sealed, aad)
 
     def seal_snapshot(self, base_seqno: int, plaintext: bytes, aad: bytes) -> bytes:
         """Encrypt serialized KV state for a snapshot based at ``base_seqno``.
@@ -55,12 +63,10 @@ class LedgerSecret:
         the nonce only for byte-identical plaintext (serialization is
         deterministic), which is safe.
         """
-        key = make_key(self.suite, self.key_bytes)
-        return key.seal(nonce_from_counter(base_seqno, _SNAPSHOT_DOMAIN), plaintext, aad)
+        return self._key().seal(nonce_from_counter(base_seqno, _SNAPSHOT_DOMAIN), plaintext, aad)
 
     def open_snapshot(self, base_seqno: int, sealed: bytes, aad: bytes) -> bytes:
-        key = make_key(self.suite, self.key_bytes)
-        return key.open(nonce_from_counter(base_seqno, _SNAPSHOT_DOMAIN), sealed, aad)
+        return self._key().open(nonce_from_counter(base_seqno, _SNAPSHOT_DOMAIN), sealed, aad)
 
     def chunk_nonce(self, content_digest: bytes) -> bytes:
         """SIV-style nonce for a state chunk: domain byte + plaintext digest.
@@ -86,12 +92,10 @@ class LedgerSecret:
         snapshot, destroying dedup. Position binding instead lives in the
         signed manifest, whose digest the snapshot receipt covers.
         """
-        key = make_key(self.suite, self.key_bytes)
-        return key.seal(self.chunk_nonce(content_digest), plaintext, aad)
+        return self._key().seal(self.chunk_nonce(content_digest), plaintext, aad)
 
     def open_chunk(self, content_digest: bytes, sealed: bytes, aad: bytes) -> bytes:
-        key = make_key(self.suite, self.key_bytes)
-        return key.open(self.chunk_nonce(content_digest), sealed, aad)
+        return self._key().open(self.chunk_nonce(content_digest), sealed, aad)
 
     def __repr__(self) -> str:  # pragma: no cover - never leak key bytes
         return f"LedgerSecret(generation={self.generation}, <secret>)"

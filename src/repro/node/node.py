@@ -19,6 +19,7 @@ Request lifecycle (sections 3.1, 4.3):
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Callable
 
 from repro.app.application import Application
@@ -281,8 +282,14 @@ class CCFNode:
         )
 
     def _arm_join_retry(self) -> None:
+        # The timer holds the node weakly: it fires a full retry interval
+        # after a crash, and must not keep the crashed node's ledger and
+        # store alive until then. The event itself still fires either way.
+        node = weakref.ref(self)
+
         def tick() -> None:
-            if self.stopped:
+            self = node()
+            if self is None or self.stopped:
                 return
             row = (
                 self.store.get(maps.NODES_INFO, self.node_id)
@@ -1002,7 +1009,7 @@ class CCFNode:
 
     def apply_replicated_entry(self, entry: LedgerEntry) -> frozenset[str] | None:
         self.ledger.append(entry)
-        write_set = self.ledger.decrypt_private(entry)
+        write_set = self.ledger.open_appended(entry)
         self.store.apply_write_set(write_set, entry.txid.seqno)
         self._handle_node_info_updates(write_set)
         if entry.is_reconfiguration:
@@ -1074,7 +1081,7 @@ class CCFNode:
         indexable: list[tuple[TxID, WriteSet]] = []
         for seqno in range(start + 1, commit_seqno + 1):
             entry = self.ledger.entry_at(seqno)
-            write_set = self.ledger.decrypt_private(entry)
+            write_set = self.ledger.take_opened(entry)
             indexable.append((entry.txid, write_set))
             for node_id, info in write_set.updates.get(maps.NODES_INFO, {}).items():
                 if isinstance(info, dict):
@@ -1368,6 +1375,7 @@ class CCFNode:
             # retains the claims so receipts can expose them (section 3.5).
             self._claims_by_seqno[seqno] = claims
         self.ledger.append(entry)
+        self.ledger.carry_built(entry, write_set)
         self._handle_node_info_updates(write_set)
         self.consensus.note_local_append(
             entry, trusted_after if is_reconfig else None
@@ -2111,6 +2119,7 @@ class CCFNode:
             self.consensus.stop()
         self.enclave.destroy()
         self.network.crash(self.node_id)
+        self.network.unregister(self.node_id)
 
     @property
     def is_primary(self) -> bool:

@@ -15,16 +15,24 @@ from repro.errors import CCFError
 
 
 class EventHandle:
-    """A cancellation token for a scheduled event."""
+    """A scheduled event and its cancellation token.
 
-    __slots__ = ("cancelled", "fire_at")
+    The queue holds the handle, not the callback, so that cancelling lets
+    go of the callback at once: a cancelled timer sits in the queue until
+    virtual time reaches it, and must not keep a crashed node's ledger and
+    store alive that long (every ``append_entries`` re-arms a 150-300 ms
+    election timer)."""
 
-    def __init__(self, fire_at: float):
+    __slots__ = ("cancelled", "fire_at", "callback")
+
+    def __init__(self, fire_at: float, callback: Callable[[], None]):
         self.cancelled = False
         self.fire_at = fire_at
+        self.callback = callback
 
     def cancel(self) -> None:
         self.cancelled = True
+        self.callback = None
 
 
 class Scheduler:
@@ -35,7 +43,7 @@ class Scheduler:
         self.rng = random.Random(seed)
         self.tracer = None
         self.obs = None  # optional repro.obs.ObsCollector
-        self._queue: list[tuple[float, int, EventHandle, Callable[[], None]]] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._sequence = 0
         self._events_processed = 0
         self._end_hooks: list[Callable[[], None]] = []
@@ -58,8 +66,8 @@ class Scheduler:
         """Schedule ``callback`` at absolute virtual ``time``."""
         if time < self.now:
             raise CCFError(f"cannot schedule in the past ({time} < {self.now})")
-        handle = EventHandle(time)
-        heapq.heappush(self._queue, (time, self._sequence, handle, callback))
+        handle = EventHandle(time, callback)
+        heapq.heappush(self._queue, (time, self._sequence, handle))
         self._sequence += 1
         return handle
 
@@ -100,9 +108,10 @@ class Scheduler:
     def step(self) -> bool:
         """Run the next event. Returns False when the queue is empty."""
         while self._queue:
-            time, seq, handle, callback = heapq.heappop(self._queue)
+            time, seq, handle = heapq.heappop(self._queue)
             if handle.cancelled:
                 continue
+            callback = handle.callback
             self.now = time
             self._events_processed += 1
             if self.obs is not None:
@@ -130,7 +139,7 @@ class Scheduler:
     def run_until(self, deadline: float) -> None:
         """Process events until virtual time reaches ``deadline``."""
         while self._queue:
-            time, _seq, handle, _callback = self._queue[0]
+            time, _seq, handle = self._queue[0]
             if time > deadline:
                 break
             if handle.cancelled:
@@ -148,7 +157,7 @@ class Scheduler:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for _t, _s, handle, _c in self._queue if not handle.cancelled)
+        return sum(1 for _t, _s, handle in self._queue if not handle.cancelled)
 
     @property
     def events_processed(self) -> int:

@@ -519,3 +519,112 @@ class TestNotPrimaryError:
 
         assert issubclass(NotPrimaryError, ConsensusError)
         assert issubclass(NotPrimaryError, CCFError)
+
+
+class TestHeldPrefixSkip:
+    """``on_append_entries`` decides a window's already-held prefix with one
+    transaction-ID comparison at the last held entry, and scans entry by
+    entry only when that fails. The oracle is the same window delivered one
+    entry per message, where the two are the same comparison."""
+
+    SHARED = 6  # view-1 entries leader and backup both hold
+
+    def _backup_and_window(self, shared_in_window, stale, fresh):
+        """A backup holding the shared prefix plus ``stale`` view-1 entries
+        the leader never had, and the view-2 leader's window: the last
+        ``shared_in_window`` shared entries followed by ``fresh`` new ones."""
+        from repro.consensus.messages import AppendEntries
+        from repro.kv.tx import WriteSet
+
+        cluster = Cluster(3)
+        leader, backup = cluster.hosts["n0"], cluster.hosts["n1"]
+        backup.consensus.start()
+        sent, rollbacks = [], []
+        backup.send_consensus_message = lambda to, message: sent.append(message)
+        truncate_to = backup.truncate_to
+        backup.truncate_to = lambda seqno: (rollbacks.append(seqno), truncate_to(seqno))
+
+        def build(ledger, view, tag, index):
+            write_set = WriteSet()
+            write_set.put("data", f"{tag}{index}", index)
+            entry = ledger.build_entry(view, write_set)
+            ledger.append(entry)
+            return entry, write_set
+
+        shared = [build(leader.ledger, 1, "shared", i)[0] for i in range(self.SHARED)]
+        backup.consensus.on_append_entries(AppendEntries(
+            view=1, leader_id="n0", prev_txid=TxID(0, 0),
+            entries=tuple(shared), leader_commit=0,
+        ))
+        for i in range(stale):
+            entry, write_set = build(backup.ledger, 1, "stale", i)
+            backup.store.apply_write_set(write_set, entry.txid.seqno)
+            backup.consensus.view_history.note_append(entry.txid)
+        for i in range(fresh):
+            build(leader.ledger, 2, "fresh", i)
+        first = self.SHARED - shared_in_window + 1
+        window = tuple(leader.ledger.entries(first))
+        del sent[:]
+        return leader, backup, window, leader.ledger.txid_at(first - 1), sent, rollbacks
+
+    def _deliver(self, backup, prev_txid, entries):
+        from repro.consensus.messages import AppendEntries
+
+        backup.consensus.on_append_entries(AppendEntries(
+            view=2, leader_id="n0", prev_txid=prev_txid,
+            entries=tuple(entries), leader_commit=0,
+        ))
+
+    @pytest.mark.parametrize(
+        "shared_in_window, stale, fresh",
+        [
+            pytest.param(0, 3, 5, id="diverges-at-first-held"),
+            pytest.param(3, 4, 6, id="diverges-in-the-middle"),
+            pytest.param(4, 1, 3, id="diverges-at-last-held"),
+            pytest.param(4, 0, 3, id="held-prefix-then-new-entries"),
+            pytest.param(5, 0, 0, id="window-entirely-held"),
+            pytest.param(2, 6, 1, id="stale-suffix-longer-than-window"),
+        ],
+    )
+    def test_one_window_equals_one_entry_per_message(self, shared_in_window, stale, fresh):
+        args = (shared_in_window, stale, fresh)
+        leader, whole, window, prev_txid, whole_sent, whole_rollbacks = (
+            self._backup_and_window(*args)
+        )
+        _, single, _, _, single_sent, single_rollbacks = self._backup_and_window(*args)
+
+        self._deliver(whole, prev_txid, window)
+        previous = prev_txid
+        for entry in window:
+            self._deliver(single, previous, [entry])
+            previous = entry.txid
+
+        def state(host):
+            return (
+                [entry.encode() for entry in host.ledger.entries()],
+                host.ledger.root(),
+                host.store.serialize(),
+                host.consensus.view_history.starts(),
+            )
+
+        assert state(whole) == state(single)
+        assert whole_rollbacks == single_rollbacks
+        assert len(whole_rollbacks) == (1 if stale else 0)
+        assert len(whole_sent) == 1 and whole_sent[0].success
+        assert whole_sent[0].last_seqno == single_sent[-1].last_seqno == window[-1].txid.seqno
+        covered = whole.ledger.entries(window[0].txid.seqno, window[-1].txid.seqno)
+        assert [e.txid for e in covered] == [e.txid for e in window]
+        assert whole.ledger.last_txid() == leader.ledger.last_txid()
+
+    def test_a_gap_inside_the_held_prefix_takes_the_per_entry_path(self):
+        """The shortcut trusts the last held entry only when the window's
+        seqnos are consecutive up to it. A window with a hole in its held
+        part must not be judged by the wrong entry: the per-entry scan
+        accepts it (every entry it names is held or next), and so must we."""
+        _leader, backup, window, prev_txid, sent, rollbacks = self._backup_and_window(
+            4, 0, 3
+        )
+        gapped = window[:2] + window[3:]
+        self._deliver(backup, prev_txid, gapped)
+        assert sent[-1].success and not rollbacks
+        assert backup.ledger.last_txid() == window[-1].txid

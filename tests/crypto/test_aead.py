@@ -1,5 +1,7 @@
 """Tests for ChaCha20, Poly1305, both AEAD suites, X25519, HKDF, ECIES."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from repro.crypto.hkdf import hkdf
 from repro.crypto.poly1305 import poly1305_mac
 from repro.crypto.x25519 import DHPrivateKey, x25519
 from repro.errors import CryptoError, VerificationError
+from repro.ledger.secrets import LedgerSecret
+from tests.oracles import fastaead as reference_aead
 
 
 class TestChaCha20:
@@ -118,6 +122,52 @@ class TestAEADSuites:
         key = key_cls.generate(b"prop")
         nonce = nonce_from_counter(counter)
         assert key.open(nonce, key.seal(nonce, plaintext, aad), aad) == plaintext
+
+
+class TestFastAEADAgainstReference:
+    """``FastAEADKey`` forks a hashed prefix per keystream block and a
+    keyed HMAC per tag; its output must stay the straight-line
+    construction's (``tests/oracles/fastaead.py``), byte for byte."""
+
+    KEY = FastAEADKey.generate(b"reference")
+
+    # 0-100 covers the partial first blocks; 8,192 bytes is the last
+    # length served by the precomputed block counters.
+    LENGTHS = [*range(101), 1_000, 7_000, 8_191, 8_192, 8_193, 8_225, 20_000]
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_seal_matches_and_open_inverts(self, length):
+        rng = random.Random(length)
+        plaintext = rng.randbytes(length)
+        aad = rng.randbytes(length % 37)
+        nonce = nonce_from_counter(length + 1, domain=0x4C)
+        sealed = self.KEY.seal(nonce, plaintext, aad)
+        assert sealed == reference_aead.seal(self.KEY.key, nonce, plaintext, aad)
+        assert self.KEY.open(nonce, sealed, aad) == plaintext
+
+    def test_one_key_object_many_messages(self):
+        """The keyed MAC state is cached on the key object: reusing the
+        object must not leak one message's state into the next tag."""
+        for counter in range(1, 30):
+            nonce = nonce_from_counter(counter)
+            plaintext, aad = b"p" * counter, b"a" * (30 - counter)
+            assert self.KEY.seal(nonce, plaintext, aad) == reference_aead.seal(
+                self.KEY.key, nonce, plaintext, aad
+            )
+
+    def test_ledger_secret_seals_what_a_fresh_key_seals(self):
+        """``LedgerSecret`` holds one key object for all its operations."""
+        secret = LedgerSecret.generate(b"seed", generation=3)
+        fresh = make_key(secret.suite, secret.key_bytes)
+        for seqno in (1, 2, 500):
+            sealed = secret.seal(seqno, b"private-%d" % seqno, b"aad")
+            assert sealed == fresh.seal(
+                nonce_from_counter(seqno, 0x4C), b"private-%d" % seqno, b"aad"
+            )
+            assert secret.open(seqno, sealed, b"aad") == b"private-%d" % seqno
+        digest = bytes(range(32))
+        assert secret.open_chunk(digest, secret.seal_chunk(digest, b"chunk", b"a"), b"a") == b"chunk"
+        assert secret.open_snapshot(9, secret.seal_snapshot(9, b"snap", b"a"), b"a") == b"snap"
 
 
 class TestNonce:

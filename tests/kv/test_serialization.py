@@ -1,5 +1,9 @@
 """Tests for the canonical value codec."""
 
+import collections
+import enum
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +11,14 @@ from hypothesis import strategies as st
 from repro.errors import KVError
 from repro.kv.serialization import (
     MAX_DECODE_DEPTH,
+    canonical_value,
     decode_value,
     encode_value,
     json_safe,
     json_safe_key,
 )
+from tests.oracles.encoder import encode_value as ladder_encode_value
+from tests.oracles.structure import exact
 
 # Strategy for the supported value universe.
 _scalars = st.one_of(
@@ -184,6 +191,131 @@ class TestGoldenVectors:
             assert decoded == list(value) or decoded == [list(v) for v in value]
         else:
             assert decoded == value
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    DEEP = -(2**40)
+
+
+class _Name(str):
+    pass
+
+
+class _Blob(bytes):
+    pass
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    """A value from the supported universe, including what the dispatch
+    table misses by exact type: subclasses of every base type."""
+    scalars = [
+        lambda: None,
+        lambda: rng.random() < 0.5,
+        lambda: rng.randrange(-(2**70), 2**70),
+        lambda: rng.randrange(-3, 300),
+        lambda: "".join(rng.choice("aé\x00z9") for _ in range(rng.randrange(40))),
+        lambda: rng.randbytes(rng.randrange(300)),
+        lambda: bytearray(rng.randbytes(rng.randrange(8))),
+        lambda: rng.choice(list(_Colour)),
+        lambda: _Name("n%d" % rng.randrange(100)),
+        lambda: _Blob(rng.randbytes(3)),
+    ]
+    if depth >= 4 or rng.random() < 0.45:
+        return rng.choice(scalars)()
+    size = rng.randrange(6)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [_random_value(rng, depth + 1) for _ in range(size)]
+    if kind == 1:
+        return tuple(_random_value(rng, depth + 1) for _ in range(size))
+    if kind == 2:
+        return _Pair(_random_value(rng, depth + 1), _random_value(rng, depth + 1))
+    keys = [
+        lambda: "k%d" % rng.randrange(50),
+        lambda: rng.randrange(-5, 500),
+        lambda: rng.randbytes(2),
+        lambda: (rng.randrange(3), "t%d" % rng.randrange(3)),
+        lambda: rng.choice(list(_Colour)),
+        lambda: _Name("n%d" % rng.randrange(9)),
+        lambda: rng.random() < 0.5,
+        lambda: None,
+    ]
+    pairs = [(rng.choice(keys)(), _random_value(rng, depth + 1)) for _ in range(size)]
+    if kind == 3:
+        return collections.OrderedDict(pairs)
+    return dict(pairs)
+
+
+class TestEncoderAgainstLadderOracle:
+    """The type-dispatched production encoder must produce the bytes of the
+    ``isinstance`` ladder it replaced (``tests/oracles/encoder.py``)."""
+
+    @pytest.mark.parametrize("value,expected_hex", _GOLDEN_VECTORS)
+    def test_oracle_reproduces_golden_vectors(self, value, expected_hex):
+        assert ladder_encode_value(value).hex() == expected_hex
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_randomized_nested_values(self, seed):
+        value = _random_value(random.Random(seed))
+        assert encode_value(value) == ladder_encode_value(value)
+
+    @pytest.mark.parametrize("length", [255, 256, 257, 4095, 4096, 4097, 70_000])
+    def test_lengths_around_the_shared_prefixes(self, length):
+        """Short lengths reuse prefix objects; the boundary and anything
+        beyond must encode the same way."""
+        for value in (
+            "x" * length,
+            b"y" * length,
+            bytearray(length),
+            list(range(length)),
+            tuple([None] * length),
+            {index: index for index in range(length)},
+            2 ** (8 * length) - 1 if length < 5000 else 1,
+        ):
+            assert encode_value(value) == ladder_encode_value(value)
+
+    def test_subclasses_encode_as_their_base_type(self):
+        assert encode_value(_Colour.RED) == encode_value(1)
+        assert encode_value(_Colour.DEEP) == encode_value(-(2**40))
+        assert encode_value(_Name("n")) == encode_value("n")
+        assert encode_value(_Blob(b"b")) == encode_value(b"b")
+        assert encode_value(_Pair(1, 2)) == encode_value([1, 2])
+        assert encode_value(collections.OrderedDict(b=1, a=2)) == encode_value(
+            {"a": 2, "b": 1}
+        )
+
+    @pytest.mark.parametrize("value", [3.14, {1, 2}, object(), [1, {"k": 2.5}], {2.5: 1}])
+    def test_both_reject_the_same_values(self, value):
+        with pytest.raises(KVError) as production:
+            encode_value(value)
+        with pytest.raises(KVError) as oracle:
+            ladder_encode_value(value)
+        assert str(production.value) == str(oracle.value)
+
+
+class TestCanonicalValue:
+    """``canonical_value`` is the codec round trip without the bytes —
+    exact types and dict order included, not just ``==``."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_equals_the_round_trip_exactly(self, seed):
+        value = _random_value(random.Random(1000 + seed))
+        assert exact(canonical_value(value)) == exact(decode_value(encode_value(value)))
+
+    def test_named_cases(self):
+        assert exact(canonical_value((1, (2, bytearray(b"x"))))) == exact([1, [2, b"x"]])
+        assert exact(canonical_value({(1, (2, 3)): (4,)})) == exact({(1, (2, 3)): [4]})
+        assert list(canonical_value({"zz": 1, "b": 2, "aaa": 3})) == ["b", "zz", "aaa"]
+        assert exact(canonical_value(_Colour.RED)) == exact(1)
+
+    @pytest.mark.parametrize("value", [3.14, [1, {2}], {"k": object()}])
+    def test_rejects_what_the_encoder_rejects(self, value):
+        with pytest.raises(KVError):
+            canonical_value(value)
 
 
 class TestDecodeDepthLimit:

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.crypto.ecdsa import SigningKey
+from repro.crypto.hashing import sha256
 from repro.errors import IntegrityError, LedgerError, VerificationError
+from repro.kv.serialization import encode_value
 from repro.kv.tx import WriteSet
 from repro.ledger.entry import EntryKind, LedgerEntry, TxID
 from repro.ledger.ledger import SIGNATURES_MAP, Ledger
 from repro.ledger.secrets import LedgerSecret, LedgerSecretStore
+from tests.oracles.structure import exact
 
 
 def make_ledger():
@@ -38,6 +41,77 @@ class TestTxID:
     def test_parse_rejects_garbage(self):
         with pytest.raises(LedgerError):
             TxID.parse("not-a-txid")
+
+
+def _leaf_golden_entries():
+    signature = WriteSet()
+    signature.put(
+        SIGNATURES_MAP,
+        "latest",
+        {"node_id": "n0", "view": 2, "seqno": 21, "root": "ab" * 32, "signature": "cd" * 64},
+    )
+    governance = WriteSet()
+    governance.put("public:ccf.gov.nodes.info", "n5", {"status": "Trusted"})
+    governance.remove("public:ccf.gov.nodes.info", "n1")
+    return [
+        pytest.param(
+            LedgerEntry(TxID(2, 20), EntryKind.USER, WriteSet(), b"sealed-private-blob"),
+            "deb1761e2a51da6235fcd955d8c1a1aaf06300737351355d17fb5cab1af633d8",
+            id="user",
+        ),
+        pytest.param(
+            LedgerEntry(
+                TxID(3, 70000), EntryKind.USER, WriteSet(), bytes(100), 1,
+                bytes(sha256(b"claims")),
+            ),
+            "28999f7afb1a93fde9ad4fb0c1436c985ae88e0c465c2d1ddb75196b4525a346",
+            id="user+claims",
+        ),
+        pytest.param(
+            LedgerEntry(TxID(2, 21), EntryKind.SIGNATURE, signature),
+            "be24a7d3109033521ad9d447825f81fe97419774a476c884dd34b88452a9aa9c",
+            id="signature",
+        ),
+        pytest.param(
+            # An odd-length claims digest can only come off the wire; it
+            # must still go through the generic encoder, not a fixed header.
+            LedgerEntry(
+                TxID(2**40, 2**33), EntryKind.RECONFIGURATION, governance,
+                b"x" * 1000, 2, b"\x01" * 7,
+            ),
+            "9357de7f2fff4b78fba852e1a8d4a4bfde98db82209f6ac950be1059388d2ee0",
+            id="reconfiguration",
+        ),
+    ]
+
+
+class TestLeafData:
+    """``leaf_data`` is spliced from constant stretches; its bytes are what
+    every signed Merkle root covers, so they are pinned twice over."""
+
+    @pytest.mark.parametrize("entry, leaf_sha256", _leaf_golden_entries())
+    def test_bytes_are_the_canonical_six_key_dict(self, entry, leaf_sha256):
+        generic = encode_value(
+            {
+                "view": entry.txid.view,
+                "seqno": entry.txid.seqno,
+                "kind": entry.kind.value,
+                "public_digest": bytes(sha256(entry.public_writes.encode())),
+                "private_digest": bytes(sha256(entry.private_blob)),
+                "claims_digest": entry.claims_digest,
+            }
+        )
+        assert entry.leaf_data() == generic
+        # Recorded from the commit before the splice.
+        assert sha256(entry.leaf_data()).hex() == leaf_sha256
+
+    def test_maps_without_rows_count_as_an_empty_public_set(self):
+        hollow = WriteSet()
+        hollow.updates["public:empty"] = {}
+        plain = LedgerEntry(TxID(1, 1), EntryKind.USER, WriteSet(), b"blob")
+        assert LedgerEntry(TxID(1, 1), EntryKind.USER, hollow, b"blob").leaf_data() == (
+            plain.leaf_data()
+        )
 
 
 class TestAppend:
@@ -247,3 +321,99 @@ class TestTruncate:
         ledger = make_ledger()
         with pytest.raises(LedgerError):
             ledger.truncate(5)
+
+    def test_truncate_cuts_the_signature_index(self):
+        ledger = make_ledger()
+        key = SigningKey.generate(b"node")
+        for i in range(9):
+            if i % 3 == 2:
+                ledger.append(ledger.build_signature_entry(1, "n0", key))
+            else:
+                ledger.append(ledger.build_entry(1, user_write_set(i)))
+        assert [ledger.next_signature_seqno(s) for s in (0, 3, 8, 9)] == [3, 6, 9, None]
+        assert [ledger.prev_signature_seqno(s) for s in (2, 3, 8)] == [None, 3, 6]
+        ledger.truncate(6)  # exactly on a signature: it stays
+        assert ledger.next_signature_seqno(3) == 6
+        assert ledger.next_signature_seqno(6) is None
+        ledger.truncate(5)
+        assert ledger.prev_signature_seqno(5) == 3
+        assert ledger.last_signature_txid() == TxID(1, 3)
+        ledger.truncate(0)
+        assert ledger.prev_signature_seqno(10) is None
+
+
+class TestOpenedWindow:
+    """The ledger carries each opened or built entry's write set from append
+    until ``take_opened`` releases it (the commit scan)."""
+
+    def _replicated(self, count):
+        """(primary ledger, backup ledger, entries) sharing one secret."""
+        primary, backup = make_ledger(), make_ledger()
+        entries = []
+        for i in range(count):
+            ws = user_write_set(i)
+            ws.put("public:audit", i, ("mixed", i))
+            entries.append(primary.build_entry(1, ws))
+            primary.append(entries[-1])
+        return primary, backup, entries
+
+    def test_backup_opens_once_and_takes_the_same_object(self):
+        _primary, backup, entries = self._replicated(3)
+        opened = []
+        for entry in entries:
+            backup.append(entry)
+            opened.append(backup.open_appended(entry))
+        assert len(backup._opened) == 3
+        for entry, write_set in zip(entries, opened):
+            assert backup.take_opened(entry) is write_set
+            assert exact(write_set.updates) == exact(backup.decrypt_private(entry).updates)
+        assert not backup._opened
+
+    def test_primary_carries_what_decrypt_private_returns(self):
+        ledger = make_ledger()
+        ws = WriteSet()
+        ws.put("records", (2, ("k", 1)), {"t": (1, 2), "b": bytearray(b"x"), "a": None})
+        ws.put("records", "plain", "value")
+        ws.remove("records", 7)
+        ws.put("public:audit", "row", ("kept", "as", "written"))
+        ws.updates["hollow"] = {}
+        entry = ledger.build_entry(1, ws)
+        ledger.append(entry)
+        ledger.carry_built(entry, ws)
+        oracle = ledger.decrypt_private(entry)
+        carried = ledger.take_opened(entry)
+        assert exact(carried.updates) == exact(oracle.updates)
+        # The public half is the entry's own (never round-tripped on the
+        # node that built it); the private half is in decoded shape.
+        assert carried.updates["public:audit"]["row"] == ("kept", "as", "written")
+        assert carried.updates["records"][(2, ("k", 1))] == {"a": None, "b": b"x", "t": [1, 2]}
+
+    def test_take_without_a_carried_set_opens_the_entry(self):
+        _primary, backup, entries = self._replicated(1)
+        backup.append(entries[0])
+        assert not backup._opened
+        write_set = backup.take_opened(entries[0])
+        assert write_set.updates["messages"][0] == "message body 0"
+
+    def test_truncate_drops_carried_sets_above_the_cut(self):
+        _primary, backup, entries = self._replicated(5)
+        for entry in entries:
+            backup.append(entry)
+            backup.open_appended(entry)
+        backup.truncate(2)
+        assert sorted(backup._opened) == [1, 2]
+        # A different entry at a truncated seqno never sees the old set.
+        replacement = backup.build_entry(2, user_write_set(99))
+        backup.append(replacement)
+        assert backup.take_opened(replacement).updates["messages"] == {99: "message body 99"}
+
+    def test_a_carried_set_is_only_released_for_its_own_entry(self):
+        _primary, backup, entries = self._replicated(1)
+        backup.append(entries[0])
+        backup.open_appended(entries[0])
+        impostor = LedgerEntry.decode(entries[0].encode())
+        impostor = LedgerEntry(
+            impostor.txid, impostor.kind, WriteSet(), impostor.private_blob,
+            impostor.secret_generation, impostor.claims_digest,
+        )
+        assert "public:audit" not in backup.take_opened(impostor).updates

@@ -281,3 +281,45 @@ class TestNetworkFaults:
             network_b.send("a", "b", i)
         scheduler_b.run_until(scheduler_b.now + 1.0)
         assert scheduler_b.rng.random() == draw_a
+
+
+def test_crashed_node_is_collectable_once_its_owner_drops_it():
+    """Enclave memory is lost in a crash — and the simulator must not keep
+    it either. A joiner that caught up (election timer re-armed by every
+    append_entries, join-retry timer pending) and then crashed holds a full
+    ledger and store; nothing in the scheduler queue or the network may pin
+    them once the caller lets go of the node."""
+    import gc
+    import weakref
+
+    from repro.app.logging_app import build_logging_app
+    from repro.node.node import CCFNode
+
+    service = make_service(n_nodes=3)
+    user = service.any_user_client()
+    primary = service.primary_node()
+    for i in range(30):
+        user.call(primary.node_id, "/app/write_message", {"id": i, "msg": f"m{i}"})
+    joiner = CCFNode(
+        node_id=service.new_node_id(),
+        scheduler=service.scheduler,
+        network=service.network,
+        hardware=service.hardware,
+        app=build_logging_app(),
+        config=service.setup.node_config,
+        code_id=service.code_id,
+    )
+    joiner.request_join(primary.node_id, primary.service_certificate)
+    service.run_until(
+        lambda: joiner.consensus is not None
+        and joiner.ledger.last_seqno >= primary.consensus.commit_seqno,
+        timeout=5.0,
+    )
+    ledger = weakref.ref(joiner.ledger)
+    joiner.crash()
+    del joiner
+    gc.collect()
+    assert ledger() is None
+    # The service carries on; the dead node's pending timers fire as no-ops.
+    service.run(2.0)
+    assert user.call(primary.node_id, "/app/write_message", {"id": 99, "msg": "after"}).ok

@@ -1,0 +1,135 @@
+"""Sim-neutrality pins: constants recorded from a known-good commit.
+
+DESIGN.md's fast-path rule says a host-side optimization "may only change
+host wall-clock — never an output byte, never a simulated-time charge,
+never a trace event". The replay tests elsewhere compare a run with itself;
+these compare it with *constants*, so a change that moves the simulation
+fails here even if it moves it deterministically.
+
+A PR that means to move the simulated clock (a message-schedule or
+``CostModel`` change) updates the constants below, and only here:
+
+    PYTHONPATH=src python tests/sim/test_neutrality_pins.py
+
+prints the current values.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.app.logging_app import build_logging_app
+from repro.node.config import NodeConfig
+from repro.service.client import ServiceClient
+from repro.service.service import CCFService, ServiceSetup
+from repro.sim.chaos import ChaosEngine, ChaosSpec
+from repro.sim.trace import TraceRecorder
+
+# (spec, seed) -> (trace digest, sha256 of the schedule report's fingerprint).
+CHAOS = [
+    (
+        "crashes",
+        dict(steps=3, p_crash=0.3),
+        5,
+        "d408cc685de19caad5b48512c4442148a1354193a31c858728972f3d470cbb58",
+        "7dc8a14e71d8b541432c231412623045f35e43dc36fde2a7c2743cc82372a846",
+    ),
+    (
+        "three-nodes",
+        dict(n_nodes=3, steps=2),
+        3,
+        "d1440f99e8b3853a22d1405e73d4af2f1a3d14df4dd8853ff6c00e8834c335a9",
+        "448c5579fdafa274feee3fc252ec63e562ea99fa8cae7a7da60163611cb95fc5",
+    ),
+    (
+        "batching+read-offload",
+        dict(steps=3, p_crash=0.3, batch_execution=True, read_offload=True),
+        9,
+        "514c7ed4e5c0c5404b713f39d0b928eaec3a9d6d2b466528bd1085aefa2b6237",
+        "042e7a6a70a40141c433aa4c1fbafa1a67d5e8937a057a0a55fe880b7cb215f6",
+    ),
+]
+
+# 5 nodes, 50 closed-loop writers on the primary for 0.02 sim-s, then drained.
+_LEDGER_SHA256 = "908d5a9fc01716b8757e0f808429d3783b0b89a7517d774f9d0b9bc995619517"
+WRITE_LOAD = {
+    "ok_replies": 985,
+    "primary_root": "44b6248c8cd86d2b3aadbeb406c31573e33e85698c2f6af649feeff21068cbc1",
+    "events_processed": 4411,
+    "ledger_sha256": {node_id: _LEDGER_SHA256 for node_id in ("n0", "n1", "n2", "n3", "n4")},
+}
+
+
+def chaos_pin(spec: dict, seed: int) -> tuple[str, str]:
+    tracer = TraceRecorder()
+    report = ChaosEngine(ChaosSpec(**spec)).run_schedule(seed, tracer=tracer)
+    return tracer.digest, hashlib.sha256(report.fingerprint().encode()).hexdigest()
+
+
+def write_load_pin() -> dict:
+    service = CCFService(
+        ServiceSetup(
+            n_nodes=5,
+            node_config=NodeConfig(signature_interval=20, signature_flush_time=0.01),
+            app_factory=build_logging_app,
+            seed=7,
+        )
+    )
+    service.bootstrap()
+    primary = service.primary_node().node_id
+    client = ServiceClient(
+        service.scheduler, service.network, name="pin-load", identity=service.users[0]
+    )
+    state = {"running": True, "sent": 0, "ok": 0}
+
+    def send() -> None:
+        if not state["running"]:
+            return
+        index = state["sent"]
+        state["sent"] += 1
+        client.send(
+            primary,
+            "/app/write_message",
+            {"id": (index * 37) % 1000, "msg": f"m{index:019d}"},
+            on_response=on_reply,
+        )
+
+    def on_reply(response) -> None:
+        state["ok"] += response.ok
+        send()
+
+    for _ in range(50):
+        send()
+    service.run(0.02)
+    state["running"] = False
+    service.run(0.5)  # drain: last signature flushed, committed and replicated
+    return {
+        "ok_replies": state["ok"],
+        "primary_root": service.primary_node().ledger.root().hex(),
+        "events_processed": service.scheduler.events_processed,
+        "ledger_sha256": {
+            node_id: hashlib.sha256(
+                b"".join(entry.encode() for entry in node.ledger.entries())
+            ).hexdigest()
+            for node_id, node in sorted(service.nodes.items())
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, seed, digest, fingerprint",
+    [pytest.param(*pin[1:], id=pin[0]) for pin in CHAOS],
+)
+def test_chaos_trace_digest_is_pinned(spec, seed, digest, fingerprint):
+    assert chaos_pin(spec, seed) == (digest, fingerprint)
+
+
+def test_write_load_fingerprint_and_ledger_bytes_are_pinned():
+    pin = write_load_pin()
+    assert pin == WRITE_LOAD
+
+
+if __name__ == "__main__":
+    for name, spec, seed, _digest, _fingerprint in CHAOS:
+        print(name, spec, seed, *chaos_pin(spec, seed))
+    print(write_load_pin())

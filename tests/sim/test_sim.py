@@ -39,6 +39,27 @@ class TestScheduler:
         scheduler.run_to_completion()
         assert fired == ["kept"]
 
+    def test_cancelled_event_lets_go_of_its_callback(self):
+        """A cancelled timer stays queued until its time comes; what its
+        callback captured must be collectable straight away."""
+        import gc
+        import weakref
+
+        class Captured:
+            pass
+
+        scheduler = Scheduler()
+        captured = Captured()
+        alive = weakref.ref(captured)
+        handle = scheduler.after(300.0, lambda captured=captured: captured)
+        del captured
+        gc.collect()
+        assert alive() is not None
+        handle.cancel()
+        gc.collect()
+        assert alive() is None
+        assert scheduler.pending_events == 0
+
     def test_run_until_stops_at_deadline(self):
         scheduler = Scheduler()
         fired = []
