@@ -12,7 +12,7 @@ from repro.app.jsapp.interp import Interpreter
 from repro.app.jsapp.parser import parse
 from repro.crypto import ec, fastec
 from repro.crypto.aead import AEADKey, nonce_from_counter
-from repro.crypto.ecdsa import SigningKey, clear_verify_memo, set_verify_memo
+from repro.crypto.ecdsa import SigningKey, clear_verify_memo
 from repro.crypto.fastaead import FastAEADKey
 from repro.crypto.merkle import MerkleTree
 from repro.kv.champ import ChampMap
@@ -179,6 +179,12 @@ class TestFrameSealing:
         benchmark(lambda: a.seal_frame("beta", payloads))
 
 
+def _cold_verify(public, signature, message):
+    """One verification past an emptied memo: the real double-scalar cost."""
+    clear_verify_memo()
+    public.verify(signature, message)
+
+
 class TestFastPath:
     """Reference ladder vs the fastec fast paths (comb, wNAF, verify memo).
 
@@ -206,15 +212,11 @@ class TestFastPath:
         benchmark(lambda: fastec.double_scalar_mult(self.SCALAR, 12345, point))
 
     def test_ecdsa_verify_cold(self, benchmark):
-        """Verify with the memo disabled: the real double-scalar cost."""
+        """Verify with the memo emptied each round."""
         key = SigningKey.generate(b"bench-cold")
         signature = key.sign(b"merkle root")
         public = key.public_key
-        previous = set_verify_memo(False)
-        try:
-            benchmark(lambda: public.verify(signature, b"merkle root"))
-        finally:
-            set_verify_memo(previous)
+        benchmark(_cold_verify, public, signature, b"merkle root")
 
     def test_ecdsa_verify_memo_hit(self, benchmark):
         """Repeated verification of one (key, digest, signature) triple."""
@@ -241,12 +243,7 @@ class TestFastPath:
         key = SigningKey.generate(b"bench-two-clocks")
         signature = key.sign(b"merkle root")
         public = key.public_key
-        previous = set_verify_memo(False)
-        try:
-            stats = benchmark(lambda: public.verify(signature, b"merkle root"))
-        finally:
-            set_verify_memo(previous)
-        del stats
+        benchmark(_cold_verify, public, signature, b"merkle root")
         host_s = benchmark.stats.stats.mean
         with capsys.disabled():
             print(

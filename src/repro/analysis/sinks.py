@@ -57,9 +57,8 @@ SINKS: tuple[Sink, ...] = (
             "repro.storage.host_storage.HostStorage.write",
             "repro.storage.host_storage.HostStorage.write_buffered",
             "repro.storage.host_storage.HostStorage.write_chunk",
-            "repro.storage.host_storage.HostStorage.write_snapshot",
         }),
-        methods=frozenset({"write", "write_buffered", "write_chunk", "write_snapshot"}),
+        methods=frozenset({"write", "write_buffered", "write_chunk"}),
         receiver_hints=frozenset({"storage"}),
     ),
     Sink(
@@ -120,7 +119,7 @@ DECLASSIFIERS: tuple[Declassifier, ...] = (
     Declassifier(
         category="aead-seal",
         rationale="AEAD ciphertext is indistinguishable without the key",
-        methods=frozenset({"seal", "seal_snapshot", "seal_chunk"}),
+        methods=frozenset({"seal", "seal_chunk"}),
     ),
     Declassifier(
         category="ecies-encrypt",
@@ -150,7 +149,7 @@ DECLASSIFIERS: tuple[Declassifier, ...] = (
         category="decrypt-reentry",
         rationale="decrypted payloads re-enter as application data, which "
                   "has its own (non-key-material) classification",
-        methods=frozenset({"open", "open_snapshot", "open_chunk"}),
+        methods=frozenset({"open", "open_chunk"}),
     ),
     Declassifier(
         category="size",

@@ -31,11 +31,10 @@ _DECODE_CACHE: dict[bytes, "VerifyingKey"] = {}
 # transaction or receipt; verification is a pure function of the triple, so
 # collapsing repeats cannot change any outcome. Only successes are stored —
 # a forged signature re-runs the full check every time and can never be
-# laundered through the cache. Disable with ``set_verify_memo(False)``
-# (chaos differential tests run both ways and require identical traces).
+# laundered through the cache. (tests/crypto/test_verify_memo.py runs a
+# chaos schedule with and without the store and requires identical traces.)
 _VERIFY_MEMO: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
 _VERIFY_MEMO_MAX = 8192
-_VERIFY_MEMO_ENABLED = True
 
 MEMO_STATS = {
     "verify_memo.hits": 0,
@@ -44,14 +43,6 @@ MEMO_STATS = {
     "pubkey_decode.hits": 0,
     "pubkey_decode.misses": 0,
 }
-
-
-def set_verify_memo(enabled: bool) -> bool:
-    """Enable/disable the verification memo; returns the previous setting."""
-    global _VERIFY_MEMO_ENABLED
-    previous = _VERIFY_MEMO_ENABLED
-    _VERIFY_MEMO_ENABLED = enabled
-    return previous
 
 
 def clear_verify_memo() -> None:
@@ -129,7 +120,7 @@ class VerifyingKey:
             raise VerificationError("signature scalar out of range")
         digest = bytes(sha256(message))
         memo_key = (self.encode(), digest, signature)
-        if _VERIFY_MEMO_ENABLED and memo_key in _VERIFY_MEMO:
+        if memo_key in _VERIFY_MEMO:
             MEMO_STATS["verify_memo.hits"] += 1
             _VERIFY_MEMO.move_to_end(memo_key)
             return
@@ -141,8 +132,7 @@ class VerifyingKey:
         point = fastec.double_scalar_mult(u1, u2, self.point)
         if point.is_infinity or (point.x % ec.N) != r:
             raise VerificationError("ECDSA signature verification failed")
-        if _VERIFY_MEMO_ENABLED:
-            _verify_memo_store(memo_key)
+        _verify_memo_store(memo_key)
 
     def is_valid(self, signature: bytes, message: bytes) -> bool:
         """Boolean convenience wrapper around :meth:`verify`."""

@@ -16,27 +16,11 @@ from typing import Any, Iterator
 from repro.errors import KVError, TransactionConflictError
 from repro.kv.champ import ChampMap
 from repro.kv.serialization import (
-    decode_value,
     encode_dict_from_encoded,
     encode_value,
     freeze_key,
 )
 from repro.kv.tx import REMOVED, Transaction, WriteSet
-
-# Batched writes go through a transient CHAMP builder (one path copy per
-# batch instead of one per write). The persistent per-write path remains as
-# the differential-testing oracle; flipping this off routes every apply
-# through it (used by tests and repro.obs.kvbench to prove byte-identical
-# results and to measure the speedup).
-TRANSIENT_APPLY = True
-
-
-def set_transient_apply(enabled: bool) -> bool:
-    """Toggle the transient apply fast path; returns the previous setting."""
-    global TRANSIENT_APPLY
-    previous = TRANSIENT_APPLY
-    TRANSIENT_APPLY = bool(enabled)
-    return previous
 
 
 class KVStore:
@@ -114,13 +98,13 @@ class KVStore:
             )
         for map_name, entries in write_set.updates.items():
             current = self._maps.get(map_name, ChampMap.empty())
-            if TRANSIENT_APPLY and len(entries) > 1:
-                # Transient fast path: one ownership token for the whole
-                # per-map batch, so shared trie paths are copied once and
-                # then mutated in place. freeze() returns the identical map
-                # object for all-no-op batches, matching the persistent
-                # path's identity semantics (delta-snapshot dirtiness is an
-                # object-identity check).
+            if len(entries) > 1:
+                # A batch goes through a transient builder: one ownership
+                # token for the whole per-map batch, so shared trie paths
+                # are copied once and then mutated in place. freeze()
+                # returns the identical map object for all-no-op batches,
+                # matching persistent set/remove's identity semantics
+                # (snapshot dirtiness is an object-identity check).
                 builder = current.transient()
                 for key, value in entries.items():
                     if value is REMOVED:
@@ -311,28 +295,17 @@ class KVStore:
         one in-place trie build per map, not a path copy per row. Row keys
         pass through ``freeze_key``: tuple keys decode from the wire as
         lists (rows are list-encoded, so the decoder's own key freezing
-        never sees them)."""
+        never sees them). Rows that are not ``[key, value]`` pairs raise
+        :class:`KVError`, the failure a chunked install cleans up after."""
         store = cls()
         for name, rows in maps.items():
-            store._maps[name] = ChampMap.from_items(
-                (freeze_key(key), value) for key, value in rows
-            )
+            try:
+                store._maps[name] = ChampMap.from_items(
+                    (freeze_key(key), value) for key, value in rows
+                )
+            except (TypeError, ValueError) as exc:
+                raise KVError(f"malformed rows for map {name!r}") from exc
         store.version = version
         store._history = {version: dict(store._maps)}
         store._history_order = [version]
-        return store
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "KVStore":
-        state = decode_value(data)
-        if not isinstance(state, dict) or "version" not in state or "maps" not in state:
-            raise KVError("malformed store snapshot")
-        store = cls()
-        for name, rows in state["maps"].items():
-            store._maps[name] = ChampMap.from_items(
-                (freeze_key(key), value) for key, value in rows
-            )
-        store.version = state["version"]
-        store._history = {store.version: dict(store._maps)}
-        store._history_order = [store.version]
         return store

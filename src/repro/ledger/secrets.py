@@ -19,7 +19,6 @@ from repro.crypto.hashing import sha256
 from repro.errors import LedgerError
 
 _LEDGER_DOMAIN = 0x4C  # 'L': nonce domain for ledger entries
-_SNAPSHOT_DOMAIN = 0x53  # 'S': nonce domain for sealed snapshots
 _CHUNK_DOMAIN = 0x43  # 'C': nonce domain for content-addressed state chunks
 
 
@@ -52,21 +51,6 @@ class LedgerSecret:
 
     def open(self, seqno: int, sealed: bytes, aad: bytes) -> bytes:
         return self._key().open(nonce_from_counter(seqno, _LEDGER_DOMAIN), sealed, aad)
-
-    def seal_snapshot(self, base_seqno: int, plaintext: bytes, aad: bytes) -> bytes:
-        """Encrypt serialized KV state for a snapshot based at ``base_seqno``.
-
-        Snapshots contain private-map plaintext, so they must never reach
-        host storage (or a joiner's untrusted transport) unsealed. A
-        distinct nonce domain keeps snapshot nonces disjoint from the entry
-        at the same seqno; re-snapshotting the same committed seqno reuses
-        the nonce only for byte-identical plaintext (serialization is
-        deterministic), which is safe.
-        """
-        return self._key().seal(nonce_from_counter(base_seqno, _SNAPSHOT_DOMAIN), plaintext, aad)
-
-    def open_snapshot(self, base_seqno: int, sealed: bytes, aad: bytes) -> bytes:
-        return self._key().open(nonce_from_counter(base_seqno, _SNAPSHOT_DOMAIN), sealed, aad)
 
     def chunk_nonce(self, content_digest: bytes) -> bytes:
         """SIV-style nonce for a state chunk: domain byte + plaintext digest.

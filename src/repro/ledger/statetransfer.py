@@ -1,10 +1,10 @@
 """Incremental state transfer: content-addressed chunked snapshots.
 
-The monolithic snapshot path serializes and seals the *entire* KV store
-every ``snapshot_interval`` commits and ships it to joiners as one blob —
-O(full state) on the primary's critical path. This module makes both sides
-O(change), in the spirit of CCF's chunked snapshots and LSM-style
-content-addressed state shipping:
+Serializing and sealing the *entire* KV store every ``snapshot_interval``
+commits and shipping it to joiners as one blob would be O(full state) on
+the primary's critical path. This module makes both sides O(change), in
+the spirit of CCF's chunked snapshots and LSM-style content-addressed
+state shipping:
 
 - **Delta production**: each map serializes independently into chunks of
   ``~chunk_bytes`` of canonical rows. Persistent (CHAMP) maps make dirty

@@ -181,11 +181,11 @@ class FrameAssembler:
     is accepted iff its pair is >= the watermark, which then advances to
     ``(counter, index + 1)``.
 
-    This is order-isomorphic to the legacy per-message counters: number the
-    messages of the uncoalesced run in send order and `(counter, index)`
+    This is order-isomorphic to per-message counters: number the messages
+    of a one-seal-per-message run in send order and `(counter, index)`
     enumerates exactly that sequence, so "accept iff not overtaken by a
     later-accepted message" drops the same messages under any reordering,
-    duplication, or loss pattern — the property the coalescing-on/off
+    duplication, or loss pattern — the property the frames-vs-per-message
     differential chaos test pins down.
     """
 

@@ -46,26 +46,14 @@ class NodeConfig:
     # any node (instead of forwarding reads of forwarded sessions to the
     # primary), with TxID + receipt-claim freshness metadata on responses.
     read_offload: bool = False
-    # Incremental state transfer (PR 9). With ``delta_snapshots`` on,
-    # snapshot production serializes only maps that changed since the last
-    # snapshot into content-addressed sealed chunks (~``snapshot_chunk_bytes``
-    # of canonical rows each), reusing prior chunks for clean maps, and the
-    # join protocol ships a signed manifest first so joiners fetch only the
-    # chunks they don't already hold, ``join_chunk_batch`` ids per round.
-    # Off = legacy monolithic sealed-blob snapshots and joins.
-    delta_snapshots: bool = True
+    # Incremental state transfer (PR 9). Snapshot production serializes
+    # only maps that changed since the last snapshot into content-addressed
+    # sealed chunks (~``snapshot_chunk_bytes`` of canonical rows each),
+    # reusing prior chunks for clean maps, and the join protocol ships a
+    # signed manifest first so joiners fetch only the chunks they don't
+    # already hold, ``join_chunk_batch`` ids per round.
     snapshot_chunk_bytes: int = 16384
     join_chunk_batch: int = 16
-    # Batched ledger replay during disaster recovery (two-phase: structural
-    # apply, then deferred signature verification below the anchor). The
-    # serial replay remains as the differential-testing oracle.
-    replay_fast_path: bool = True
-    # Coalesced sealed wire frames (PR 10). All consensus messages a node
-    # produces for one peer within one scheduler event share a single AEAD
-    # seal and counter increment; segments still travel (and take latency
-    # draws) as individual messages, so traced runs are bit-identical with
-    # this on or off. Requires secure_channels (plain sends are unaffected).
-    frame_coalescing: bool = True
 
     def __post_init__(self) -> None:
         if self.signature_interval < 1:

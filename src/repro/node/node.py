@@ -30,7 +30,6 @@ from repro.consensus.state import NodeStatus
 from repro.crypto.certs import Certificate, issue
 from repro.crypto.ct import ct_eq
 from repro.crypto.ecdsa import SigningKey, VerifyingKey
-from repro.crypto.hashing import sha256
 from repro.crypto.x25519 import DHPrivateKey
 from repro.errors import (
     AttestationError,
@@ -43,7 +42,7 @@ from repro.errors import (
     ServiceUnavailableError,
     VerificationError,
 )
-from repro.kv.serialization import encode_value
+from repro.kv.serialization import decode_value, encode_value
 from repro.kv.store import KVStore
 from repro.kv.tx import Transaction, WriteSet
 from repro.ledger.entry import EntryKind, LedgerEntry, TxID
@@ -68,7 +67,6 @@ from repro.node.wire import (
     PendingFrame,
     JoinRequest,
     JoinResponse,
-    SealedConsensusMessage,
     StateChunkRequest,
     StateChunkResponse,
 )
@@ -145,14 +143,19 @@ class CCFNode:
         self._batch_apply_next = 0
         self._batches_completed: dict[int, tuple[list, int]] = {}
         self._last_snapshot_seqno = 0
-        self._latest_snapshot: dict | None = None  # join-ready package
-        # Delta-snapshot production state (primary): the previous snapshot's
-        # map table + sealed chunks, so clean maps reuse their chunks.
+        # Built, evidence appended, waiting for the evidence to commit under
+        # a signature; then the join-ready package (manifest, receipt, chunks).
+        self._pending_snapshot: dict | None = None
+        self._latest_snapshot: dict | None = None
+        # Snapshot production state (primary): the previous snapshot's map
+        # table + sealed chunks, so clean maps reuse their chunks.
         self._snapshot_baseline: statetransfer.SnapshotBaseline | None = None
+        # Joiner side: the operator-provided service identity to join.
+        self._expected_service: Certificate | None = None
         # Joiner-side chunked-transfer state between manifest and install.
         self._pending_state_transfer: dict | None = None
         self._persisted_seqno = 0
-        # Frame coalescing (sender side): per-peer pending frame for the
+        # Sealed frames (sender side): per-peer pending frame for the
         # current scheduler event, plus the raw payloads awaiting the single
         # end-of-event seal. Receiver side: segment-granular replay state.
         self._pending_frames: dict[str, tuple[PendingFrame, list[bytes]]] = {}
@@ -437,20 +440,18 @@ class CCFNode:
             for node_id, info in self.store.items(maps.NODES_INFO)
             if info.get("dh_public")
         }
+        # A snapshot ships its manifest only; the joiner pulls the chunks
+        # it is missing afterwards. Without one the joiner starts empty and
+        # replays the whole ledger.
         snapshot = self._latest_snapshot or {}
-        # A chunked snapshot ships its manifest only; the joiner pulls the
-        # chunks it is missing afterwards. A monolithic snapshot rides the
-        # response whole, as before.
-        chunked = "chunks" in snapshot
+        manifest = snapshot.get("metadata")
         response = JoinResponse(
             accepted=True,
             service_certificate=self.service_certificate.to_dict(),
             node_certificate=node_certificate.to_dict(),
             sealed_secrets=(sealed.sender, sealed.counter, sealed.box),
-            snapshot=b"" if chunked else snapshot.get("data", b""),
-            snapshot_metadata=snapshot.get("metadata"),
             snapshot_receipt=snapshot.get("receipt"),
-            snapshot_manifest=snapshot.get("metadata") if chunked else None,
+            snapshot_manifest=manifest,
             current_nodes=tuple(sorted(self.consensus.configurations.current.nodes)),
             config_base_seqno=self.consensus.configurations.current.seqno,
             peer_dh_publics=peer_dh,
@@ -472,16 +473,13 @@ class CCFNode:
             }
             write_set.put(maps.NODES_INFO, message.node_id, row)
             self._append_local_entry(write_set)
-        next_seqno = (snapshot.get("metadata") or {}).get("base_seqno", 0) + 1
+        next_seqno = (manifest or {}).get("base_seqno", 0) + 1
         if message.node_id not in self.consensus.configurations.current.nodes:
             self.consensus.add_learner(message.node_id, next_seqno)
         # Reply to the joiner itself — with forwarding, ``src`` may be the
-        # relaying backup rather than the joining node. Shipping state costs
-        # wire time proportional to its size (the whole blob for monolithic
-        # snapshots, just the manifest for chunked ones).
-        state_bytes = len(response.snapshot)
-        if response.snapshot_metadata is not None:
-            state_bytes += len(encode_value(response.snapshot_metadata))
+        # relaying backup rather than the joining node. Shipping the
+        # manifest costs wire time proportional to its size.
+        state_bytes = len(encode_value(manifest)) if manifest is not None else 0
         self.network.send(
             self.node_id,
             message.node_id,
@@ -545,7 +543,7 @@ class CCFNode:
         if not message.accepted:
             raise AttestationError(f"join rejected: {message.error}")
         service_certificate = Certificate.from_dict(message.service_certificate)
-        expected: Certificate = getattr(self, "_expected_service", None)
+        expected = self._expected_service
         if expected is not None and service_certificate != expected:
             raise VerificationError("join response from an unexpected service")
         service_certificate.verify_self_signed()
@@ -571,8 +569,6 @@ class CCFNode:
             # any replayed sealed message — the in-flight join continues
             # (and the retry timer covers the nothing-in-flight case).
             return
-        from repro.kv.serialization import decode_value
-
         secret_material = decode_value(payload)
         secrets = LedgerSecretStore()
         for generation, key_bytes, suite in secret_material["ledger_secrets"]:
@@ -584,49 +580,18 @@ class CCFNode:
         self.enclave.memory.put("service_key", service_key)
 
         if message.snapshot_manifest is not None:
-            # Chunked state transfer: verify the manifest against its
-            # receipt, then pull only the chunks we don't already hold.
-            # Joining completes asynchronously in _complete_chunked_install.
+            # Verify the manifest against its receipt, then pull only the
+            # chunks we don't already hold. Joining completes
+            # asynchronously in _complete_chunked_install.
             self._begin_chunked_transfer(src, message)
             return
-
-        base_seqno = 0
-        if message.snapshot:
-            metadata = message.snapshot_metadata
-            receipt = Receipt.from_dict(message.snapshot_receipt)
-            receipt.verify(service_certificate)
-            digest = bytes(sha256(message.snapshot, encode_value(metadata)))
-            claimed = (receipt.claims or {}).get("snapshot_digest")
-            if not ct_eq(claimed, digest.hex()):
-                raise VerificationError("snapshot does not match its receipt claims")
-            # The snapshot arrives sealed (its digest covers the sealed
-            # bytes); decrypt with the generation named in the verified
-            # metadata, which doubles as the AEAD's associated data.
-            secret = secrets.for_generation(metadata.get("secret_generation", 0))
-            plain = secret.open_snapshot(
-                metadata["base_seqno"], message.snapshot, aad=encode_value(metadata)
-            )
-            self.store = KVStore.deserialize(plain)
-            self.ledger = Ledger.from_snapshot_metadata(
-                secrets,
-                base_seqno=metadata["base_seqno"],
-                txids=[TxID(v, s) for v, s in metadata["txids"]],
-                leaf_hashes=list(metadata["leaf_hashes"]),
-                last_signature_txid=TxID(*metadata["last_signature_txid"]),
-            )
-            base_seqno = metadata["base_seqno"]
-            self._commit_scan = base_seqno
-            self.indexer.last_indexed = base_seqno
-        else:
-            self.store = KVStore()
-            self.ledger = Ledger(secrets)
-        self._finish_join(message, base_seqno)
+        self.store = KVStore()
+        self.ledger = Ledger(secrets)
+        self._finish_join(message, 0)
 
     def _finish_join(self, message: JoinResponse, base_seqno: int) -> None:
         """Shared join tail: store/ledger are installed; start consensus."""
         self.wire_obs(self.scheduler.obs)
-        from_snapshot = bool(message.snapshot) or message.snapshot_manifest is not None
-        config_base = message.config_base_seqno if from_snapshot else 0
         self.consensus = ConsensusNode(
             node_id=self.node_id,
             ledger=self.ledger,
@@ -634,7 +599,9 @@ class CCFNode:
             host=self,
             initial_nodes=set(message.current_nodes),
             config=self.config.consensus,
-            config_base_seqno=min(config_base, base_seqno),
+            # A join without a snapshot has base_seqno 0 and replays the
+            # configuration history itself.
+            config_base_seqno=min(message.config_base_seqno, base_seqno),
         )
         self.consensus.start()
 
@@ -811,9 +778,7 @@ class CCFNode:
         """
         from repro.recovery.recovery import replay_public_ledger
 
-        replay = replay_public_ledger(
-            salvaged_storage, fast_path=self.config.replay_fast_path
-        )
+        replay = replay_public_ledger(salvaged_storage)
         obs = self.scheduler.obs
         if obs is not None:
             obs.recovery_event(
@@ -952,24 +917,18 @@ class CCFNode:
             return
         if not self.channels.has_channel(to):
             return  # channel not yet established; retried by protocol
-        if self.config.frame_coalescing:
-            self._send_framed(to, message)
-            return
-        sealed = self.channels.seal(to, encode_message(message))
-        payload = SealedConsensusMessage(
-            sender=sealed.sender, counter=sealed.counter, box=sealed.box
-        )
-        self.network.send(self.node_id, to, payload)
+        self._send_framed(to, message)
 
     def _send_framed(self, to: str, message: object) -> None:
         """Queue ``message`` into this event's frame for ``to`` and put its
         segment on the wire immediately.
 
         The segment takes the exact network path (event, sequence number,
-        latency draw) the sealed message would have taken — only the AEAD
-        work moves, into one end-of-event seal per peer. The seal microtask
+        latency draw) a per-message seal would take — only the AEAD work
+        moves, into one end-of-event seal per peer. The seal microtask
         draws no randomness and schedules nothing, so a traced run is
-        bit-identical with coalescing on or off.
+        bit-identical to one that seals every message on its own
+        (``tests/oracles/per_message_seal.py``).
         """
         pending = self._pending_frames.get(to)
         if pending is None:
@@ -1019,6 +978,12 @@ class CCFNode:
     def truncate_to(self, seqno: int) -> None:
         self.ledger.truncate(seqno)
         self.store.rollback_to(seqno)
+        pending = self._pending_snapshot
+        if pending is not None and pending["evidence_seqno"] > seqno:
+            # Its evidence entry rolled back with the suffix; whatever
+            # commits at that seqno now is another primary's entry and
+            # must not be receipted with this snapshot's claims.
+            self._pending_snapshot = None
 
     def append_signature_entry(self, view: int) -> LedgerEntry:
         entry = self.ledger.build_signature_entry(view, self.node_id, self.node_key)
@@ -1232,45 +1197,27 @@ class CCFNode:
             return
         self._last_snapshot_seqno = commit_seqno
         metadata = self.ledger.snapshot_metadata(commit_seqno)
-        # Serialized store state includes private-map plaintext, so the
-        # snapshot is sealed under the current ledger secret before it can
-        # touch host storage or the join path. The digest — and therefore
-        # the receipt claim — covers sealed bytes only: integrity is
+        # Store state includes private-map plaintext, so every chunk is
+        # sealed under the current ledger secret before it can touch host
+        # storage or the join path. Only maps that changed since the
+        # previous snapshot are serialized and sealed; clean maps reuse
+        # their previous sealed chunks (same content ⇒ same chunk id). The
+        # receipt claim digests the manifest, which lists every chunk id,
+        # so all chunks are transitively receipt-covered and integrity is
         # verifiable without decrypting.
         secret = self.ledger.secrets.current()
-        metadata["secret_generation"] = secret.generation
-        if self.config.delta_snapshots:
-            # Incremental production: serialize + seal only maps that
-            # changed since the previous snapshot; clean maps reuse their
-            # previous sealed chunks (same content ⇒ same chunk id). The
-            # receipt claim digests the manifest, which lists every chunk
-            # id, so all chunks are transitively receipt-covered.
-            built = statetransfer.build_chunked_snapshot(
-                self.store,
-                commit_seqno,
-                secret,
-                metadata,
-                chunk_bytes=self.config.snapshot_chunk_bytes,
-                baseline=self._snapshot_baseline,
-            )
-            digest = bytes(statetransfer.manifest_digest(built.metadata))
-            obs = self.scheduler.obs
-            if obs is not None:
-                obs.snapshot_produced(self.node_id, commit_seqno, built.stats)
-            pending = {
-                "metadata": built.metadata,
-                "chunks": built.chunks,
-                "map_chunks": built.map_chunks,
-                "table": self.store.map_table_at(commit_seqno),
-                "generation": secret.generation,
-            }
-        else:
-            # Legacy monolithic path: the whole store, one sealed blob, the
-            # metadata (naming the generation) bound as AAD.
-            data = self.store.serialize_at(commit_seqno)
-            sealed = secret.seal_snapshot(commit_seqno, data, aad=encode_value(metadata))
-            digest = bytes(sha256(sealed, encode_value(metadata)))
-            pending = {"data": sealed, "metadata": metadata}
+        built = statetransfer.build_chunked_snapshot(
+            self.store,
+            commit_seqno,
+            secret,
+            metadata,
+            chunk_bytes=self.config.snapshot_chunk_bytes,
+            baseline=self._snapshot_baseline,
+        )
+        digest = bytes(statetransfer.manifest_digest(built.metadata))
+        obs = self.scheduler.obs
+        if obs is not None:
+            obs.snapshot_produced(self.node_id, commit_seqno, built.stats)
         # Snapshot evidence transaction (validated by receipt, section 4.4).
         write_set = WriteSet()
         write_set.put(
@@ -1280,13 +1227,18 @@ class CCFNode:
         )
         claims = {"snapshot_digest": digest.hex()}
         entry = self._append_local_entry(write_set, claims=claims)
-        pending["evidence_seqno"] = entry.txid.seqno
-        pending["claims"] = claims
-        self._pending_snapshot = pending
+        self._pending_snapshot = {
+            "metadata": built.metadata,
+            "chunks": built.chunks,
+            # Next delta builds against this snapshot's table + chunks.
+            "baseline": built.baseline(self.store.map_table_at(commit_seqno)),
+            "evidence_seqno": entry.txid.seqno,
+            "claims": claims,
+        }
         self._request_signature_soon()
 
     def _finalize_snapshot_if_ready(self) -> None:
-        pending = getattr(self, "_pending_snapshot", None)
+        pending = self._pending_snapshot
         if pending is None:
             return
         evidence_seqno = pending["evidence_seqno"]
@@ -1297,39 +1249,27 @@ class CCFNode:
         receipt = issue_receipt(
             self.ledger, evidence_seqno, self.node_certificate, claims=pending["claims"]
         )
-        package = {
+        self._latest_snapshot = {
             "metadata": pending["metadata"],
             "receipt": receipt.to_dict(),
+            "chunks": pending["chunks"],
         }
-        base_seqno = pending["metadata"]["base_seqno"]
-        if "chunks" in pending:
-            package["chunks"] = pending["chunks"]
-            self._latest_snapshot = package
-            # Persist the chunk set (content-addressed, so re-writing a
-            # reused chunk is skipped) and prune chunks no manifest we still
-            # serve references; the manifest file makes the snapshot
-            # reconstructable from disk alone.
-            for chunk_id, blob in pending["chunks"].items():
-                if self.storage.read_state_chunk(chunk_id) is None:
-                    self.storage.write_state_chunk(chunk_id, blob)
-            self.storage.prune_state_chunks(set(pending["chunks"]))
-            for name in self.storage.list_files("manifest_"):
-                self.storage.delete(name, sync=False)
-            self.storage.write(
-                f"manifest_{base_seqno}.bin",
-                encode_value(pending["metadata"]),
-                sync=True,
-            )
-            # Next delta builds against this snapshot's table + chunks.
-            self._snapshot_baseline = statetransfer.SnapshotBaseline(
-                table=pending["table"],
-                map_chunks=pending["map_chunks"],
-                generation=pending["generation"],
-            )
-        else:
-            package["data"] = pending["data"]
-            self._latest_snapshot = package
-            self.storage.write_snapshot(base_seqno, pending["data"])
+        # Persist the chunk set (content-addressed, so re-writing a reused
+        # chunk is skipped) and prune chunks no manifest we still serve
+        # references; the manifest file makes the snapshot reconstructable
+        # from disk alone.
+        for chunk_id, blob in pending["chunks"].items():
+            if self.storage.read_state_chunk(chunk_id) is None:
+                self.storage.write_state_chunk(chunk_id, blob)
+        self.storage.prune_state_chunks(set(pending["chunks"]))
+        for name in self.storage.list_files("manifest_"):
+            self.storage.delete(name, sync=False)
+        self.storage.write(
+            f"manifest_{pending['metadata']['base_seqno']}.bin",
+            encode_value(pending["metadata"]),
+            sync=True,
+        )
+        self._snapshot_baseline = pending["baseline"]
         self._pending_snapshot = None
 
     # ==================================================================
@@ -1443,16 +1383,6 @@ class CCFNode:
             except VerificationError:
                 return  # unknown peer or tampered frame: drop
             if raw is not None and self.consensus is not None:
-                self.consensus.dispatch(decode_message(raw))
-            return
-        if isinstance(payload, SealedConsensusMessage):
-            try:
-                raw = self.channels.open(
-                    SealedMessage(sender=payload.sender, counter=payload.counter, box=payload.box)
-                )
-            except VerificationError:
-                return  # unknown peer or tampered box: drop
-            if self.consensus is not None:
                 self.consensus.dispatch(decode_message(raw))
             return
         if isinstance(payload, ClientRequest):

@@ -55,23 +55,14 @@ class ChannelHello:
     dh_public: bytes
 
 
-@dataclass(frozen=True)
-class SealedConsensusMessage:
-    """A consensus message sealed under the pairwise channel key."""
-
-    sender: str
-    counter: int
-    box: bytes
-
-
 class PendingFrame:
     """A coalesced wire frame, mutable until sealed.
 
     Created when a node produces its first consensus message for a peer
     within one scheduler event; every further message for that peer in the
     same event joins the frame. Segments referencing the frame are put on
-    the network *immediately* (preserving the uncoalesced run's event order
-    and latency-draw assignment); the single AEAD seal happens in an
+    the network *immediately* (keeping the event order and latency-draw
+    assignment of one send per message); the single AEAD seal happens in an
     end-of-event microtask, which fills ``sender``/``counter``/``box``/
     ``count`` in place. Simulated latency is strictly positive, so the seal
     always lands before the first segment delivers.
@@ -117,8 +108,8 @@ class JoinResponse:
 
     Sent only after the quote verified against the governance-approved code
     ids; contains the service identity, the ledger secrets (all
-    generations), the latest snapshot (if any) with its metadata, and the
-    node certificate endorsed by the service identity.
+    generations), the latest snapshot's manifest (if any) with its receipt,
+    and the node certificate endorsed by the service identity.
     """
 
     accepted: bool
@@ -129,23 +120,18 @@ class JoinResponse:
     # channel key (they must never transit the untrusted network in the
     # clear): (sender, counter, box).
     sealed_secrets: tuple = ()
-    # Serialized KV state sealed under the ledger secret generation named in
-    # ``snapshot_metadata["secret_generation"]`` — private maps never transit
-    # (or rest on) the host unsealed. The receipt claim digests these sealed
-    # bytes, so integrity is checkable before decryption.
-    snapshot: bytes = b""
-    snapshot_metadata: dict | None = None
+    # State transfer: when the primary holds a snapshot it ships the signed
+    # *manifest* (format, base seqno, secret generation, per-map chunk-id
+    # listing, ledger metadata), covered by ``snapshot_receipt`` via its
+    # canonical digest; the joiner then pulls only the sealed chunks it
+    # doesn't already hold with StateChunkRequest — private maps never
+    # transit (or rest on) the host unsealed. With no manifest the joiner
+    # starts from an empty store and replays the ledger.
+    snapshot_manifest: dict | None = None
     snapshot_receipt: dict | None = None
     current_nodes: tuple = ()  # ids of the current configuration
     config_base_seqno: int = 0
     peer_dh_publics: dict = field(default_factory=dict)  # node id -> DH public
-    # Chunked state transfer: when the primary holds a chunked snapshot it
-    # ships the signed *manifest* here instead of a monolithic ``snapshot``
-    # blob. The manifest (format, base seqno, secret generation, per-map
-    # chunk-id listing, ledger metadata) is covered by ``snapshot_receipt``
-    # via its canonical digest; the joiner then pulls only the chunks it
-    # doesn't already hold with StateChunkRequest.
-    snapshot_manifest: dict | None = None
 
 
 @dataclass(frozen=True)

@@ -457,7 +457,7 @@ class ObsCollector:
         """One coalesced frame sealed at event end: ``messages`` payloads
         under a single AEAD seal. ``cost`` is the CostModel's accounting
         estimate — recorded, never scheduled, so observing it cannot perturb
-        the run (coalescing on/off must trace identically)."""
+        the run (frames and per-message seals must trace identically)."""
         self.registry.counter("net.frames_sealed", node=node_id).inc()
         self.registry.counter("net.frame_messages", node=node_id).inc(messages)
         self.registry.histogram("net.frame_size").observe(float(messages))

@@ -74,9 +74,9 @@ class CostModel:
     # for entries actually re-serialized (dirty maps); reused chunks are free.
     snapshot_cost_per_entry: float = 0.5e-6
     # Shipping sealed state to a joiner, per byte (manifest + chunk
-    # responses; the legacy monolithic blob pays it too). Makes join time
-    # scale with transferred state in simulated time, so dedup savings are
-    # visible to the clock and not just to counters.
+    # responses). Makes join time scale with transferred state in simulated
+    # time, so dedup savings are visible to the clock and not just to
+    # counters.
     state_transfer_cost_per_byte: float = 2.0e-9
     # Fraction of the per-write service time that is fixed per-request
     # pipeline overhead (Merkle append bookkeeping, ledger framing,

@@ -123,18 +123,12 @@ class PublicReplayResult:
     warnings: list[SalvageWarning] = field(default_factory=list)
 
 
-def replay_public_ledger(
-    storage: HostStorage, *, fast_path: bool = True
-) -> PublicReplayResult:
+def replay_public_ledger(storage: HostStorage) -> PublicReplayResult:
     """Rebuild ledger + public store from untrusted chunk files, verifying
     every signature transaction against node identities found in the public
     state itself. Entries after the last verifiable signature are dropped,
     and so are chunk files a crash tore or a host corrupted — each with a
-    typed :class:`SalvageWarning` (best effort, as the paper specifies).
-
-    ``fast_path`` selects the batched replay (:func:`_replay_entries_fast`);
-    the serial replay stays available as the differential-testing oracle —
-    both produce byte-identical results on any salvaged input."""
+    typed :class:`SalvageWarning` (best effort, as the paper specifies)."""
     try:
         entries, salvage_warnings = salvage_ledger_entries(storage)
     # Salvaged disks hold arbitrary bytes; any failure to even enumerate
@@ -147,70 +141,34 @@ def replay_public_ledger(
             "no ledger entries salvageable from this disk"
             + (f" ({salvage_warnings[0].describe()})" if salvage_warnings else "")
         )
-    replay = _replay_entries_fast if fast_path else _replay_entries_slow
-    return replay(entries, salvage_warnings)
+    return replay_entries(entries, salvage_warnings)
 
 
-def _replay_entries_slow(
+def replay_entries(
     entries: list[LedgerEntry], salvage_warnings: list[SalvageWarning]
 ) -> PublicReplayResult:
-    """The reference replay: strictly serial, one entry at a time, every
-    signature verified the moment it is appended. This is the oracle the
-    fast path is differentially tested against — keep it boring."""
-    ledger = Ledger(LedgerSecretStore())
-    store = KVStore()
-    verified_seqno = 0
-    last_view = 0
-    for entry in entries:
-        try:
-            ledger.append(entry)
-            store.apply_write_set(entry.public_writes, entry.txid.seqno)
-        # A tampered suffix can break replay in arbitrary ways; per the
-        # paper we keep the verified prefix. repro-lint: disable=PROTO002
-        except Exception:
-            break  # structurally broken suffix: stop here
-        last_view = entry.txid.view
-        if entry.is_signature:
-            try:
-                record = ledger.signature_record(entry.txid.seqno)
-                key = _node_public_key(store, record.node_id)
-            except RecoveryError:
-                # The signer's identity is not recorded yet — true only for
-                # the service-opening signature that precedes the genesis
-                # transaction. Skip it without advancing the verified point.
-                continue
-            try:
-                ledger.verify_signature_entry(entry.txid.seqno, key)
-            except (IntegrityError, VerificationError):
-                break  # tampered: nothing at or past this point is trusted
-            verified_seqno = entry.txid.seqno
-    return _finish_replay(ledger, store, verified_seqno, last_view, salvage_warnings)
-
-
-def _replay_entries_fast(
-    entries: list[LedgerEntry], salvage_warnings: list[SalvageWarning]
-) -> PublicReplayResult:
-    """Batched replay below the verified signature anchor.
+    """Replay salvaged entries, batched below the verified signature anchor.
 
     Two phases instead of one interleaved loop:
 
     1. **Structural**: validate ordering and apply each entry's public
        write set (the KV store needs per-entry versions for rollback), but
        defer the ledger work. Signature entries are *collected* — the
-       signer's key is resolved here, against the store exactly as the
+       signer's key is resolved here, against the store exactly as a
        serial replay would see it at that seqno.
     2. **Batched verify**: append every structurally sound entry in one
        ``append_batch`` (the Merkle extension folds into a single tight
        loop), then verify the collected signatures in order — each one a
        historical-root lookup (O(log n) via the subtree/spine caches) plus
        one ECDSA check on the fastec double-scalar path. The first failure
-       is the anchor cut-off, exactly as in the serial replay.
+       is the anchor cut-off, exactly as in a serial replay.
 
-    The result is byte-identical to :func:`_replay_entries_slow` by
-    construction (and by the differential suite): entries past a failing
-    signature were applied here but are discarded by the same
+    The result is byte-identical to the strictly serial replay in
+    ``tests/oracles/replay.py`` (``tests/service/test_replay_fastpath.py``
+    holds it to that on clean, tampered and broken ledgers): entries past a
+    failing signature were applied here but are discarded by the
     truncate/rollback tail, and ``last_view`` is taken from the failing
-    signature when there is one, matching where the serial loop stops."""
+    signature when there is one, matching where a serial loop stops."""
     ledger = Ledger(LedgerSecretStore())
     store = KVStore()
     accepted: list[LedgerEntry] = []
@@ -228,8 +186,8 @@ def _replay_entries_fast(
             if entry.txid.view < highest_view:
                 raise RecoveryError("entry view regresses")
             store.apply_write_set(entry.public_writes, entry.txid.seqno)
-        # Same best-effort contract as the serial loop: keep the sound
-        # prefix, drop the broken suffix. repro-lint: disable=PROTO002
+        # A tampered suffix can break replay in arbitrary ways; per the
+        # paper we keep the sound prefix. repro-lint: disable=PROTO002
         except Exception:
             break
         accepted.append(entry)
@@ -255,22 +213,11 @@ def _replay_entries_fast(
             break
         verified_seqno = seqno
     if failed_seqno is not None:
-        # The serial replay stops *at* the failing signature, so its
-        # last_view is that entry's view, not the newest appended one.
+        # A serial replay stops *at* the failing signature, so last_view
+        # is that entry's view, not the newest appended one.
         last_view = ledger.txid_at(failed_seqno).view
     else:
         last_view = accepted[-1].txid.view if accepted else 0
-    return _finish_replay(ledger, store, verified_seqno, last_view, salvage_warnings)
-
-
-def _finish_replay(
-    ledger: Ledger,
-    store: KVStore,
-    verified_seqno: int,
-    last_view: int,
-    salvage_warnings: list[SalvageWarning],
-) -> PublicReplayResult:
-    """Shared replay tail: cut to the verified prefix and package up."""
     if verified_seqno == 0:
         raise RecoveryError("no verifiable signature transaction in the ledger files")
     # Drop everything after the verified prefix.

@@ -68,9 +68,6 @@ class ChaosSpec:
     # pipelined hot path too.
     batch_execution: bool = False
     read_offload: bool = False
-    # Coalesced sealed wire frames (PR 10). On/off must produce bit-identical
-    # trace digests — the chaos differential suite pins this.
-    frame_coalescing: bool = True
 
     # Per-step fault probabilities.
     p_crash: float = 0.12
@@ -203,7 +200,6 @@ class ServiceCluster:
                 signature_interval=spec.signature_interval,
                 batch_execution=spec.batch_execution,
                 read_offload=spec.read_offload,
-                frame_coalescing=spec.frame_coalescing,
             ),
             link=LinkConfig(base_latency=spec.base_latency, jitter=spec.base_latency / 5),
             seed=seed,

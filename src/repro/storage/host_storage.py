@@ -1,4 +1,4 @@
-"""Untrusted host storage: ledger chunk files and snapshot files.
+"""Untrusted host storage: ledger chunk files and snapshot chunks.
 
 "The persistent storage is outside the trust boundary and thus could be
 modified or rolled back by a malicious host" (section 2). This module is
@@ -34,7 +34,7 @@ module models exactly that:
 
 Sync points are declared by the writers: :meth:`write_chunk` fsyncs
 complete (signature-terminated) chunks but leaves the open tail buffered,
-and :meth:`write_snapshot` fsyncs. :attr:`synced_ledger_seqno` records the
+and state chunks and manifests fsync. :attr:`synced_ledger_seqno` records the
 highest seqno covered by a durable complete chunk — the disk's own account
 of what must survive any crash.
 """
@@ -242,22 +242,6 @@ class HostStorage:
         """Reassemble the persisted ledger. Structure-checked only — callers
         must still verify signature transactions before trusting it."""
         return reassemble_chunks(self.read_chunks())
-
-    # ------------------------------------------------------------------
-    # Snapshot helpers
-
-    def write_snapshot(self, seqno: int, data: bytes) -> None:
-        # Snapshots declare a sync point: a torn snapshot is useless, so
-        # the writer pays the barrier.
-        self.write(f"snapshot_{seqno}.bin", data, sync=True)
-
-    def latest_snapshot(self) -> tuple[int, bytes] | None:
-        best: tuple[int, bytes] | None = None
-        for name in self.list_files("snapshot_"):
-            seqno = int(name.split("_")[1].split(".")[0])
-            if best is None or seqno > best[0]:
-                best = (seqno, self.read(name))
-        return best
 
     # ------------------------------------------------------------------
     # State-chunk cache (incremental state transfer)

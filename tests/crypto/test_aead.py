@@ -167,7 +167,6 @@ class TestFastAEADAgainstReference:
             assert secret.open(seqno, sealed, b"aad") == b"private-%d" % seqno
         digest = bytes(range(32))
         assert secret.open_chunk(digest, secret.seal_chunk(digest, b"chunk", b"a"), b"a") == b"chunk"
-        assert secret.open_snapshot(9, secret.seal_snapshot(9, b"snap", b"a"), b"a") == b"snap"
 
 
 class TestNonce:

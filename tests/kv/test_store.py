@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KVError, TransactionConflictError
+from repro.kv.serialization import decode_value
 from repro.kv.store import KVStore
 from repro.kv.tx import REMOVED, WriteSet, is_public_map
 
@@ -219,6 +220,13 @@ class TestVersioningAndRollback:
             assert dict(store.items(name)) == dict(replayed.items(name))
 
 
+def _restore(data: bytes) -> KVStore:
+    """Rebuild a store from its canonical bytes the way a joiner installs
+    one: decoded per-map rows through ``from_map_rows``."""
+    state = decode_value(data)
+    return KVStore.from_map_rows(state["maps"], state["version"])
+
+
 class TestSnapshots:
     def test_serialize_deserialize_roundtrip(self):
         store = KVStore()
@@ -227,7 +235,7 @@ class TestSnapshots:
         ws.put("messages", 42, "hello")
         ws.put("messages", 43, b"binary")
         store.apply_write_set(ws, 10)
-        restored = KVStore.deserialize(store.serialize())
+        restored = _restore(store.serialize())
         assert restored.version == 10
         assert restored.get("messages", 42) == "hello"
         assert restored.get("messages", 43) == b"binary"
@@ -246,14 +254,17 @@ class TestSnapshots:
 
     def test_deserialize_rejects_garbage(self):
         with pytest.raises(KVError):
-            KVStore.deserialize(b"\xff\x00garbage")
+            _restore(b"\xff\x00garbage")
+        for rows in ([["lonely-key"]], [["k", "v", "extra"]], [7], 7):
+            with pytest.raises(KVError):
+                KVStore.from_map_rows({"m": rows}, 1)
 
     def test_restored_store_supports_further_writes(self):
         store = KVStore()
         ws = WriteSet()
         ws.put("m", "a", 1)
         store.apply_write_set(ws, 5)
-        restored = KVStore.deserialize(store.serialize())
+        restored = _restore(store.serialize())
         ws2 = WriteSet()
         ws2.put("m", "b", 2)
         restored.apply_write_set(ws2, 6)

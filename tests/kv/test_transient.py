@@ -17,9 +17,9 @@ import pytest
 
 from repro.errors import KVError
 from repro.kv.champ import ChampMap
-from repro.kv.serialization import encode_value
-from repro.kv.store import KVStore, set_transient_apply
-from repro.kv.tx import WriteSet
+from repro.kv.serialization import decode_value, encode_value
+from repro.kv.store import KVStore
+from repro.kv.tx import REMOVED, WriteSet
 from repro.obs.metrics import RUNTIME_STATS
 
 
@@ -130,20 +130,16 @@ def test_from_items_equals_from_dict():
     assert _structure(via_items._root) == _structure(via_dict._root)
 
 
-def _apply_batches(batches: list[dict], transient: bool) -> KVStore:
-    previous = set_transient_apply(transient)
-    try:
-        store = KVStore()
-        for seqno, updates in enumerate(batches, start=1):
-            store.apply_write_set(WriteSet(updates={"private:t": updates}), seqno)
-        return store
-    finally:
-        set_transient_apply(previous)
+def _persistent_oracle(batches: list[dict]) -> ChampMap:
+    """The reference apply: persistent set/remove, one write at a time."""
+    champ = ChampMap.empty()
+    for updates in batches:
+        for key, value in updates.items():
+            champ = champ.remove(key) if value is REMOVED else champ.set(key, value)
+    return champ
 
 
 def test_apply_write_set_differential_and_bytes():
-    from repro.kv.tx import REMOVED
-
     rng = random.Random("apply-diff")
     batches = []
     for _ in range(40):
@@ -155,10 +151,15 @@ def test_apply_write_set_differential_and_bytes():
             else:
                 updates[key] = rng.randrange(10**6)
         batches.append(updates)
-    fast = _apply_batches(batches, transient=True)
-    oracle = _apply_batches(batches, transient=False)
-    assert dict(fast.items("private:t")) == dict(oracle.items("private:t"))
-    assert fast.serialize() == oracle.serialize()
+    assert {len(updates) > 1 for updates in batches} == {True, False}  # both routes
+    store = KVStore()
+    for seqno, updates in enumerate(batches, start=1):
+        store.apply_write_set(WriteSet(updates={"private:t": updates}), seqno)
+    applied = store._maps["private:t"]
+    oracle = _persistent_oracle(batches)
+    assert dict(applied.items()) == dict(oracle.items())
+    assert _structure(applied._root) == _structure(oracle._root)
+    assert KVStore.encoded_map_rows(applied) == KVStore.encoded_map_rows(oracle)
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +196,10 @@ def test_memoized_serialize_is_byte_identical():
         1,
     )
     assert store.serialize() == _reference_serialize(store)
-    # Roundtrip through the transient-built deserialize path.
-    assert KVStore.deserialize(store.serialize()).serialize() == store.serialize()
+    # Roundtrip through the transient-built install path.
+    state = decode_value(store.serialize())
+    restored = KVStore.from_map_rows(state["maps"], state["version"])
+    assert restored.serialize() == store.serialize()
 
 
 def test_clean_maps_hit_the_encode_memo():

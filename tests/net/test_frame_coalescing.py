@@ -1,17 +1,19 @@
 """Coalesced sealed wire frames (PR 10).
 
 The coalescing claim is sharp: all consensus messages one node produces for
-one peer within one scheduler event share a single AEAD seal, and turning
-this on or off changes *nothing observable* — not one event, not one RNG
-draw, not one ledger byte. These tests pin the claim at three levels: the
-frame crypto itself (roundtrip, tamper, nonce discipline), the segment
-replay watermark (provably order-isomorphic to per-message counters), and
-seeded full-stack chaos schedules diffed digest-for-digest on vs off.
+one peer within one scheduler event share a single AEAD seal, and compared
+with one seal per message this changes *nothing observable* — not one
+event, not one RNG draw, not one ledger byte. These tests pin the claim at
+three levels: the frame crypto itself (roundtrip, tamper, nonce
+discipline), the segment replay watermark (provably order-isomorphic to
+per-message counters), and seeded full-stack chaos schedules diffed
+digest-for-digest against the per-message oracle
+(``tests/oracles/per_message_seal.py``).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 
 import pytest
 
@@ -21,6 +23,8 @@ from repro.net.channels import FrameAssembler, NodeChannels
 from repro.obs.metrics import RUNTIME_STATS
 from repro.sim.chaos import ChaosEngine, ChaosSpec
 from repro.sim.trace import TraceRecorder
+
+from tests.oracles.per_message_seal import per_message_sealing
 
 
 def _pair() -> tuple[NodeChannels, NodeChannels]:
@@ -142,35 +146,35 @@ class TestFrameAssembler:
 
 
 class TestChaosDifferential:
-    """Acceptance gate: seeded chaos runs are bit-identical on vs off."""
+    """Acceptance gate: seeded chaos runs are bit-identical with frames
+    (production) and with one seal per message (the oracle)."""
 
     @pytest.mark.parametrize("seed", list(range(10)))
     def test_trace_digests_identical_on_off(self, seed: int):
-        def run(coalescing: bool):
-            spec = ChaosSpec(n_nodes=3, steps=2, frame_coalescing=coalescing)
-            tracer = TraceRecorder()
-            report = ChaosEngine(spec).run_schedule(seed, tracer=tracer)
-            return tracer.digest, report.fingerprint()
+        def run(sealing):
+            with sealing():
+                tracer = TraceRecorder()
+                report = ChaosEngine(ChaosSpec(n_nodes=3, steps=2)).run_schedule(
+                    seed, tracer=tracer
+                )
+                return tracer.digest, report.fingerprint(), RUNTIME_STATS.snapshot()
 
-        digest_on, fingerprint_on = run(True)
-        digest_off, fingerprint_off = run(False)
+        digest_on, fingerprint_on, stats_on = run(contextlib.nullcontext)
+        digest_off, fingerprint_off, stats_off = run(per_message_sealing)
         assert digest_on == digest_off
         assert fingerprint_on == fingerprint_off
+        # The two runs really sealed differently.
+        assert stats_on["channel.frames.sealed"] > 0
+        assert stats_off.get("channel.frames.sealed", 0) == 0
+        assert stats_off["channel.seal.calls"] > 0
 
     def test_ledger_bytes_identical_on_off(self):
         """Beyond digests: the replicated ledgers themselves, byte for
         byte, across every node of a healthy service under load."""
-        from repro.node.config import NodeConfig
         from repro.service.service import CCFService, ServiceSetup
 
-        def ledgers(coalescing: bool) -> dict[str, list[bytes]]:
-            service = CCFService(
-                ServiceSetup(
-                    n_nodes=3,
-                    node_config=NodeConfig(frame_coalescing=coalescing),
-                    seed=7,
-                )
-            )
+        def ledgers() -> tuple[dict[str, list[bytes]], int]:
+            service = CCFService(ServiceSetup(n_nodes=3, seed=7))
             service.bootstrap()
             user = service.any_user_client()
             primary = service.primary_node().node_id
@@ -180,10 +184,12 @@ class TestChaosDifferential:
             return {
                 node_id: [entry.encode() for entry in node.ledger.entries()]
                 for node_id, node in service.nodes.items()
-            }
+            }, service.network.segments_sent
 
-        on = ledgers(True)
-        off = ledgers(False)
+        on, segments_on = ledgers()
+        with per_message_sealing():
+            off, segments_off = ledgers()
+        assert segments_on > 0 and segments_off == 0  # really two sealings
         assert on == off
         assert all(len(entries) > 5 for entries in on.values())
 
@@ -198,7 +204,7 @@ class TestChaosDifferential:
         service = CCFService(
             ServiceSetup(
                 n_nodes=3,
-                node_config=NodeConfig(frame_coalescing=True, batch_execution=True),
+                node_config=NodeConfig(batch_execution=True),
                 seed=13,
             )
         )
@@ -213,8 +219,3 @@ class TestChaosDifferential:
         assert sealed > 0
         assert messages > sealed  # some frame carried more than one message
         assert service.network.segments_sent > 0
-
-
-def test_chaos_spec_coalescing_in_fingerprint():
-    spec = ChaosSpec(frame_coalescing=False)
-    assert dataclasses.asdict(spec)["frame_coalescing"] is False

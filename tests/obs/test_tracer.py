@@ -17,7 +17,6 @@ import pytest
 from repro.app.logging_app import build_logging_app
 from repro.node.config import NodeConfig
 from repro.obs import ObsCollector, build_tree, check_trace, load_jsonl, profile_spans
-from repro.obs.bench import run_traced_benchmark, verify_causal_trees
 from repro.service.service import CCFService, ServiceSetup
 
 WRITES = 25
@@ -46,6 +45,53 @@ def _drive_writes(service: CCFService, n: int = WRITES) -> None:
         )
         assert response.ok, response.error
     service.run(0.2)
+
+
+def verify_causal_trees(spans) -> dict:
+    """Check that each committed write request's causal tree is complete.
+
+    A committed write is identified by its closed (not rolled back, not
+    detach-closed) ``commit_wait`` span. Its tree must contain, under the
+    same ``request`` root: an ``execute`` span on the same node, and a
+    ``ledger.append`` event for the same seqno beneath that execute span.
+    """
+    by_id = {span.span_id: span for span in spans}
+    children = build_tree(spans)
+    committed = 0
+    complete = 0
+    problems: list[str] = []
+    for span in spans:
+        if span.name != "commit_wait" or span.end is None:
+            continue
+        if span.attrs.get("rolled_back") or span.attrs.get("detached"):
+            continue
+        committed += 1
+        seqno = span.attrs.get("seqno")
+        root = by_id.get(span.parent_id or "")
+        if root is None or root.name != "request":
+            problems.append(f"commit_wait seqno={seqno}: no request root")
+            continue
+        executes = [c for c in children.get(root.span_id, []) if c.name == "execute"]
+        appends = [
+            grandchild
+            for execute in executes
+            for grandchild in children.get(execute.span_id, [])
+            if grandchild.name == "ledger.append"
+            and grandchild.attrs.get("seqno") == seqno
+        ]
+        if not executes:
+            problems.append(f"request {root.trace_id}: no execute span")
+        elif not appends:
+            problems.append(
+                f"request {root.trace_id}: no ledger.append for seqno {seqno}"
+            )
+        else:
+            complete += 1
+    return {
+        "committed_writes": committed,
+        "complete_trees": complete,
+        "problems": problems,
+    }
 
 
 def _fingerprint(service: CCFService) -> tuple:
@@ -146,20 +192,36 @@ class TestCausalTree:
     def traced(self):
         service = _build_service(21)
         collector = ObsCollector(seed=21)
+        # Fast-path counters are process-global; keep this run's deltas.
+        before = dict(collector.export_fastpath_stats())
         collector.attach_to_service(service)
         service.bootstrap()
         _drive_writes(service)
-        return service, collector
+        fastpath = {
+            name: value - before.get(name, 0)
+            for name, value in collector.export_fastpath_stats().items()
+        }
+        return service, collector, fastpath
+
+    def test_fast_paths_are_engaged(self, traced):
+        """A call site quietly reverted to the slow ladder (or a cache that
+        never hits) breaks no correctness test — only this one."""
+        _service, _collector, deltas = traced
+        for name in ("fastec.generator_mults", "fastec.double_mults", "ae_encode.reuses"):
+            assert deltas.get(name, 0) > 0, name
+        assert any(
+            value > 0 for name, value in deltas.items() if name.endswith(".hits")
+        ), deltas
 
     def test_every_committed_write_has_a_complete_tree(self, traced):
-        _service, collector = traced
+        _service, collector, _fastpath = traced
         causal = verify_causal_trees(collector.spans)
         assert causal["problems"] == []
         assert causal["committed_writes"] >= WRITES
         assert causal["complete_trees"] == causal["committed_writes"]
 
     def test_request_roots_nest_execute_append_and_commit_wait(self, traced):
-        _service, collector = traced
+        _service, collector, _fastpath = traced
         children = build_tree(collector.spans)
         write_roots = [
             span
@@ -177,14 +239,14 @@ class TestCausalTree:
             assert "ledger.append" in grandchildren
 
     def test_trace_conforms_to_model(self, traced):
-        _service, collector = traced
+        _service, collector, _fastpath = traced
         result = check_trace(collector.spans)
         assert result.ok, result.describe()
         assert not result.has_gaps
         assert result.events_checked > 100
 
     def test_profile_attributes_costs(self, traced):
-        _service, collector = traced
+        _service, collector, _fastpath = traced
         report = profile_spans(collector.spans)
         assert report.count >= WRITES
         p99 = report.profile_at(99)
@@ -195,25 +257,10 @@ class TestCausalTree:
         assert "requests:" in report.format_text()
 
     def test_metrics_registry_saw_the_run(self, traced):
-        _service, collector = traced
+        _service, collector, _fastpath = traced
         snapshot = collector.registry.snapshot()
         appends = [v for k, v in snapshot.items() if k.startswith("ledger.appends")]
         assert sum(appends) > 0
         assert any(k.startswith("net.bytes_sent") for k in snapshot)
         assert any(k.startswith("consensus.append_entries_sent") for k in snapshot)
         assert any(k.startswith("tee.transitions") for k in snapshot)
-
-
-class TestBench:
-    @pytest.mark.slow
-    def test_traced_benchmark_end_to_end(self):
-        result = run_traced_benchmark(
-            seed=7, n_nodes=5, concurrency=20, warmup=0.05, window=0.15
-        )
-        assert result["conformance"]["ok"], result["conformance"]
-        causal = result["causal_trees"]
-        assert causal["committed_writes"] > 0
-        assert causal["complete_trees"] == causal["committed_writes"]
-        assert result["writes_per_second"] > 0
-        assert result["latency"]["p99"] >= result["latency"]["p50"] > 0
-        assert result["profile"]["p99_breakdown"]

@@ -1,9 +1,9 @@
-"""Replay fast path: batched recovery replay vs the serial oracle.
+"""Recovery replay: the batched production replay vs the serial oracle.
 
-The fast path (:func:`repro.recovery.recovery._replay_entries_fast`) defers
-ledger appends and signature checks into batches; these tests prove it is
-*byte-identical* to the serial replay on clean ledgers, tampered ledgers
-(bad signature, bad content), and structurally broken suffixes.
+:func:`repro.recovery.recovery.replay_entries` defers ledger appends and
+signature checks into batches; these tests prove it is *byte-identical* to
+the serial replay (``tests/oracles/replay.py``) on clean ledgers, tampered
+ledgers (bad signature, bad content), and structurally broken suffixes.
 """
 
 import dataclasses
@@ -15,13 +15,18 @@ from repro.kv.tx import WriteSet
 from repro.ledger.ledger import SIGNATURES_MAP
 from repro.node.config import NodeConfig
 from repro.recovery.recovery import (
-    _replay_entries_fast,
-    _replay_entries_slow,
+    replay_entries,
     replay_public_ledger,
     salvage_ledger_entries,
 )
 
 from tests.node.conftest import make_service
+from tests.oracles.replay import replay_entries_serial
+
+
+def replay_serial(storage):
+    """The oracle over a whole disk, salvaged the way production does."""
+    return replay_entries_serial(*salvage_ledger_entries(storage))
 
 
 def traffic_service(seed=42, writes=60):
@@ -57,8 +62,8 @@ class TestCleanLedgers:
     def test_fast_matches_slow_on_real_disk(self):
         service = traffic_service()
         storage = service.primary_node().storage
-        fast = replay_public_ledger(storage.clone(), fast_path=True)
-        slow = replay_public_ledger(storage.clone(), fast_path=False)
+        fast = replay_public_ledger(storage.clone())
+        slow = replay_serial(storage.clone())
         assert_identical(fast, slow)
         assert fast.verified_seqno > 0
 
@@ -66,8 +71,8 @@ class TestCleanLedgers:
     def test_fast_matches_slow_across_seeds(self, seed):
         service = traffic_service(seed=1000 + seed, writes=30)
         storage = service.primary_node().storage
-        fast = replay_public_ledger(storage.clone(), fast_path=True)
-        slow = replay_public_ledger(storage.clone(), fast_path=False)
+        fast = replay_public_ledger(storage.clone())
+        slow = replay_serial(storage.clone())
         assert_identical(fast, slow)
 
     def test_fast_matches_slow_after_failover(self):
@@ -83,8 +88,8 @@ class TestCleanLedgers:
             user.call(new_primary.node_id, "/app/write_message", {"id": 100 + i, "msg": "x"})
         service.run(0.5)
         storage = new_primary.storage
-        fast = replay_public_ledger(storage.clone(), fast_path=True)
-        slow = replay_public_ledger(storage.clone(), fast_path=False)
+        fast = replay_public_ledger(storage.clone())
+        slow = replay_serial(storage.clone())
         assert_identical(fast, slow)
         assert fast.last_view > 1
 
@@ -128,8 +133,8 @@ class TestTamperedLedgers:
         tampered = [
             _tamper_signature(e) if e.txid.seqno == victim else e for e in entries
         ]
-        fast = _replay_entries_fast(tampered, list(warnings))
-        slow = _replay_entries_slow(tampered, list(warnings))
+        fast = replay_entries(tampered, list(warnings))
+        slow = replay_entries_serial(tampered, list(warnings))
         assert_identical(fast, slow)
         assert fast.verified_seqno < victim
 
@@ -149,8 +154,8 @@ class TestTamperedLedgers:
         tampered = [
             _tamper_content(e) if e.txid.seqno == target else e for e in entries
         ]
-        fast = _replay_entries_fast(tampered, list(warnings))
-        slow = _replay_entries_slow(tampered, list(warnings))
+        fast = replay_entries(tampered, list(warnings))
+        slow = replay_entries_serial(tampered, list(warnings))
         assert_identical(fast, slow)
         assert fast.verified_seqno < target
 
@@ -166,8 +171,8 @@ class TestTamperedLedgers:
             else e
             for e in entries
         ]
-        fast = _replay_entries_fast(broken, list(warnings))
-        slow = _replay_entries_slow(broken, list(warnings))
+        fast = replay_entries(broken, list(warnings))
+        slow = replay_entries_serial(broken, list(warnings))
         assert_identical(fast, slow)
 
     def test_no_verifiable_signature_raises_in_both(self):
@@ -177,19 +182,17 @@ class TestTamperedLedgers:
             _tamper_signature(e) if e.is_signature else e for e in entries
         ]
         with pytest.raises(RecoveryError):
-            _replay_entries_fast(tampered, list(warnings))
+            replay_entries(tampered, list(warnings))
         with pytest.raises(RecoveryError):
-            _replay_entries_slow(tampered, list(warnings))
+            replay_entries_serial(tampered, list(warnings))
 
 
 class TestRecoveryEndToEnd:
     def test_recovered_service_identical_under_both_paths(self):
-        """Full disaster recovery driven through the node API with the fast
-        path on and off: same verified prefix, same recovered state."""
-        results = {}
-        for fast in (True, False):
+        """Two identically seeded services, one disk replayed by each
+        implementation: same verified prefix, same recovered state."""
+        results = []
+        for replay in (replay_public_ledger, replay_serial):
             service = traffic_service(seed=7, writes=40)
-            salvaged = service.primary_node().storage.clone()
-            result = replay_public_ledger(salvaged, fast_path=fast)
-            results[fast] = result
-        assert_identical(results[True], results[False])
+            results.append(replay(service.primary_node().storage.clone()))
+        assert_identical(*results)

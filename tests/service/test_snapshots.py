@@ -29,13 +29,9 @@ class TestSnapshots:
         fill(service, 40)
         primary = service.primary_node()
         assert primary._latest_snapshot is not None
-        # Chunked snapshots persist as a manifest plus content-addressed
-        # chunks; the legacy path writes one monolithic snapshot file.
-        if "chunks" in primary._latest_snapshot:
-            assert primary.storage.list_files("manifest_")
-            assert primary.storage.state_chunk_ids()
-        else:
-            assert primary.storage.latest_snapshot() is not None
+        # Snapshots persist as a manifest plus content-addressed chunks.
+        assert primary.storage.list_files("manifest_")
+        assert primary.storage.state_chunk_ids()
 
     def test_snapshot_receipt_verifies(self, service):
         fill(service, 40)
@@ -93,7 +89,6 @@ class TestSnapshots:
         fill(service, 40)
         primary = service.primary_node()
         package = primary._latest_snapshot
-        assert "chunks" in package
         # Swap one chunk id in the manifest the primary would serve.
         metadata = dict(package["metadata"])
         name, ids = metadata["chunk_maps"][0]
@@ -111,7 +106,6 @@ class TestSnapshots:
         fill(service, 40)
         primary = service.primary_node()
         package = primary._latest_snapshot
-        assert "chunks" in package
         chunks = dict(package["chunks"])
         victim = next(iter(chunks))
         blob = chunks[victim]
@@ -120,23 +114,6 @@ class TestSnapshots:
         # The disk cache would satisfy the request with good bytes; tamper
         # it the same way so the substitution is actually served.
         primary.storage.files[f"state_{victim}.chunk"] = chunks[victim]
-        self._make_joiner(service, primary)
-        with pytest.raises(VerificationError):
-            service.run(0.5)
-
-    def test_tampered_monolithic_snapshot_rejected_by_joiner(self):
-        """Same property on the legacy single-blob snapshot path."""
-        service = make_service(
-            n_nodes=3,
-            node_config=NodeConfig(
-                signature_interval=10, snapshot_interval=20, delta_snapshots=False
-            ),
-        )
-        fill(service, 40)
-        primary = service.primary_node()
-        package = primary._latest_snapshot
-        tampered = dict(package, data=b"\x00" + package["data"][1:])
-        primary._latest_snapshot = tampered
         self._make_joiner(service, primary)
         with pytest.raises(VerificationError):
             service.run(0.5)
@@ -151,3 +128,74 @@ class TestSnapshots:
         from repro.ledger.receipts import Receipt
 
         Receipt.from_dict(response.body["receipt"]).verify(primary.service_certificate)
+
+
+def test_rolled_back_snapshot_evidence_drops_the_pending_snapshot():
+    """A primary appends snapshot evidence at seqno E, is deposed before E
+    replicates, and later commits the *new* primary's entry at E. The
+    pending snapshot must die with its evidence: receipting whatever now
+    sits at E with the stale snapshot digest would install a package no
+    joiner can verify."""
+    from repro.ledger.receipts import Receipt
+
+    service = make_service(
+        n_nodes=3,
+        node_config=NodeConfig(signature_interval=10, snapshot_interval=20),
+        seed=61,
+    )
+    old = service.primary_node()
+    others = [n.node_id for n in service.backup_nodes()]
+    user = service.any_user_client()
+    produce = old._maybe_snapshot
+    evidence = []
+
+    def produce_then_cut_off(commit_seqno):
+        produce(commit_seqno)
+        if old._pending_snapshot is not None and not evidence:
+            evidence.append(old.ledger.entry_at(old._pending_snapshot["evidence_seqno"]))
+            service.network.partition_groups([old.node_id], others)
+
+    old._maybe_snapshot = produce_then_cut_off
+    for i in range(60):
+        if evidence:
+            break
+        user.call(old.node_id, "/app/write_message", {"id": i, "msg": f"m{i}"})
+    assert evidence, "the primary never reached its snapshot interval"
+    (stale,) = evidence
+
+    def other_primary():
+        return next(
+            (n for n in service.nodes.values()
+             if n is not old and n.consensus.is_primary),
+            None,
+        )
+
+    service.run_until(lambda: other_primary() is not None, timeout=10.0)
+    new = other_primary()
+    for i in range(15):
+        user.call(new.node_id, "/app/write_message", {"id": 100 + i, "msg": "new"})
+    service.run(0.5)
+    assert new.consensus.commit_seqno > stale.txid.seqno
+
+    service.network.heal()
+    service.run(2.0)
+    # The deposed primary holds the new primary's entry at E, committed...
+    assert old.consensus.commit_seqno > stale.txid.seqno
+    assert old.ledger.entry_at(stale.txid.seqno).txid != stale.txid
+    # ...and never turned its stale snapshot into a join package.
+    assert old._pending_snapshot is None
+    assert old._latest_snapshot is None
+
+    # Re-elected, it admits a joiner (by full replay: it has no snapshot)...
+    old.consensus.timer_scale = 0.2
+    service.kill_node(new.node_id)
+    service.run_until(lambda: old.consensus.is_primary, timeout=10.0)
+    joiner = service.add_node()
+    service.run(0.5)
+    assert joiner.store.get("records", 100) == "new"
+    # ...and the next interval snapshots normally.
+    fill(service, 30, start=200)
+    package = old._latest_snapshot
+    assert package is not None
+    Receipt.from_dict(package["receipt"]).verify(old.service_certificate)
+    assert package["metadata"]["base_seqno"] > stale.txid.seqno

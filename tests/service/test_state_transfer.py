@@ -139,26 +139,14 @@ class TestChunkedJoin:
         service.run(0.5)
         assert joiner.store.get("records", 30) == "m30"
 
-    def test_legacy_monolithic_join_still_works(self):
-        service = make_service(
-            n_nodes=3, node_config=chunked_config(delta_snapshots=False)
-        )
-        fill(service, 60)
-        node = service.add_node()
-        assert node.ledger.base_seqno > 0
-        service.run(0.5)
-        assert node.store.get("records", 55) == "m55"
-
 
 def _joined_run(seed, mode):
     """One scenario: write, join a node mid-run, write more; return every
     byte-comparable artifact. ``mode`` selects how the joiner gets state:
-    chunked snapshot transfer, legacy monolithic snapshot, or full ledger
-    replay (no snapshot offered at all). Replay mode keeps chunked snapshot
-    *production* on, so the ledger's evidence entries stay comparable — only
-    the transfer mechanism differs."""
-    config = chunked_config(delta_snapshots=(mode != "monolithic"))
-    service = make_service(n_nodes=3, node_config=config, seed=seed)
+    chunked snapshot transfer, or full ledger replay (no snapshot offered
+    at all). Replay mode still *produces* snapshots, so the ledger's
+    evidence entries stay comparable — only the transfer mechanism differs."""
+    service = make_service(n_nodes=3, node_config=chunked_config(), seed=seed)
     fill(service, 50)
     primary = service.primary_node()
     if mode == "replay":
@@ -199,12 +187,3 @@ class TestJoinDifferential:
         assert chunked["kv"] == replay["kv"]
         assert chunked["responses"] == replay["responses"]
         assert chunked["joiner_records"] == replay["joiner_records"]
-
-    def test_chunked_vs_monolithic_same_application_state(self):
-        """Against the legacy monolithic path the ledgers are *legitimately*
-        different (the snapshot evidence digests a manifest vs a sealed
-        blob), but everything the application can observe must agree."""
-        chunked = _joined_run(77, "chunked")
-        monolithic = _joined_run(77, "monolithic")
-        assert chunked["responses"] == monolithic["responses"]
-        assert chunked["joiner_records"] == monolithic["joiner_records"]

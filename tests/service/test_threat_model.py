@@ -61,13 +61,18 @@ class TestUntrustedHost:
         assert node.enclave.memory.get("ledger_secrets") is None
 
     def test_node_to_node_traffic_is_sealed(self, service):
-        """Consensus traffic between enclaves is unintelligible to the
-        network (and hosts relaying it)."""
+        """Nothing consensus-shaped travels in the clear: between nodes the
+        wire carries sealed frame segments plus the named handshake, join,
+        forwarding and state-chunk messages, and never a bare
+        ``repro.consensus.messages`` object (``secure_channels`` is on)."""
+        from repro.consensus import messages as consensus_messages
+        from repro.node import wire
+
         captured = []
         original_send = service.network.send
 
         def spying_send(src, dst, payload, extra_delay=0.0):
-            captured.append(payload)
+            captured.append((src, dst, payload))
             original_send(src, dst, payload, extra_delay)
 
         service.network.send = spying_send
@@ -75,19 +80,27 @@ class TestUntrustedHost:
         secret_text = "node-to-node-secret-xyz"
         user.call(service.primary_node().node_id, "/app/write_message",
                   {"id": 1, "msg": secret_text})
+        service.add_node()  # join handshake + catch-up on the same wire
         service.run(0.3)
-        from repro.node.wire import FrameSegment, SealedConsensusMessage
 
-        # Consensus traffic travels as per-message seals or coalesced frame
-        # segments depending on frame_coalescing; both are sealed boxes.
-        consensus_messages = [
-            m for m in captured if isinstance(m, (SealedConsensusMessage, FrameSegment))
+        named = (
+            wire.ChannelHello, wire.JoinRequest, wire.JoinResponse,
+            wire.ForwardedRequest, wire.ForwardedResponse,
+            wire.StateChunkRequest, wire.StateChunkResponse,
+        )
+        between_nodes = [
+            payload for src, dst, payload in captured
+            if src in service.nodes and dst in service.nodes
         ]
-        assert consensus_messages, "expected sealed consensus traffic"
-        for message in consensus_messages:
-            box = message.box if isinstance(message, SealedConsensusMessage) else message.frame.box
-            assert box is not None, "frame left unsealed on the wire"
-            assert secret_text.encode() not in box
+        segments = [p for p in between_nodes if isinstance(p, wire.FrameSegment)]
+        assert segments, "expected sealed consensus traffic"
+        for payload in between_nodes:
+            assert type(payload).__module__ != consensus_messages.__name__
+            if isinstance(payload, wire.FrameSegment):
+                assert payload.frame.box is not None, "frame left unsealed on the wire"
+                assert secret_text.encode() not in payload.frame.box
+            else:
+                assert isinstance(payload, named), type(payload)
 
 
 class TestAttestationGate:

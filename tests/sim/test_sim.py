@@ -282,10 +282,15 @@ class TestHostStorage:
             storage.read("x.bin")
 
     def test_snapshots_pick_latest(self):
+        # The node's replace-the-manifest sequence: a reader that lists the
+        # prefix finds the newest snapshot manifest and nothing else.
         storage = HostStorage()
-        storage.write_snapshot(10, b"old")
-        storage.write_snapshot(30, b"new")
-        assert storage.latest_snapshot() == (30, b"new")
+        storage.write("manifest_10.bin", b"old", sync=True)
+        for name in storage.list_files("manifest_"):
+            storage.delete(name, sync=False)
+        storage.write("manifest_30.bin", b"new", sync=True)
+        assert storage.list_files("manifest_") == ["manifest_30.bin"]
+        assert storage.read("manifest_30.bin") == b"new"
 
     def test_clone_is_independent(self):
         storage = HostStorage()

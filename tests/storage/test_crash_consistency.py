@@ -195,5 +195,5 @@ class TestSyncedLedgerSeqno:
 
     def test_snapshot_write_declares_sync_point(self):
         storage = HostStorage()
-        storage.write_snapshot(7, b"snapshot-bytes")
-        assert storage.durable_image().read("snapshot_7.bin") == b"snapshot-bytes"
+        storage.write("manifest_7.bin", b"manifest-bytes", sync=True)
+        assert storage.durable_image().read("manifest_7.bin") == b"manifest-bytes"
