@@ -11,7 +11,10 @@ A PR that means to move the simulated clock (a message-schedule or
 
     PYTHONPATH=src python tests/sim/test_neutrality_pins.py
 
-prints the current values.
+prints the current values. A PR that only moves or renames scheduled code
+re-records the three label-bearing digests in ``CHAOS`` (the recorder folds
+each callback's ``module.qualname``) and leaves ``CHAOS_LABEL_FREE``, the
+report fingerprints and ``WRITE_LOAD`` as they are.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from repro.node.config import NodeConfig
 from repro.service.client import ServiceClient
 from repro.service.service import CCFService, ServiceSetup
 from repro.sim.chaos import ChaosEngine, ChaosSpec
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import TraceRecorder, callback_label
 
 # (spec, seed) -> (trace digest, sha256 of the schedule report's fingerprint).
 CHAOS = [
@@ -50,6 +53,27 @@ CHAOS = [
     ),
 ]
 
+
+
+class LabelFreeRecorder(TraceRecorder):
+    """Folds ``event|time|seq`` without the callback's ``module.qualname``
+    (RNG draws and marks fold as they are), so moving or renaming scheduled
+    code leaves the digest alone while any moved time, sequence number or
+    draw still changes it."""
+
+    def begin_event(self, time, seq, callback):
+        self.labels.append(callback_label(callback))
+        self._fold(f"event|{time!r}|{seq}".encode())
+
+
+# The same three schedules under LabelFreeRecorder. A rename re-records the
+# digests in CHAOS and must leave these alone.
+CHAOS_LABEL_FREE = {
+    "crashes": "d83138ccf65aa564164ed8acdaab11d352cfde4d608f93342266609fea262f17",
+    "three-nodes": "8f4f130dc4409c75eaa0191d4f2cf70b5cafa35c7cb7e803a04ebd40360d8c86",
+    "batching+read-offload": "ed32c2030d50be68f238bf95c23c773ccc1872074b188cbf5b7cce9de3dea688",
+}
+
 # 5 nodes, 50 closed-loop writers on the primary for 0.02 sim-s, then drained.
 _LEDGER_SHA256 = "908d5a9fc01716b8757e0f808429d3783b0b89a7517d774f9d0b9bc995619517"
 WRITE_LOAD = {
@@ -60,8 +84,8 @@ WRITE_LOAD = {
 }
 
 
-def chaos_pin(spec: dict, seed: int) -> tuple[str, str]:
-    tracer = TraceRecorder()
+def chaos_pin(spec: dict, seed: int, recorder=TraceRecorder) -> tuple[str, str]:
+    tracer = recorder()
     report = ChaosEngine(ChaosSpec(**spec)).run_schedule(seed, tracer=tracer)
     return tracer.digest, hashlib.sha256(report.fingerprint().encode()).hexdigest()
 
@@ -124,6 +148,14 @@ def test_chaos_trace_digest_is_pinned(spec, seed, digest, fingerprint):
     assert chaos_pin(spec, seed) == (digest, fingerprint)
 
 
+@pytest.mark.parametrize(
+    "spec, seed, digest, fingerprint",
+    [pytest.param(*pin[1:3], CHAOS_LABEL_FREE[pin[0]], pin[4], id=pin[0]) for pin in CHAOS],
+)
+def test_chaos_trace_digest_without_labels_is_pinned(spec, seed, digest, fingerprint):
+    assert chaos_pin(spec, seed, LabelFreeRecorder) == (digest, fingerprint)
+
+
 def test_write_load_fingerprint_and_ledger_bytes_are_pinned():
     pin = write_load_pin()
     assert pin == WRITE_LOAD
@@ -132,4 +164,5 @@ def test_write_load_fingerprint_and_ledger_bytes_are_pinned():
 if __name__ == "__main__":
     for name, spec, seed, _digest, _fingerprint in CHAOS:
         print(name, spec, seed, *chaos_pin(spec, seed))
+        print(name, "label-free", chaos_pin(spec, seed, LabelFreeRecorder)[0])
     print(write_load_pin())
