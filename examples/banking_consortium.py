@@ -32,7 +32,7 @@ def main() -> None:
     # Register u1 as a regulator in the app's public policy map.
     tx = primary.store.begin()
     tx.put("public:regulators", service.users[1].subject, {"role": "regulator"})
-    primary._append_local_entry(tx.write_set)
+    primary.append_local_entry(tx.write_set)
     service.run(0.2)
 
     # Open accounts across two banks.

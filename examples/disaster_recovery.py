@@ -19,6 +19,7 @@ Run:  python examples/disaster_recovery.py
 """
 
 from repro.node.config import NodeConfig
+from repro.recovery.recovery import start_recovered_service
 from repro.service.client import ContinuityTracker
 from repro.service.service import CCFService, ServiceSetup
 from repro.sim.disaster import submit_recovery_shares, vote_to_open
@@ -54,8 +55,8 @@ def main() -> None:
     print("all nodes failed; one host's ledger files salvaged")
 
     # --- recovery node -------------------------------------------------
-    recovery_node = service._make_node(service.new_node_id())
-    summary = recovery_node.start_recovered_service(salvaged_disk, "ledger-svc-recovered")
+    recovery_node = service.new_node()
+    summary = start_recovered_service(recovery_node, salvaged_disk, "ledger-svc-recovered")
     service.run(0.2)
     print(f"public state replayed and verified through seqno "
           f"{summary['verified_seqno']}")

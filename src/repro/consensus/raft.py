@@ -57,8 +57,6 @@ class ConsensusHost(Protocol):
     def on_commit(self, seqno: int) -> None:
         """Commit advanced: release responses, persist, handle retirements."""
 
-    def on_become_primary(self) -> None: ...
-
     def on_lose_primacy(self) -> None: ...
 
 
@@ -271,7 +269,6 @@ class ConsensusNode:
             self._next_index[peer] = opening.txid.seqno
             self._match_index[peer] = 0
             self._last_ack[peer] = now
-        self.host.on_become_primary()
         self._on_heartbeat()
 
     def _step_down(self, new_view: int | None = None) -> None:

@@ -21,6 +21,7 @@ from repro.kv.serialization import (
     freeze_key,
 )
 from repro.kv.tx import REMOVED, Transaction, WriteSet
+from repro.obs.metrics import RUNTIME_STATS
 
 
 class KVStore:
@@ -48,6 +49,12 @@ class KVStore:
         immutable) — the base snapshot for speculative batch execution."""
         return dict(self._maps), self.version
 
+    def _table_at(self, version: int) -> dict[str, ChampMap]:
+        snapshot = self._history.get(version)
+        if snapshot is None:
+            raise KVError(f"no retained state at version {version}")
+        return snapshot
+
     def earliest_retained_version(self) -> int:
         """The oldest version rollback history still covers."""
         return self._history_order[0]
@@ -61,10 +68,7 @@ class KVStore:
         """
         if version == self.version:
             return self.begin()
-        snapshot = self._history.get(version)
-        if snapshot is None:
-            raise KVError(f"no retained state at version {version}")
-        return Transaction(dict(snapshot), version)
+        return Transaction(dict(self._table_at(version)), version)
 
     def commit(self, tx: Transaction, seqno: int | None = None) -> WriteSet:
         """Validate ``tx``'s reads and apply its write set at ``seqno``.
@@ -96,7 +100,15 @@ class KVStore:
             raise KVError(
                 f"write set seqno {seqno} is not ahead of version {self.version}"
             )
-        for map_name, entries in write_set.updates.items():
+        self._update_maps(write_set.updates)
+        self.version = seqno
+        self._history[seqno] = dict(self._maps)
+        self._history_order.append(seqno)
+        if self.obs is not None:
+            self.obs.store_applied(self.obs_owner, seqno, len(self._maps))
+
+    def _update_maps(self, updates: dict[str, dict]) -> None:
+        for map_name, entries in updates.items():
             current = self._maps.get(map_name, ChampMap.empty())
             if len(entries) > 1:
                 # A batch goes through a transient builder: one ownership
@@ -119,11 +131,16 @@ class KVStore:
                     else:
                         current = current.set(key, value)
             self._maps[map_name] = current
-        self.version = seqno
-        self._history[seqno] = dict(self._maps)
-        self._history_order.append(seqno)
-        if self.obs is not None:
-            self.obs.store_applied(self.obs_owner, seqno, len(self._maps))
+
+    def merge_at_current_version(self, updates: dict[str, dict]) -> None:
+        """Fold ``updates`` (map name -> key -> value or ``REMOVED``) into
+        the current state without advancing the version.
+
+        Disaster recovery restores private state this way (section 5.2):
+        the public replay already fixed the version each entry applied at,
+        and the decrypted private halves are merged underneath it."""
+        self._update_maps(updates)
+        self._history[self.version] = dict(self._maps)
 
     # ------------------------------------------------------------------
     # Direct reads (used by read-only endpoints and internal lookups)
@@ -151,10 +168,7 @@ class KVStore:
         """Discard all state after ``version`` (post-election rollback)."""
         if version == self.version:
             return
-        snapshot = self._history.get(version)
-        if snapshot is None:
-            raise KVError(f"no retained state at version {version}")
-        self._maps = dict(snapshot)
+        self._maps = dict(self._table_at(version))
         self.version = version
         for stale in [v for v in self._history_order if v > version]:
             del self._history[stale]
@@ -190,10 +204,7 @@ class KVStore:
         """Canonical encoding of the store as of retained ``version`` —
         used to snapshot at the commit point while later (uncommitted)
         transactions are already applied."""
-        snapshot = self._history.get(version)
-        if snapshot is None:
-            raise KVError(f"no retained state at version {version}")
-        return self._serialize_maps(snapshot, version)
+        return self._serialize_maps(self._table_at(version), version)
 
     @staticmethod
     def _serialize_maps(maps: dict[str, ChampMap], version: int) -> bytes:
@@ -227,10 +238,7 @@ class KVStore:
         """
         if version == self.version:
             return dict(self._maps)
-        snapshot = self._history.get(version)
-        if snapshot is None:
-            raise KVError(f"no retained state at version {version}")
-        return dict(snapshot)
+        return dict(self._table_at(version))
 
     def changed_map_names(
         self, version: int, baseline: dict[str, ChampMap]
@@ -269,8 +277,6 @@ class KVStore:
 
     @staticmethod
     def _canonical(champ: ChampMap) -> tuple[list[list[Any]], bytes]:
-        from repro.obs.metrics import RUNTIME_STATS
-
         cached = champ._canon
         if cached is not None:
             RUNTIME_STATS.inc("kv.map_encode.hits")

@@ -86,6 +86,16 @@ def chunk_id(blob: bytes) -> str:
     return bytes(sha256(blob)).hex()
 
 
+def cached_chunk(storage, cid: str) -> bytes | None:
+    """The sealed chunk ``cid`` from the host's content-addressed cache, or
+    None when the host holds none — or holds bytes that no longer hash to
+    their address (tampered on disk: treated as absent)."""
+    blob = storage.read_state_chunk(cid)
+    if blob is not None and ct_eq(chunk_id(blob), cid):
+        return blob
+    return None
+
+
 def manifest_digest(metadata: dict) -> Digest:
     """The digest the snapshot receipt claims: canonical metadata bytes
     (which include the per-map chunk-id listing, so every chunk is

@@ -11,6 +11,8 @@ per-message (:meth:`NodeChannels.seal` / :meth:`NodeChannels.open`) and
 per-frame (:meth:`NodeChannels.seal_frame` / :class:`FrameAssembler`), where
 a frame packs every payload a node produced for one peer during one
 scheduler event under a single AEAD seal and a single counter increment.
+:class:`FramedLink` is one node's framed traffic in both directions: the
+sender half that fills and seals frames, and the assembler that opens them.
 Fast-path counters live in :data:`repro.obs.metrics.RUNTIME_STATS`
 (``channel.establish.*``, ``channel.seal.*``, ``channel.frames.*``), reset
 per run.
@@ -26,7 +28,10 @@ from repro.crypto.x25519 import DHPrivateKey
 from repro.crypto.aead import nonce_from_counter
 from repro.errors import VerificationError
 from repro.kv.serialization import decode_value, encode_value
+from repro.net.network import Network
 from repro.obs.metrics import RUNTIME_STATS
+from repro.perf.costmodel import CostModel
+from repro.sim.scheduler import Scheduler
 
 _CHANNEL_DOMAIN = 0x43  # 'C'
 
@@ -38,16 +43,6 @@ class SealedMessage:
     sender: str
     counter: int
     box: bytes
-
-    def encode(self) -> bytes:
-        return encode_value(
-            {"sender": self.sender, "counter": self.counter, "box": self.box}
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SealedMessage":
-        raw = decode_value(data)
-        return cls(sender=raw["sender"], counter=raw["counter"], box=raw["box"])
 
 
 class NodeChannels:
@@ -221,3 +216,118 @@ class FrameAssembler:
             )
         self._watermarks[sender] = (counter, index + 1)
         return payloads[index]
+
+
+class PendingFrame:
+    """A coalesced wire frame, mutable until sealed.
+
+    Created when a node produces its first consensus message for a peer
+    within one scheduler event; every further message for that peer in the
+    same event joins the frame. Segments referencing the frame are put on
+    the network *immediately* (keeping the event order and latency-draw
+    assignment of one send per message); the single AEAD seal happens in an
+    end-of-event microtask, which fills ``sender``/``counter``/``box``/
+    ``count`` in place. Simulated latency is strictly positive, so the seal
+    always lands before the first segment delivers.
+    """
+
+    __slots__ = ("sender", "counter", "box", "count", "payload_sizes")
+
+    def __init__(self) -> None:
+        self.sender = ""
+        self.counter = -1
+        self.box: bytes | None = None
+        self.count = 0
+        self.payload_sizes: list[int] = []
+
+
+@dataclass(frozen=True)
+class FrameSegment:
+    """One message's slot in a :class:`PendingFrame`, sent as an ordinary
+    network payload. The receiver opens the (shared) frame once and indexes
+    into it; replay protection is per segment (``(counter, index)`` pairs,
+    see :class:`FrameAssembler`)."""
+
+    frame: PendingFrame
+    index: int
+
+
+class FramedLink:
+    """One node's sealed-frame traffic: the sender half beside a
+    :class:`FrameAssembler` for what arrives."""
+
+    def __init__(
+        self,
+        channels: NodeChannels,
+        network: Network,
+        scheduler: Scheduler,
+        cost: CostModel,
+    ):
+        self.node_id = channels.node_id
+        self._channels = channels
+        self._network = network
+        self._scheduler = scheduler
+        self._cost = cost
+        # Per-peer pending frame for the current scheduler event, plus the
+        # raw payloads awaiting the single end-of-event seal.
+        self._pending: dict[str, tuple[PendingFrame, list[bytes]]] = {}
+        self._assembler = FrameAssembler(channels)
+
+    def send(self, to: str, raw: bytes) -> None:
+        """Queue ``raw`` into this event's frame for ``to`` and put its
+        segment on the wire immediately.
+
+        The segment takes the exact network path (event, sequence number,
+        latency draw) a per-message seal would take — only the AEAD work
+        moves, into one end-of-event seal per peer. The seal microtask
+        draws no randomness and schedules nothing, so a traced run is
+        bit-identical to one that seals every message on its own
+        (``tests/oracles/per_message_seal.py``).
+        """
+        first_of_event = not self._pending
+        pending = self._pending.get(to)
+        if pending is None:
+            pending = (PendingFrame(), [])
+            self._pending[to] = pending
+        frame, payloads = pending
+        index = len(payloads)
+        payloads.append(raw)
+        frame.payload_sizes.append(len(raw))
+        if first_of_event:
+            # Arm before the send: for out-of-event sends (bootstrap) the
+            # hook runs synchronously, and it must run after the payload is
+            # queued but sealing-before-delivery still holds (latency > 0).
+            self._scheduler.at_event_end(self._seal_pending)
+        self._network.send(self.node_id, to, FrameSegment(frame=frame, index=index))
+
+    def _seal_pending(self) -> None:
+        """End-of-event microtask: one AEAD seal per (this node, peer)."""
+        pending = self._pending
+        self._pending = {}
+        for peer, (frame, payloads) in pending.items():
+            sealed = self._channels.seal_frame(peer, payloads)
+            frame.sender = sealed.sender
+            frame.counter = sealed.counter
+            frame.box = sealed.box
+            frame.count = len(payloads)
+            obs = self._scheduler.obs
+            if obs is not None:
+                obs.frame_sealed(
+                    self.node_id,
+                    len(payloads),
+                    self._cost.sealing_cost(len(payloads), 1),
+                )
+
+    def accept(self, segment: FrameSegment) -> bytes | None:
+        """The payload ``segment`` carries, or None when it is dropped: its
+        sender crashed before the end-of-event seal ran, the segment is a
+        replay, the peer is unknown or the frame was tampered with."""
+        frame = segment.frame
+        if frame.box is None:
+            return None
+        try:
+            return self._assembler.accept(
+                frame.sender, frame.counter, frame.box, frame.count, segment.index
+            )
+        except VerificationError:
+            return None

@@ -1,6 +1,1 @@
 """The CCF node: enclave + KV + ledger + consensus + frontend (Figure 2)."""
-
-from repro.node.config import NodeConfig
-from repro.node.node import CCFNode
-
-__all__ = ["NodeConfig", "CCFNode"]

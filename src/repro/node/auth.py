@@ -18,26 +18,14 @@ Policies:
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.app.context import Caller, Request
 from repro.crypto.certs import Certificate
 from repro.crypto.cose import SignedRequest
 from repro.crypto.ecdsa import VerifyingKey
 from repro.errors import AuthenticationError, VerificationError
+from repro.kv.store import KVStore
 from repro.node import jwt as jwt_module
 from repro.node import maps
-
-
-class StoreReader:
-    """The minimal read interface authentication needs (satisfied by both
-    KVStore and Transaction via this tiny adapter)."""
-
-    def __init__(self, get_fn):
-        self._get = get_fn
-
-    def get(self, map_name: str, key: Any, default: Any = None) -> Any:
-        return self._get(map_name, key, default)
 
 
 def _cert_from_credentials(request: Request) -> Certificate:
@@ -76,7 +64,7 @@ def _verify_self_signed_cached(certificate: Certificate) -> None:
 
 
 def _check_registered_cert(
-    store: StoreReader, map_name: str, certificate: Certificate, kind: str
+    store: KVStore, map_name: str, certificate: Certificate, kind: str
 ) -> Caller:
     """Rows in the users/members maps are keyed by subject name and hold the
     registered certificate; the presented certificate must match it exactly."""
@@ -104,9 +92,10 @@ def _jwt_issuer_of(token: str) -> str:
         raise AuthenticationError(f"malformed JWT: {exc}") from exc
 
 
-def authenticate(request: Request, policy: str, store: StoreReader) -> Caller:
-    """Run ``policy`` against the request; return the authenticated caller
-    or raise :class:`AuthenticationError`."""
+def authenticate(request: Request, policy: str, store: KVStore) -> Caller:
+    """Run ``policy`` against the request, reading the governance maps of
+    ``store``; return the authenticated caller or raise
+    :class:`AuthenticationError`."""
     if policy == "no_auth":
         return Caller(kind="any", identifier="anonymous")
 

@@ -25,7 +25,6 @@ class NodeConfig:
     signature_flush_time: float = 0.05
     snapshot_interval: int = 0  # committed txs between snapshots; 0 = off
     replication_interval: float = 0.002  # primary push cadence for new entries
-    request_timeout: float = 1.0  # frontend-side deadline for forwarded requests
     join_retry_interval: float = 1.0  # joiner re-sends until admitted + recorded
     secure_channels: bool = True  # seal node-to-node traffic (X25519 + AEAD)
     accept_virtual_attestation: bool = False

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from repro.app.application import Endpoint
 from repro.app.context import RequestContext
-from repro.errors import AuthorizationError, IntegrityError
+from repro.crypto.certs import Certificate, issue
+from repro.crypto.ecdsa import VerifyingKey
+from repro.errors import AuthorizationError, IntegrityError, KVError
 from repro.ledger.entry import TxID
 from repro.ledger.receipts import issue_receipt
 from repro.node import maps
@@ -31,6 +33,25 @@ def _commit(ctx: RequestContext):
     commit_seqno = node.consensus.commit_seqno
     txid = node.ledger.txid_at(commit_seqno) if commit_seqno else TxID(0, 0)
     return {"txid": str(txid), "seqno": commit_seqno, "view": txid.view}
+
+
+def _certificate_for(node, node_id: str) -> Certificate:
+    """The service-endorsed identity certificate for ``node_id``.
+
+    Trusted nodes share the service key (Table 1), so any of them can
+    produce the endorsement for a peer's recorded public key.
+    """
+    if node_id == node.node_id:
+        return node.node_certificate
+    row = node.store.get(maps.NODES_INFO, node_id)
+    if not isinstance(row, dict) or "public_key" not in row:
+        raise KVError(f"no recorded identity for node {node_id}")
+    return issue(
+        node_id,
+        VerifyingKey.decode(bytes.fromhex(row["public_key"])),
+        node.service_certificate.subject,
+        node.enclave.memory.get("service_key"),
+    )
 
 
 def _receipt(ctx: RequestContext):
@@ -50,9 +71,9 @@ def _receipt(ctx: RequestContext):
     # them when the caller asks (they verify against the leaf's digest).
     claims = None
     if ctx.request.body.get("with_claims"):
-        claims = node._claims_by_seqno.get(txid.seqno)
+        claims = node.claims_at(txid.seqno)
     receipt = issue_receipt(
-        node.ledger, txid.seqno, node.certificate_for_node(signer), claims=claims
+        node.ledger, txid.seqno, _certificate_for(node, signer), claims=claims
     )
     return {"receipt": receipt.to_dict()}
 

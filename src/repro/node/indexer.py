@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Protocol
 
+from repro.crypto.aead import nonce_from_counter
+from repro.kv.serialization import decode_value, encode_value, freeze_key, json_safe_key
 from repro.kv.tx import REMOVED, WriteSet
 from repro.ledger.entry import TxID
 
@@ -46,8 +48,6 @@ class KeyWriteIndex:
     # if needed"; section 7: that storage is AEAD-encrypted) -----------
 
     def serialize(self) -> bytes:
-        from repro.kv.serialization import encode_value, json_safe_key
-
         # Sort by the tagged reversible key form, not str(key): str()
         # conflates 1 and "1" into the same sort key, making the offload
         # byte order depend on dict insertion order for such pairs.
@@ -66,8 +66,6 @@ class KeyWriteIndex:
         )
 
     def restore(self, data: bytes) -> None:
-        from repro.kv.serialization import decode_value, freeze_key
-
         state = decode_value(data)
         self.map_name = state["map_name"]
         self._writes = {
@@ -131,12 +129,9 @@ class Indexer:
         many entries were newly indexed."""
         fed = 0
         for txid, write_set in sorted(items, key=lambda item: item[0].seqno):
-            if txid.seqno <= self.last_indexed:
-                continue
-            for strategy in self._strategies.values():
-                strategy.handle_committed(txid, write_set)
-            self.last_indexed = txid.seqno
-            fed += 1
+            if txid.seqno > self.last_indexed:
+                self.feed(txid, write_set)
+                fed += 1
         return fed
 
     def rebuild_lazily(self, ledger, through_seqno: int) -> int:
@@ -158,9 +153,6 @@ class Indexer:
     def offload(self, storage, key) -> int:
         """Seal every offloadable strategy's state onto host ``storage``.
         Returns the number of strategies offloaded."""
-        from repro.crypto.aead import nonce_from_counter
-        from repro.kv.serialization import encode_value
-
         count = 0
         for name in self.names():
             strategy = self._strategies[name]
@@ -182,9 +174,6 @@ class Indexer:
     def load_offloaded(self, storage, key, name: str, seqno: int) -> None:
         """Restore one strategy's sealed state from host storage; tampering
         by the host fails the AEAD check."""
-        from repro.crypto.aead import nonce_from_counter
-        from repro.kv.serialization import decode_value
-
         sealed = storage.read(f"index_{name}_{seqno}.sealed")
         payload = decode_value(
             key.open(nonce_from_counter(seqno, domain=0x49), sealed, aad=name.encode())

@@ -1,0 +1,394 @@
+"""Attested join, the joining side (sections 4.4, 6.2): request admission,
+verify the answer, open the sealed key material, fetch the snapshot's chunks
+if one is offered, start consensus. The admitting half is
+:mod:`repro.node.membership`.
+"""
+
+from __future__ import annotations
+
+import weakref
+from dataclasses import dataclass
+
+from repro.consensus.state import NodeStatus
+from repro.crypto.certs import Certificate
+from repro.crypto.ct import ct_eq
+from repro.crypto.ecdsa import SigningKey
+from repro.errors import AttestationError, IntegrityError, KVError, VerificationError
+from repro.kv.serialization import decode_value
+from repro.kv.store import KVStore
+from repro.ledger import statetransfer
+from repro.ledger.audit import StorageValidation, validate_storage
+from repro.ledger.entry import TxID
+from repro.ledger.ledger import Ledger
+from repro.ledger.receipts import Receipt
+from repro.ledger.secrets import LedgerSecret, LedgerSecretStore
+from repro.net.channels import SealedMessage
+from repro.node import maps
+from repro.node.wire import (
+    JoinRequest,
+    JoinResponse,
+    StateChunkRequest,
+    StateChunkResponse,
+)
+from repro.storage.host_storage import HostStorage
+
+
+@dataclass
+class ChunkTransfer:
+    """A chunked state transfer between manifest and install."""
+
+    digest: bytes  # of the manifest, as the receipt claims it
+    metadata: dict
+    message: JoinResponse
+    source: str  # the node serving the chunks
+    have: dict[str, bytes]
+    missing: list[str]
+    cached: int  # chunks found in the local content-addressed cache
+    fetched: int = 0
+    last_progress: int = -1  # ``fetched`` as of the retry timer's last tick
+
+
+class Join:
+    """The joiner's side of the join protocol and its chunk transfer."""
+
+    def __init__(self, node) -> None:
+        self.node = node  # the hosting CCFNode
+        # The operator-provided service identity to join.
+        self._expected_service: Certificate | None = None
+        self._targets: list[str] = []
+        self._transfer: ChunkTransfer | None = None
+
+    def request(self, via_node: str, expected_service: Certificate) -> None:
+        """Begin joining an existing service through ``via_node``.
+
+        ``expected_service`` is the operator-provided service identity the
+        join response must match (trust anchor for the new node). The
+        request is re-sent on a timer until this node is both admitted and
+        durably recorded: the request or response can be lost, and the
+        admitting primary's PENDING transaction can be rolled back by an
+        election before it commits, either of which would otherwise leave
+        the joiner stranded forever.
+        """
+        self._expected_service = expected_service
+        self._targets = [via_node]
+        self._send_request(via_node)
+        self._arm_retry()
+
+    def restart_from_disk(
+        self,
+        salvaged_storage: HostStorage,
+        via_node: str,
+        expected_service: Certificate,
+        expected_seqno: int | None = None,
+    ) -> StorageValidation:
+        """Crash-with-disk-intact restart (section 6.2): the machine came
+        back but its enclave memory — node identity, ledger secrets — is
+        gone, so this is a *new* node that salvages the old disk.
+
+        The salvaged ledger is replayed and its signature transactions
+        verified before anything else: corruption or truncation (checked
+        against ``expected_seqno`` when the operator knows how far the node
+        had persisted) raises :class:`IntegrityError` instead of quietly
+        rejoining over bad files. On success the disk is kept — committed
+        chunks are content-identical across nodes, so the post-join persist
+        path overwrites them in place — and the node rejoins through the
+        real attested join path.
+        """
+        validation = validate_storage(salvaged_storage, expected_seqno=expected_seqno)
+        if not validation.intact:
+            raise IntegrityError(
+                f"salvaged ledger failed validation: {validation.describe()}"
+            )
+        # ``install`` starts persisting from zero, over the identical prefix.
+        self.node.storage = salvaged_storage
+        self.request(via_node, expected_service)
+        return validation
+
+    def _send_request(self, via_node: str) -> None:
+        node = self.node
+        public_key = node.node_key.public_key.encode()
+        node.network.send(
+            node.node_id,
+            via_node,
+            JoinRequest(
+                node_id=node.node_id,
+                quote=node.enclave.attest(public_key),
+                node_public_key=public_key,
+                dh_public=node.dh_key.public,
+            ),
+        )
+
+    def _arm_retry(self) -> None:
+        # The timer holds this component (and through it the node) weakly:
+        # it fires a full retry interval after a crash, and must not keep
+        # the crashed node's ledger and store alive until then. The event
+        # itself still fires either way.
+        ref = weakref.ref(self)
+
+        def tick() -> None:
+            self = ref()
+            if self is None or self.node.stopped:
+                return
+            node = self.node
+            consensus = node.consensus
+            interval = node.config.join_retry_interval
+            row = (
+                node.store.get(maps.NODES_INFO, node.node_id)
+                if consensus is not None
+                else None
+            )
+            if row is not None and row.get("status") != NodeStatus.PENDING.value:
+                return  # trusted (or retired): joining is over
+            orphaned = (
+                consensus is not None
+                and not consensus.is_primary
+                and node.scheduler.now - consensus.last_leader_contact > interval
+            )
+            # ``orphaned`` covers a subtle failure: the admitting primary
+            # registered us as a learner, then lost an election; the new
+            # primary knows nothing of us (the PENDING transaction rolled
+            # back), nobody replicates to us, and our own stale store still
+            # shows the rolled-back row — only the leader silence gives the
+            # orphaning away.
+            transfer = self._transfer
+            if transfer is not None:
+                # A chunked transfer is in flight. Re-sending the join
+                # request now would race a duplicate (slow, byte-costed)
+                # JoinResponse against the chunk stream and trip the
+                # channel replay guard — so only interfere if the transfer
+                # has made no progress since the last tick (its serving
+                # node died mid-stream).
+                if transfer.fetched > transfer.last_progress:
+                    transfer.last_progress = transfer.fetched
+                    node.scheduler.after(interval, tick)
+                    return
+                self._transfer = None
+            if consensus is None or row is None or orphaned:
+                # Not admitted yet, or our PENDING record was rolled back by
+                # an election. Rotate through every node we know about —
+                # only the current primary answers, and it may have moved.
+                if consensus is not None:
+                    for node_id in sorted(consensus.configurations.current.nodes):
+                        if node_id not in self._targets and node_id != node.node_id:
+                            self._targets.append(node_id)
+                target = self._targets.pop(0)
+                self._targets.append(target)
+                self._send_request(target)
+            node.scheduler.after(interval, tick)
+
+        self.node.scheduler.after(self.node.config.join_retry_interval, tick)
+
+    # -- The admitting node's answer ------------------------------------
+
+    def on_join_response(self, src: str, message: JoinResponse) -> None:
+        node = self.node
+        if node.consensus is not None:
+            # Already joined: this is a reply to a retried (or duplicated)
+            # join request. Re-initializing from it would throw away state.
+            return
+        if not message.accepted:
+            raise AttestationError(f"join rejected: {message.error}")
+        service_certificate = Certificate.from_dict(message.service_certificate)
+        expected = self._expected_service
+        if expected is not None and service_certificate != expected:
+            raise VerificationError("join response from an unexpected service")
+        service_certificate.verify_self_signed()
+        node_certificate = Certificate.from_dict(message.node_certificate)
+        node_certificate.verify(service_certificate.public_key)
+
+        for peer, dh_hex in message.peer_dh_publics.items():
+            if peer != node.node_id:
+                node.channels.establish(peer, bytes.fromhex(dh_hex))
+
+        # Open the sealed key material (channel with the admitting primary
+        # was established just above from its published DH key).
+        sender, counter, box = message.sealed_secrets
+        try:
+            payload = node.channels.open(
+                SealedMessage(sender=sender, counter=counter, box=box)
+            )
+        except VerificationError:
+            # A retried join request can draw a second response; the
+            # duplicate is byte-costed (slow) and may arrive after newer
+            # channel traffic, failing the replay counter. Drop it like
+            # any replayed sealed message — the in-flight join continues
+            # (and the retry timer covers the nothing-in-flight case).
+            return
+        secret_material = decode_value(payload)
+        secrets = LedgerSecretStore()
+        for generation, key_bytes, suite in secret_material["ledger_secrets"]:
+            secrets.add(LedgerSecret(generation=generation, key_bytes=key_bytes, suite=suite))
+        service_key = SigningKey(int.from_bytes(secret_material["service_key_scalar"], "big"))
+        if service_key.public_key.encode() != service_certificate.public_key.encode():
+            raise VerificationError("received service key does not match the certificate")
+        node.adopt_identity(service_certificate, node_certificate, service_key, secrets)
+
+        if message.snapshot_manifest is not None:
+            # Verify the manifest against its receipt, then pull only the
+            # chunks we don't already hold. Joining completes
+            # asynchronously in _complete_install.
+            self._begin_transfer(src, message)
+            return
+        self._start_consensus(message, KVStore(), Ledger(secrets), 0)
+
+    def _start_consensus(
+        self, message: JoinResponse, store: KVStore, ledger: Ledger, base_seqno: int
+    ) -> None:
+        self.node.install(
+            store,
+            ledger,
+            set(message.current_nodes),
+            base_seqno=base_seqno,
+            # A join without a snapshot has base_seqno 0 and replays the
+            # configuration history itself.
+            config_base_seqno=min(message.config_base_seqno, base_seqno),
+        ).start()
+
+    # -- Chunked state transfer -----------------------------------------
+
+    def _begin_transfer(self, src: str, message: JoinResponse) -> None:
+        node = self.node
+        metadata = message.snapshot_manifest
+        receipt = Receipt.from_dict(message.snapshot_receipt)
+        receipt.verify(node.service_certificate)
+        digest = bytes(statetransfer.manifest_digest(metadata))
+        claimed = (receipt.claims or {}).get("snapshot_digest")
+        if not ct_eq(claimed, digest.hex()):
+            raise VerificationError(
+                "snapshot manifest does not match its receipt claims"
+            )
+        transfer = self._transfer
+        if transfer is not None and ct_eq(transfer.digest, digest):
+            # Retried join response for the same snapshot mid-transfer: a
+            # chunk round may have been lost — re-kick, don't restart.
+            self._request_missing()
+            return
+        # (Re)plan the transfer. Seed from the local content-addressed
+        # cache: chunks from a prior partial join or an older snapshot are
+        # skipped if their bytes still match their address.
+        needed = statetransfer.manifest_chunk_ids(metadata)
+        have: dict[str, bytes] = {}
+        for chunk_id in needed:
+            blob = statetransfer.cached_chunk(node.storage, chunk_id)
+            if blob is not None:
+                have[chunk_id] = blob
+        self._transfer = ChunkTransfer(
+            digest=digest,
+            metadata=metadata,
+            message=message,
+            source=src,
+            have=have,
+            missing=[cid for cid in needed if cid not in have],
+            cached=len(have),
+        )
+        obs = node.scheduler.obs
+        if obs is not None:
+            obs.state_transfer_event(
+                node.node_id,
+                "manifest",
+                base_seqno=metadata["base_seqno"],
+                chunks=len(needed),
+                cached=len(have),
+            )
+        self._request_missing()
+
+    def _request_missing(self) -> None:
+        transfer = self._transfer
+        if transfer is None:
+            return
+        if not transfer.missing:
+            self._complete_install()
+            return
+        node = self.node
+        node.network.send(
+            node.node_id,
+            transfer.source,
+            StateChunkRequest(
+                node_id=node.node_id,
+                base_seqno=transfer.metadata["base_seqno"],
+                chunk_ids=tuple(transfer.missing[: node.config.join_chunk_batch]),
+            ),
+        )
+
+    def on_state_chunk_response(self, _src: str, message: StateChunkResponse) -> None:
+        node = self.node
+        transfer = self._transfer
+        if transfer is None or node.consensus is not None:
+            return
+        if message.base_seqno != transfer.metadata["base_seqno"]:
+            return  # stale round from a superseded transfer
+        if message.missing:
+            # The server no longer holds part of this snapshot (it advanced
+            # or changed hands). Abandon the transfer; the join retry timer
+            # restarts the handshake cleanly — against whatever snapshot the
+            # current primary can actually serve — and everything already
+            # cached still dedups on the next attempt.
+            obs = node.scheduler.obs
+            if obs is not None:
+                obs.state_transfer_event(
+                    node.node_id, "fallback", missing=len(message.missing)
+                )
+            self._transfer = None
+            return
+        wanted = 0
+        verified = 0
+        still_missing = set(transfer.missing)
+        for chunk_id, blob in message.chunks:
+            if chunk_id not in still_missing:
+                continue  # duplicate round (retried request): already held
+            wanted += 1
+            try:
+                statetransfer.verify_chunk_blob(chunk_id, blob)
+            except VerificationError:
+                continue  # leave in missing
+            verified += 1
+            transfer.have[chunk_id] = blob
+            transfer.fetched += 1
+            # Streaming install: each verified chunk is persisted into the
+            # content-addressed cache immediately, so a crash mid-transfer
+            # resumes without re-fetching anything already received.
+            node.storage.write_state_chunk(chunk_id, blob)
+        if wanted and not verified:
+            # Every chunk we still needed from this round failed its content
+            # address: the serving host is substituting state, not merely
+            # re-sending a stale round. Re-requesting would loop forever.
+            self._transfer = None
+            raise VerificationError(
+                "state chunks do not match their content addresses"
+            )
+        transfer.missing = [cid for cid in transfer.missing if cid not in transfer.have]
+        self._request_missing()
+
+    def _complete_install(self) -> None:
+        node = self.node
+        transfer = self._transfer
+        metadata = transfer.metadata
+        secrets: LedgerSecretStore = node.enclave.memory.get("ledger_secrets")
+        try:
+            store = statetransfer.assemble_store(metadata, transfer.have, secrets)
+        except (VerificationError, KVError):
+            # A chunk passed its content address but failed decryption or
+            # decode — only a mis-sealed producer can cause this. Drop the
+            # transfer; the retry timer falls back to a fresh join.
+            self._transfer = None
+            raise
+        base_seqno = metadata["base_seqno"]
+        ledger = Ledger.from_snapshot_metadata(
+            secrets,
+            base_seqno=base_seqno,
+            txids=[TxID(v, s) for v, s in metadata["txids"]],
+            leaf_hashes=list(metadata["leaf_hashes"]),
+            last_signature_txid=TxID(*metadata["last_signature_txid"]),
+        )
+        obs = node.scheduler.obs
+        if obs is not None:
+            obs.state_chunks_progress(node.node_id, transfer.fetched, transfer.cached)
+            obs.state_transfer_event(
+                node.node_id,
+                "installed",
+                base_seqno=base_seqno,
+                fetched=transfer.fetched,
+                cached=transfer.cached,
+            )
+        self._transfer = None
+        self._start_consensus(transfer.message, store, ledger, base_seqno)

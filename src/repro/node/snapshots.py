@@ -1,0 +1,181 @@
+"""Snapshots on the primary (section 4.4): produce one every
+``snapshot_interval`` commits, wait for its evidence transaction to commit
+under a signature, then serve it — manifest and receipt in the join
+response, sealed chunks by content address.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+
+from repro.kv.serialization import encode_value
+from repro.kv.tx import WriteSet
+from repro.ledger import statetransfer
+from repro.ledger.receipts import issue_receipt
+from repro.node import maps
+from repro.node.wire import StateChunkRequest, StateChunkResponse
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """A produced snapshot. It is pending (``receipt`` None) until its
+    evidence entry commits under a signature; with the receipt it is what
+    a joiner is served."""
+
+    metadata: dict  # the manifest
+    chunks: dict[str, bytes]  # sealed, by content address
+    # Next delta builds against this snapshot's table + chunks.
+    baseline: statetransfer.SnapshotBaseline
+    evidence_seqno: int
+    claims: dict
+    receipt: dict | None = None
+
+
+class Snapshots:
+    """``latest`` is the package joiners are served (None until the first
+    snapshot finalizes)."""
+
+    def __init__(self, node) -> None:
+        self.node = node  # the hosting CCFNode
+        self.latest: Snapshot | None = None
+        self._last_seqno = 0
+        self._pending: Snapshot | None = None
+
+    def on_commit(self, commit_seqno: int) -> None:
+        self._produce_if_due(commit_seqno)
+        self._finalize_if_ready()
+
+    def on_truncate(self, seqno: int) -> None:
+        pending = self._pending
+        if pending is not None and pending.evidence_seqno > seqno:
+            # Its evidence entry rolled back with the suffix; whatever
+            # commits at that seqno now is another primary's entry and
+            # must not be receipted with this snapshot's claims.
+            self._pending = None
+
+    def _produce_if_due(self, commit_seqno: int) -> None:
+        node = self.node
+        interval = node.config.snapshot_interval
+        if not interval or not node.consensus.is_primary:
+            return
+        if commit_seqno - self._last_seqno < interval:
+            return
+        self._last_seqno = commit_seqno
+        metadata = node.ledger.snapshot_metadata(commit_seqno)
+        # Store state includes private-map plaintext, so every chunk is
+        # sealed under the current ledger secret before it can touch host
+        # storage or the join path. Only maps that changed since the
+        # previous snapshot are serialized and sealed; clean maps reuse
+        # their previous sealed chunks (same content ⇒ same chunk id). The
+        # receipt claim digests the manifest, which lists every chunk id,
+        # so all chunks are transitively receipt-covered and integrity is
+        # verifiable without decrypting.
+        secret = node.ledger.secrets.current()
+        built = statetransfer.build_chunked_snapshot(
+            node.store,
+            commit_seqno,
+            secret,
+            metadata,
+            chunk_bytes=node.config.snapshot_chunk_bytes,
+            # The previous snapshot's map table + sealed chunks, so clean
+            # maps reuse their chunks.
+            baseline=self.latest.baseline if self.latest is not None else None,
+        )
+        digest = bytes(statetransfer.manifest_digest(built.metadata))
+        obs = node.scheduler.obs
+        if obs is not None:
+            obs.snapshot_produced(node.node_id, commit_seqno, built.stats)
+        # Snapshot evidence transaction (validated by receipt, section 4.4).
+        write_set = WriteSet()
+        write_set.put(
+            maps.SNAPSHOT_EVIDENCE,
+            commit_seqno,
+            {"digest": digest.hex(), "seqno": commit_seqno},
+        )
+        claims = {"snapshot_digest": digest.hex()}
+        entry = node.append_local_entry(write_set, claims=claims)
+        self._pending = Snapshot(
+            metadata=built.metadata,
+            chunks=built.chunks,
+            baseline=built.baseline(node.store.map_table_at(commit_seqno)),
+            evidence_seqno=entry.txid.seqno,
+            claims=claims,
+        )
+        node.request_signature_soon()
+
+    def _finalize_if_ready(self) -> None:
+        pending = self._pending
+        if pending is None:
+            return
+        node = self.node
+        if node.consensus.commit_seqno < pending.evidence_seqno:
+            return
+        if node.ledger.next_signature_seqno(pending.evidence_seqno) is None:
+            return
+        receipt = issue_receipt(
+            node.ledger,
+            pending.evidence_seqno,
+            node.node_certificate,
+            claims=pending.claims,
+        )
+        self.latest = dataclasses.replace(pending, receipt=receipt.to_dict())
+        # Persist the chunk set (content-addressed, so re-writing a reused
+        # chunk is skipped) and prune chunks no manifest we still serve
+        # references; the manifest file makes the snapshot reconstructable
+        # from disk alone.
+        storage = node.storage
+        for chunk_id, blob in pending.chunks.items():
+            if storage.read_state_chunk(chunk_id) is None:
+                storage.write_state_chunk(chunk_id, blob)
+        storage.prune_state_chunks(set(pending.chunks))
+        for name in storage.list_files("manifest_"):
+            storage.delete(name, sync=False)
+        storage.write(
+            f"manifest_{pending.metadata['base_seqno']}.bin",
+            encode_value(pending.metadata),
+            sync=True,
+        )
+        self._pending = None
+
+    def on_state_chunk_request(self, _src: str, message: StateChunkRequest) -> None:
+        """Serve sealed state chunks by content address. Replies go to the
+        joining node named in the request.
+
+        Chunks come from the live snapshot package or the on-disk cache
+        (older-but-still-referenced chunks a resuming joiner may ask for).
+        Ids this node cannot produce are reported back as ``missing`` so the
+        joiner can fall back instead of stalling."""
+        node = self.node
+        available = self.latest.chunks if self.latest is not None else {}
+        found: list[tuple[str, bytes]] = []
+        missing: list[str] = []
+        for chunk_id in message.chunk_ids:
+            blob = available.get(chunk_id)
+            if blob is None:
+                blob = statetransfer.cached_chunk(node.storage, chunk_id)
+            if blob is None:
+                missing.append(chunk_id)
+            else:
+                found.append((chunk_id, blob))
+        payload_bytes = sum(len(blob) for _, blob in found)
+        obs = node.scheduler.obs
+        if obs is not None:
+            obs.state_transfer_event(
+                node.node_id,
+                "chunks_served",
+                joiner=message.node_id,
+                served=len(found),
+                missing=len(missing),
+                bytes=payload_bytes,
+            )
+        node.network.send(
+            node.node_id,
+            message.node_id,
+            StateChunkResponse(
+                base_seqno=message.base_seqno,
+                chunks=tuple(found),
+                missing=tuple(missing),
+            ),
+            extra_delay=node.cost.state_transfer_cost(payload_bytes),
+        )

@@ -47,49 +47,6 @@ class ForwardedResponse:
 
 
 @dataclass(frozen=True)
-class ChannelHello:
-    """Node-to-node channel establishment: exchange X25519 public keys.
-    Sent on first contact; idempotent."""
-
-    sender: str
-    dh_public: bytes
-
-
-class PendingFrame:
-    """A coalesced wire frame, mutable until sealed.
-
-    Created when a node produces its first consensus message for a peer
-    within one scheduler event; every further message for that peer in the
-    same event joins the frame. Segments referencing the frame are put on
-    the network *immediately* (keeping the event order and latency-draw
-    assignment of one send per message); the single AEAD seal happens in an
-    end-of-event microtask, which fills ``sender``/``counter``/``box``/
-    ``count`` in place. Simulated latency is strictly positive, so the seal
-    always lands before the first segment delivers.
-    """
-
-    __slots__ = ("sender", "counter", "box", "count", "payload_sizes")
-
-    def __init__(self) -> None:
-        self.sender = ""
-        self.counter = -1
-        self.box: bytes | None = None
-        self.count = 0
-        self.payload_sizes: list[int] = []
-
-
-@dataclass(frozen=True)
-class FrameSegment:
-    """One message's slot in a :class:`PendingFrame`, sent as an ordinary
-    network payload. The receiver opens the (shared) frame once and indexes
-    into it; replay protection is per segment (``(counter, index)`` pairs,
-    see :class:`repro.net.channels.FrameAssembler`)."""
-
-    frame: PendingFrame
-    index: int
-
-
-@dataclass(frozen=True)
 class JoinRequest:
     """New node → an existing node: request to join the service (section 4.4
     / Figure 9's point B). Carries the attestation quote binding the new

@@ -20,13 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.ecdsa import VerifyingKey
-from repro.errors import IntegrityError, RecoveryError, VerificationError
+from repro.errors import IntegrityError, LedgerError, RecoveryError, VerificationError
 from repro.kv.store import KVStore
+from repro.kv.tx import WriteSet
 from repro.ledger.chunking import LedgerChunk
 from repro.ledger.entry import LedgerEntry
 from repro.ledger.ledger import SIGNATURES_MAP, Ledger, SignatureRecord
-from repro.ledger.secrets import LedgerSecretStore
+from repro.ledger.secrets import LedgerSecret, LedgerSecretStore
 from repro.node import maps
+from repro.node.start import append_first_entry, mint_service_identity
 from repro.storage.host_storage import HostStorage
 
 
@@ -241,3 +243,114 @@ def _node_public_key(store: KVStore, node_id: str) -> VerifyingKey:
     if not isinstance(row, dict) or "public_key" not in row:
         raise RecoveryError(f"no recorded identity for signing node {node_id}")
     return VerifyingKey.decode(bytes.fromhex(row["public_key"]))
+
+
+def start_recovered_service(
+    node,
+    salvaged_storage: HostStorage,
+    service_subject: str,
+    secret_seed: bytes | None = None,
+) -> dict:
+    """Start ``node`` (a fresh :class:`repro.node.node.CCFNode`) in
+    recovery mode from salvaged ledger files.
+
+    Restores the public state, mints a **new** service identity (the
+    recovery is detectable by users), and waits for member recovery
+    shares before private state can be decrypted. Returns a summary
+    with the previous service identity for the opening proposal.
+    """
+    replay = replay_public_ledger(salvaged_storage)
+    obs = node.scheduler.obs
+    if obs is not None:
+        obs.recovery_event(
+            node.node_id, "replay",
+            verified_seqno=replay.verified_seqno,
+            salvage_warnings=len(replay.warnings),
+        )
+    # A fresh ledger secret generation for all new transactions; the
+    # previous generation arrives later via recovery shares.
+    previous_generation = 0
+    row = replay.store.get(maps.LEDGER_SECRET, "current")
+    if isinstance(row, dict):
+        previous_generation = row.get("generation", 0)
+    replay.ledger.secrets = mint_service_identity(
+        node, service_subject, secret_seed, b"|recovered-service-identity",
+        generation=previous_generation + 1,
+    )
+    consensus = node.install(
+        replay.store,
+        replay.ledger,
+        {node.node_id},
+        base_seqno=replay.verified_seqno,
+        config_base_seqno=replay.verified_seqno,
+        persisted_seqno=replay.verified_seqno,
+    )
+    # Seed consensus bookkeeping with the replayed history.
+    for seqno in range(1, replay.verified_seqno + 1):
+        consensus.view_history.note_append(replay.ledger.txid_at(seqno))
+    consensus.commit_seqno = replay.verified_seqno
+    consensus.view = replay.last_view  # bumped just below
+    consensus.start_as_recovery_primary(replay.last_view + 1)
+
+    # The recovered service runs on this node alone until others join:
+    # record the new topology and status, replacing stale node rows.
+    write_set = WriteSet()
+    for node_id, _info in list(node.store.items(maps.NODES_INFO)):
+        if node_id != node.node_id:
+            write_set.remove(maps.NODES_INFO, node_id)
+    append_first_entry(node, write_set, dict(
+        node.store.get(maps.SERVICE_INFO, "service") or {},
+        status=maps.SERVICE_WAITING_FOR_SHARES,
+        previous_identity=replay.previous_service_identity,
+    ))
+    if obs is not None:
+        obs.recovery_event(node.node_id, "awaiting_shares")
+    return {
+        "verified_seqno": replay.verified_seqno,
+        "previous_service_identity": replay.previous_service_identity,
+        "new_service_identity": node.service_certificate.to_dict(),
+        "salvage_warnings": [w.describe() for w in replay.warnings],
+    }
+
+
+def complete_private_recovery(
+    node, previous_secrets: LedgerSecret | list[LedgerSecret]
+) -> None:
+    """The wrapping key was reconstructed from member shares: install
+    the previous ledger secret generation(s) on the recovering ``node``
+    and decrypt the restored private state.
+
+    Private write sets are replayed oldest-first over the restored
+    public state, validating every AEAD tag as we go. The folding is a
+    local reconstruction, not new ledger transactions — recovery
+    happens before users reconnect, so merging at the current version
+    is safe. Entries sealed under a generation that was never
+    re-wrapped (and is therefore unrecoverable) are skipped: recovery
+    is best-effort (section 5.2).
+    """
+    if isinstance(previous_secrets, LedgerSecret):
+        previous_secrets = [previous_secrets]
+    secrets: LedgerSecretStore = node.enclave.memory.get("ledger_secrets")
+    for secret in previous_secrets:
+        secrets.add(secret)
+    recovered = 0
+    for entry in node.ledger.entries(1, node.consensus.commit_seqno):
+        if not entry.private_blob:
+            continue
+        try:
+            write_set = node.ledger.decrypt_private(entry)
+        except LedgerError:
+            continue  # generation not recoverable: best effort
+        # Public maps were already restored during the public replay.
+        node.store.merge_at_current_version({
+            map_name: updates
+            for map_name, updates in write_set.updates.items()
+            if not map_name.startswith("public:")
+        })
+        recovered += 1
+    node.enclave.memory.put("recovered_private_entries", recovered)
+    obs = node.scheduler.obs
+    if obs is not None:
+        obs.recovery_event(
+            node.node_id, "private_recovery", recovered_entries=recovered
+        )

@@ -13,13 +13,14 @@ from __future__ import annotations
 import hashlib
 import random
 
-from repro.app.context import RequestContext
+from repro.app.context import Caller, Request, RequestContext
 from repro.crypto import ct_eq, ecies, shamir
 from repro.crypto.aead import nonce_from_counter
 from repro.crypto.fastaead import FastAEADKey
 from repro.errors import CCFError, GovernanceError, RecoveryError
-from repro.ledger.secrets import LedgerSecret
+from repro.ledger.secrets import LedgerSecret, LedgerSecretStore
 from repro.node import maps
+from repro.recovery.recovery import complete_private_recovery
 
 _WRAP_DOMAIN = 0x57  # 'W': nonce domain for wrapped ledger secrets
 
@@ -99,6 +100,56 @@ def provision_recovery_shares(
     ctx.put(maps.SERVICE_INFO, "service", dict(info, recovery_threshold=threshold))
 
 
+def reprovision_recovery_shares(node, secret: LedgerSecret) -> None:
+    """On the primary ``node``: re-split the wrapping key over the current
+    consortium for ``secret`` (re-wrapping every other generation under
+    it), as a transaction of its own with a signature right behind."""
+    members = {
+        subject: bytes.fromhex(row["public_key"])
+        for subject, row in node.store.items(maps.MEMBERS_KEYS)
+        if isinstance(row, dict)
+    }
+    if not members:
+        return
+    info = node.store.get(maps.SERVICE_INFO, "service") or {}
+    threshold = min(info.get("recovery_threshold", 1), len(members))
+    secrets: LedgerSecretStore = node.enclave.memory.get("ledger_secrets")
+    previous = tuple(
+        secrets.for_generation(g)
+        for g in secrets.generations()
+        if g != secret.generation
+    )
+    tx = node.store.begin()
+    ctx = RequestContext(
+        Request(path="/internal/rekey"), tx, Caller("node", node.node_id), node=node
+    )
+    provision_recovery_shares(
+        ctx, secret, members, threshold, node.scheduler.rng,
+        previous_secrets=previous,
+    )
+    node.append_local_entry(tx.write_set)
+    node.request_signature_soon()
+
+
+def perform_rekey(node, generation: int) -> None:
+    """A committed rekey request: derive the next ledger-secret generation
+    in ``node``'s enclave from the shared service key. Every trusted node
+    derives the same secret without it touching the network; new writes
+    seal under it, old generations stay readable (Table 1)."""
+    secrets: LedgerSecretStore = node.enclave.memory.get("ledger_secrets")
+    if secrets is None or generation in secrets.generations():
+        return
+    service_key = node.enclave.memory.get("service_key")
+    if service_key is None:
+        return  # not yet trusted with the service key
+    seed = service_key.scalar.to_bytes(32, "big") + b"|rekey"
+    secrets.add(LedgerSecret.generate(seed, generation=generation))
+    if node.consensus.is_primary:
+        # Re-provision the wrapped secret + recovery shares for the new
+        # generation so disaster recovery keeps working (section 5.2).
+        reprovision_recovery_shares(node, secrets.current())
+
+
 def handle_share_submission(ctx: RequestContext):
     """The ``/gov/submit_recovery_share`` endpoint body (section 5.2).
 
@@ -174,6 +225,6 @@ def handle_share_submission(ctx: RequestContext):
         obs.recovery_event(
             node.node_id, "reconstructed", generations=len(recovered_secrets)
         )
-    node.complete_private_recovery(recovered_secrets)
+    complete_private_recovery(node, recovered_secrets)
     ctx.put(maps.SERVICE_INFO, "service", dict(info, status=maps.SERVICE_RECOVERING))
     return {"submitted": len(submitted), "required": threshold, "recovered": True}

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.errors import CCFError
 from repro.node import maps
 from repro.node.node import CCFNode
 from repro.service.service import CCFService
@@ -83,8 +82,8 @@ class Operator:
 
         # B: prepare a new host (snapshots are copied implicitly via the
         # join protocol) and send the join request to the current primary.
-        node_id = service.new_node_id()
-        node = service._make_node(node_id)
+        node = service.new_node()
+        node_id = node.node_id
         primary = service.primary_node()
         if primary is None:
             # Wait for the election to finish first.
@@ -95,40 +94,17 @@ class Operator:
         timeline.mark("joined", service.scheduler.now)
 
         # C: one proposal trusts the new node and removes the failed one.
-        proposer = service.members[0]
-        response = proposer.client.call(
-            service.primary_node().node_id,
-            "/gov/propose",
-            {
-                "actions": [
-                    {"name": "transition_node_to_trusted", "args": {"node_id": node_id}},
-                    {"name": "remove_node", "args": {"node_id": failed_node_id}},
-                ]
-            },
-            signed=True,
+        proposal_id, state = service.propose(
+            [
+                {"name": "transition_node_to_trusted", "args": {"node_id": node_id}},
+                {"name": "remove_node", "args": {"node_id": failed_node_id}},
+            ],
             timeout=10.0,
         )
-        if not response.ok:
-            raise CCFError(f"replacement proposal failed: {response.error}")
-        proposal_id = response.body["proposal_id"]
         timeline.mark("proposal_submitted", service.scheduler.now)
 
         # D: members ballot until accepted.
-        state = response.body["state"]
-        for member in service.members[1:]:
-            if state == "Accepted":
-                break
-            vote = member.client.call(
-                service.primary_node().node_id,
-                "/gov/vote",
-                {"proposal_id": proposal_id, "ballot": {"approve": True}},
-                signed=True,
-                timeout=10.0,
-            )
-            if vote.ok:
-                state = vote.body["state"]
-        if state != "Accepted":
-            raise CCFError(f"replacement proposal ended {state}")
+        service.collect_ballots(proposal_id, state, timeout=10.0)
         timeline.mark("proposal_accepted", service.scheduler.now)
 
         # E: wait for the reconfiguration to commit — the new node is in

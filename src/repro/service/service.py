@@ -16,6 +16,7 @@ from typing import Callable
 
 from repro.app.application import Application
 from repro.app.context import RequestContext
+from repro.app.logging_app import build_logging_app
 from repro.crypto.certs import Identity
 from repro.crypto.ecies import EncryptionKeyPair
 from repro.errors import CCFError
@@ -25,6 +26,7 @@ from repro.net.network import LinkConfig, Network
 from repro.node import maps
 from repro.node.config import NodeConfig
 from repro.node.node import CCFNode
+from repro.node.start import start_new_service
 from repro.recovery.shares import provision_recovery_shares
 from repro.service.client import ServiceClient
 from repro.sim.scheduler import Scheduler
@@ -78,12 +80,7 @@ class CCFService:
         self.user_clients: list[ServiceClient] = []
         self._next_node_index = 0
 
-        app_factory = setup.app_factory
-        if app_factory is None:
-            from repro.app.logging_app import build_logging_app
-
-            app_factory = build_logging_app
-        self._app_factory = app_factory
+        self._app_factory = setup.app_factory or build_logging_app
 
         for i in range(setup.n_members):
             identity = Identity.create(f"m{i}", b"member|%d|%d" % (setup.seed, i))
@@ -95,7 +92,9 @@ class CCFService:
     # ------------------------------------------------------------------
     # Node construction
 
-    def _make_node(self, node_id: str) -> CCFNode:
+    def new_node(self) -> CCFNode:
+        """A fresh node on this service's network, not yet part of it."""
+        node_id = self.new_node_id()
         node = CCFNode(
             node_id=node_id,
             scheduler=self.scheduler,
@@ -151,8 +150,7 @@ class CCFService:
 
     def bootstrap(self, open_service: bool = True) -> None:
         """Run the full startup sequence to a service open for users."""
-        node0 = self._make_node(self.new_node_id())
-        node0.start_new_service(self.setup.service_subject, self._genesis)
+        start_new_service(self.new_node(), self.setup.service_subject, self._genesis)
 
         for member in self.members:
             member.client = ServiceClient(
@@ -184,10 +182,10 @@ class CCFService:
         primary = self.primary_node()
         if primary is None:
             return False
-        if primary._txs_since_signature > 0:
+        if primary.unsigned_entries > 0:
             # Nudge a signature so bootstrap converges even under configs
             # with very long signature intervals / disabled flushing.
-            primary._request_signature_soon()
+            primary.request_signature_soon()
             return False
         target = primary.ledger.last_seqno
         for node in self.nodes.values():
@@ -199,13 +197,11 @@ class CCFService:
                 return False
         return True
 
-    def add_node(self, node_config: NodeConfig | None = None) -> CCFNode:
+    def add_node(self) -> CCFNode:
         """Start a new node, join it, and promote it to TRUSTED through
         governance (the section 4.4 / Figure 9 path)."""
-        node_id = self.new_node_id()
-        node = self._make_node(node_id)
-        if node_config is not None:
-            node.config = node_config
+        node = self.new_node()
+        node_id = node.node_id
         primary = self.primary_node()
         if primary is None:
             raise CCFError("no primary to join through")
@@ -239,6 +235,12 @@ class CCFService:
 
     def run_governance(self, actions: list[dict], timeout: float = 5.0) -> str:
         """Submit a proposal as m0 and vote with members until accepted."""
+        proposal_id, state = self.propose(actions, timeout)
+        self.collect_ballots(proposal_id, state, timeout)
+        return proposal_id
+
+    def propose(self, actions: list[dict], timeout: float = 5.0) -> tuple[str, str]:
+        """Submit a proposal as m0. Returns its id and its state."""
         primary = self._require_primary()
         proposer = self.members[0]
         response = proposer.client.call(
@@ -263,6 +265,10 @@ class CCFService:
             if not status.ok:
                 raise CCFError(f"proposal failed: {response.error}")
             state = status.body["info"]["state"]
+        return proposal_id, state
+
+    def collect_ballots(self, proposal_id: str, state: str, timeout: float = 5.0) -> None:
+        """The members other than the proposer approve until accepted."""
         for member in self.members[1:]:
             if state == "Accepted":
                 break
@@ -278,7 +284,6 @@ class CCFService:
             state = vote.body["state"]
         if state != "Accepted":
             raise CCFError(f"proposal {proposal_id} ended {state}")
-        return proposal_id
 
     # ------------------------------------------------------------------
     # Simulation helpers

@@ -46,6 +46,8 @@ from repro.errors import CCFError, IntegrityError
 from repro.net.network import LinkConfig
 from repro.node import maps
 from repro.node.config import NodeConfig
+from repro.service.client import ClosedLoopClient, ServiceClient
+from repro.service.service import CCFService, ServiceSetup
 from repro.storage.host_storage import HostStorage
 from repro.verification import liveness
 from repro.verification.invariants import InvariantViolation, check_all_invariants
@@ -191,8 +193,6 @@ class ServiceCluster:
     closed-loop client load, and crash/restart bookkeeping."""
 
     def __init__(self, spec: ChaosSpec, seed: int, tracer=None, obs=None):
-        from repro.service.service import CCFService, ServiceSetup
-
         self.spec = spec
         self.service = CCFService(ServiceSetup(
             n_nodes=spec.n_nodes,
@@ -222,8 +222,6 @@ class ServiceCluster:
         self.client = self._start_load()
 
     def _start_load(self):
-        from repro.service.client import ClosedLoopClient, ServiceClient
-
         user = self.service.users[0]
         credentials = {"certificate": user.certificate.to_dict()}
         endpoint = ServiceClient(
@@ -266,7 +264,7 @@ class ServiceCluster:
         loss (nothing survives)."""
         node = self.service.nodes[node_id]
         salvaged = None if disk_lost else node.storage.clone()
-        persisted = 0 if disk_lost else node._persisted_seqno
+        persisted = 0 if disk_lost else node.persisted_seqno
         node.crash()
         self.crashed[node_id] = (salvaged, persisted, False)
         return salvaged
@@ -308,11 +306,11 @@ class ServiceCluster:
                 f"liveness: no primary available to rejoin {node_id}"
             )
             return
-        successor = self.service._make_node(self.service.new_node_id())
+        successor = self.service.new_node()
         joined_from_disk = False
         if salvaged is not None:
             try:
-                successor.restart_from_disk(
+                successor.join.restart_from_disk(
                     salvaged, primary.node_id, primary.service_certificate,
                     expected_seqno=persisted,
                 )

@@ -44,9 +44,13 @@ from repro.errors import (
     ServiceIdentityChangedError,
 )
 from repro.ledger.entry import TxID
+from repro.net.network import LinkConfig
 from repro.node import maps
 from repro.node.config import NodeConfig
+from repro.recovery.recovery import replay_public_ledger, start_recovered_service
+from repro.service.client import ContinuityTracker
 from repro.service.operator import Operator, SalvagedDisk
+from repro.service.service import CCFService, ServiceSetup
 from repro.verification import liveness
 from repro.verification.disaster import DisasterEvidence, check_disaster_invariants
 
@@ -247,9 +251,6 @@ class DisasterEngine:
     # -- schedule phases ------------------------------------------------
 
     def _build_service(self, seed: int, tracer=None, obs=None):
-        from repro.net.network import LinkConfig
-        from repro.service.service import CCFService, ServiceSetup
-
         service = CCFService(ServiceSetup(
             n_nodes=self.spec.n_nodes,
             n_members=self.spec.n_members,
@@ -268,8 +269,6 @@ class DisasterEngine:
     def _settled_phase(self, service, tracker, report: DisasterReport) -> dict[str, str]:
         """Writes that fully commit, then receipts for a subset of them.
         Returns txid -> expected message for later read-back checks."""
-        from repro.service.client import ContinuityTracker  # noqa: F401 (doc link)
-
         spec = self.spec
         user = service.any_user_client()
         primary = service.primary_node()
@@ -415,8 +414,6 @@ class DisasterEngine:
     ):
         """Dry-run replay on every salvaged disk and pick the one with the
         deepest verifiable prefix — what a careful operator would do."""
-        from repro.recovery.recovery import replay_public_ledger
-
         best = None
         best_seqno = -1
         for disk in disks:
@@ -512,7 +509,7 @@ class DisasterEngine:
         """Fresh nodes join the recovered service through the real attested
         join path, then governance trusts them (sections 4.4/5.2)."""
         for _ in range(self.spec.rejoin_nodes):
-            successor = service._make_node(service.new_node_id())
+            successor = service.new_node()
             successor.request_join(node.node_id, node.service_certificate)
             try:
                 service.run_until(
@@ -537,8 +534,6 @@ class DisasterEngine:
     def run_schedule(self, seed: int, tracer=None, obs=None) -> DisasterReport:
         """One fully seeded full-service-loss schedule. Deterministic:
         equal (seed, spec) gives equal reports and equal trace digests."""
-        from repro.service.client import ContinuityTracker
-
         spec = self.spec
         report = DisasterReport(seed=seed, spec=spec.to_dict())
         evidence = DisasterEvidence()
@@ -565,10 +560,10 @@ class DisasterEngine:
             report.violations.extend(check_disaster_invariants(evidence))
             return report
 
-        recovery_node = service._make_node(service.new_node_id())
+        recovery_node = service.new_node()
         try:
-            summary = recovery_node.start_recovered_service(
-                best.storage, f"dr-recovered-{seed}"
+            summary = start_recovered_service(
+                recovery_node, best.storage, f"dr-recovered-{seed}"
             )
         except RecoveryError as exc:
             report.recovery_failed = f"recovery start failed: {exc}"

@@ -68,9 +68,6 @@ class MiniHost:
         self.committed.append(seqno)
         self.store.compact(seqno)
 
-    def on_become_primary(self) -> None:
-        pass
-
     def on_lose_primacy(self) -> None:
         pass
 

@@ -11,7 +11,7 @@ from repro.kv.store import KVStore
 from repro.kv.tx import WriteSet
 from repro.ledger.entry import TxID
 from repro.node import maps
-from repro.node.auth import StoreReader, authenticate
+from repro.node.auth import authenticate
 from repro.node.indexer import Indexer, KeyWriteIndex, MapCountIndex
 from repro.node.jwt import issue_token, verify_token
 
@@ -32,14 +32,10 @@ def store():
     return kv, user, member, issuer_key
 
 
-def reader(kv):
-    return StoreReader(kv.get)
-
-
 class TestNoAuth:
     def test_anonymous(self, store):
         kv, *_ = store
-        caller = authenticate(Request(path="/x"), "no_auth", reader(kv))
+        caller = authenticate(Request(path="/x"), "no_auth", kv)
         assert caller.kind == "any"
 
 
@@ -48,7 +44,7 @@ class TestCertAuth:
         kv, user, *_ = store
         request = Request(path="/x", credentials={
             "certificate": user.certificate.to_dict()})
-        caller = authenticate(request, "user_cert", reader(kv))
+        caller = authenticate(request, "user_cert", kv)
         assert caller.kind == "user"
         assert caller.identifier == "u0"
 
@@ -57,7 +53,7 @@ class TestCertAuth:
         request = Request(path="/x", credentials={
             "certificate": member.certificate.to_dict()})
         with pytest.raises(AuthenticationError):
-            authenticate(request, "user_cert", reader(kv))
+            authenticate(request, "user_cert", kv)
 
     def test_unregistered_cert_rejected(self, store):
         kv, *_ = store
@@ -65,18 +61,18 @@ class TestCertAuth:
         request = Request(path="/x", credentials={
             "certificate": stranger.certificate.to_dict()})
         with pytest.raises(AuthenticationError):
-            authenticate(request, "user_cert", reader(kv))
+            authenticate(request, "user_cert", kv)
 
     def test_missing_certificate(self, store):
         kv, *_ = store
         with pytest.raises(AuthenticationError):
-            authenticate(Request(path="/x"), "user_cert", reader(kv))
+            authenticate(Request(path="/x"), "user_cert", kv)
 
     def test_malformed_certificate(self, store):
         kv, *_ = store
         request = Request(path="/x", credentials={"certificate": {"bad": 1}})
         with pytest.raises(AuthenticationError):
-            authenticate(request, "user_cert", reader(kv))
+            authenticate(request, "user_cert", kv)
 
 
 class TestSignatureAuth:
@@ -86,7 +82,7 @@ class TestSignatureAuth:
         envelope = sign_request(member, body)
         request = Request(path="/gov/propose", body=body,
                           credentials={"signed_request": envelope.to_dict()})
-        caller = authenticate(request, "user_signature", reader(kv))
+        caller = authenticate(request, "user_signature", kv)
         assert caller.kind == "member"
         assert caller.identifier == "m0"
 
@@ -96,7 +92,7 @@ class TestSignatureAuth:
         request = Request(path="/x", body={"amount": 999_999},
                           credentials={"signed_request": envelope.to_dict()})
         with pytest.raises(AuthenticationError, match="does not match"):
-            authenticate(request, "user_signature", reader(kv))
+            authenticate(request, "user_signature", kv)
 
     def test_unknown_signer_rejected(self, store):
         kv, *_ = store
@@ -105,7 +101,7 @@ class TestSignatureAuth:
         request = Request(path="/x", body={"op": 1},
                           credentials={"signed_request": envelope.to_dict()})
         with pytest.raises(AuthenticationError, match="unknown signer"):
-            authenticate(request, "user_signature", reader(kv))
+            authenticate(request, "user_signature", kv)
 
     def test_user_may_sign_requests_too(self, store):
         """Section 6.4: optional support for user request signing."""
@@ -113,7 +109,7 @@ class TestSignatureAuth:
         envelope = sign_request(user, {"op": 1})
         request = Request(path="/x", body={"op": 1},
                           credentials={"signed_request": envelope.to_dict()})
-        caller = authenticate(request, "user_signature", reader(kv))
+        caller = authenticate(request, "user_signature", kv)
         assert caller.kind == "user"
 
 
@@ -122,7 +118,7 @@ class TestJWT:
         kv, _u, _m, issuer_key = store
         token = issue_token(issuer_key, "https://idp", "alice", {"role": "admin"})
         request = Request(path="/x", credentials={"jwt": token})
-        caller = authenticate(request, "jwt", reader(kv))
+        caller = authenticate(request, "jwt", kv)
         assert caller.identifier == "alice"
         assert caller.data["role"] == "admin"
 
@@ -132,7 +128,7 @@ class TestJWT:
         token = issue_token(rogue, "https://rogue", "mallory")
         request = Request(path="/x", credentials={"jwt": token})
         with pytest.raises(AuthenticationError):
-            authenticate(request, "jwt", reader(kv))
+            authenticate(request, "jwt", kv)
 
     def test_tampered_payload(self, store):
         kv, _u, _m, issuer_key = store
@@ -146,13 +142,13 @@ class TestJWT:
         forged = f"{header}.{forged_payload}.{signature}"
         request = Request(path="/x", credentials={"jwt": forged})
         with pytest.raises(AuthenticationError):
-            authenticate(request, "jwt", reader(kv))
+            authenticate(request, "jwt", kv)
 
     def test_malformed_token(self, store):
         kv, *_ = store
         request = Request(path="/x", credentials={"jwt": "not.a.token.at.all"})
         with pytest.raises(AuthenticationError):
-            authenticate(request, "jwt", reader(kv))
+            authenticate(request, "jwt", kv)
 
     def test_verify_token_directly(self):
         key = SigningKey.generate(b"k")

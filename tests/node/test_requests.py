@@ -45,7 +45,7 @@ class TestWritePath:
         backup = service.backup_nodes()[0]
         response = user.call(backup.node_id, "/app/write_message", {"id": 2, "msg": "fwd"})
         assert response.ok, response.error
-        assert backup.forwards == 1
+        assert backup.frontend.forwards == 1
         read = user.call(service.primary_node().node_id, "/app/read_message", {"id": 2})
         assert read.body["msg"] == "fwd"
 
@@ -56,7 +56,7 @@ class TestWritePath:
         user.call(backup.node_id, "/app/write_message", {"id": 3, "msg": "session"})
         response = user.call(backup.node_id, "/app/read_message", {"id": 3})
         assert response.ok
-        assert backup.forwards == 2  # the read was forwarded too
+        assert backup.frontend.forwards == 2  # the read was forwarded too
 
     def test_handler_error_produces_no_ledger_entry(self, service):
         user = service.any_user_client()

@@ -1,7 +1,7 @@
 """One AEAD seal per consensus message, kept as the differential oracle.
 
 Production nodes coalesce every consensus message for one peer within one
-scheduler event into a single sealed frame (``CCFNode._send_framed``).
+scheduler event into a single sealed frame (``FramedLink.send``).
 ``per_message_sealing()`` swaps in the shape that preceded it — each
 message sealed and opened on its own, travelling as a bare
 ``SealedMessage`` — so ``tests/net/test_frame_coalescing.py`` can require

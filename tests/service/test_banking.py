@@ -120,7 +120,7 @@ class TestBankingEndpoints:
         user_client = bank.user_clients[1]
         tx = primary.store.begin()
         tx.put("public:regulators", bank.users[1].subject, {"role": "regulator"})
-        primary._append_local_entry(tx.write_set)
+        primary.append_local_entry(tx.write_set)
         bank.run(0.2)
         response = user_client.call(
             primary.node_id, "/app/audit", {"threshold_usd": 5000},

@@ -101,7 +101,7 @@ def test_chaos_join_mid_load_via_chunked_snapshot(seed):
     client.start()
     # Enough traffic that a snapshot exists before the kill.
     service.run_until(lambda: service.primary_node() is not None
-                      and service.primary_node()._latest_snapshot is not None,
+                      and service.primary_node().snapshots.latest is not None,
                       timeout=10.0)
 
     victim = rng.choice([n for n in service.backup_nodes() if not n.stopped])

@@ -23,6 +23,7 @@ from repro.errors import (
 from repro.ledger.entry import TxID
 from repro.node.config import NodeConfig
 from repro.obs.collector import ObsCollector
+from repro.recovery.recovery import start_recovered_service
 from repro.service.client import ContinuityTracker
 from repro.service.operator import Operator
 from repro.service.service import CCFService, ServiceSetup
@@ -52,8 +53,8 @@ def build_service(seed: int = 42, obs: ObsCollector | None = None) -> CCFService
 def recover_from(service: CCFService, disk, subject: str = "svc-recovered"):
     """Start a recovery node from a salvaged disk and run the §5.2 member
     protocol to completion. Returns (recovery_node, summary)."""
-    recovery_node = service._make_node(service.new_node_id())
-    summary = recovery_node.start_recovered_service(disk, subject)
+    recovery_node = service.new_node()
+    summary = start_recovered_service(recovery_node, disk, subject)
     service.run(0.2)
     assert submit_recovery_shares(service, recovery_node)
     assert vote_to_open(service, recovery_node, summary) == "Accepted"

@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.certs import Identity
 from repro.crypto.ecies import EncryptionKeyPair
 from repro.node import maps
+from repro.recovery.recovery import start_recovered_service
 
 from tests.node.conftest import make_service
 
@@ -56,8 +57,8 @@ class TestShareReprovisioning:
         salvaged = primary.storage.clone()
         for node_id in list(service.nodes):
             service.kill_node(node_id)
-        node = service._make_node(service.new_node_id())
-        node.start_recovered_service(salvaged, "recovered")
+        node = service.new_node()
+        start_recovered_service(node, salvaged, "recovered")
         service.run(0.2)
 
         # m-late + m0 submit shares (threshold 2).

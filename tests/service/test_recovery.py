@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import RecoveryError
 from repro.node import maps
-from repro.recovery.recovery import replay_public_ledger
+from repro.recovery.recovery import replay_public_ledger, start_recovered_service
 
 from tests.node.conftest import make_service
 
@@ -28,8 +28,8 @@ def build_failed_service(n_nodes=3, writes=8, recovery_threshold=2):
 
 def recover(service, salvaged, submitting_members=None):
     """Run the full recovery protocol; returns (node, summary)."""
-    node = service._make_node(service.new_node_id())
-    summary = node.start_recovered_service(salvaged, "ccf-service-recovered")
+    node = service.new_node()
+    summary = start_recovered_service(node, salvaged, "ccf-service-recovered")
     service.run(0.2)
     members = submitting_members if submitting_members is not None else service.members[:2]
     for member in members:
@@ -102,8 +102,8 @@ class TestRecoveryProtocol:
         reconstruction, so the same member's later correct share still
         recovers the service."""
         service, salvaged = build_failed_service(recovery_threshold=2)
-        node = service._make_node(service.new_node_id())
-        node.start_recovered_service(salvaged, "recovered")
+        node = service.new_node()
+        start_recovered_service(node, salvaged, "recovered")
         service.run(0.2)
         # First member submits a correct share.
         member = service.members[0]
@@ -144,8 +144,8 @@ class TestRecoveryProtocol:
         """Resubmitting the same share (a client retry over a flaky
         network) is a no-op, not an error and not a double count."""
         service, salvaged = build_failed_service(recovery_threshold=2)
-        node = service._make_node(service.new_node_id())
-        node.start_recovered_service(salvaged, "recovered")
+        node = service.new_node()
+        start_recovered_service(node, salvaged, "recovered")
         service.run(0.2)
         member = service.members[0]
         response = member.client.call(
@@ -167,8 +167,8 @@ class TestRecoveryProtocol:
 
     def test_malformed_share_rejected_typed(self):
         service, salvaged = build_failed_service(recovery_threshold=2)
-        node = service._make_node(service.new_node_id())
-        node.start_recovered_service(salvaged, "recovered")
+        node = service.new_node()
+        start_recovered_service(node, salvaged, "recovered")
         service.run(0.2)
         result = service.members[0].client.call(
             node.node_id, "/gov/submit_recovery_share", {"share": "abcd"}, signed=True

@@ -64,7 +64,7 @@ class TestPrimarySelfRetirement:
         response = user.call(old_primary.node_id, "/app/write_message",
                              {"id": 2, "msg": "via-retired"})
         assert response.ok  # forwarded to the new primary
-        assert old_primary.forwards >= 1
+        assert old_primary.frontend.forwards >= 1
 
 
 class TestBackupRetirement:

@@ -1,5 +1,7 @@
 """Snapshot-based join (section 4.4) and snapshot integrity (section 3.5)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import VerificationError
@@ -28,7 +30,7 @@ class TestSnapshots:
     def test_primary_produces_snapshots(self, service):
         fill(service, 40)
         primary = service.primary_node()
-        assert primary._latest_snapshot is not None
+        assert primary.snapshots.latest is not None
         # Snapshots persist as a manifest plus content-addressed chunks.
         assert primary.storage.list_files("manifest_")
         assert primary.storage.state_chunk_ids()
@@ -38,7 +40,7 @@ class TestSnapshots:
         primary = service.primary_node()
         from repro.ledger.receipts import Receipt
 
-        receipt = Receipt.from_dict(primary._latest_snapshot["receipt"])
+        receipt = Receipt.from_dict(primary.snapshots.latest.receipt)
         receipt.verify(primary.service_certificate)
 
     def test_join_from_snapshot_skips_replay(self, service):
@@ -88,14 +90,14 @@ class TestSnapshots:
         the manifest digest in the receipt's claims must match."""
         fill(service, 40)
         primary = service.primary_node()
-        package = primary._latest_snapshot
+        package = primary.snapshots.latest
         # Swap one chunk id in the manifest the primary would serve.
-        metadata = dict(package["metadata"])
+        metadata = dict(package.metadata)
         name, ids = metadata["chunk_maps"][0]
         metadata["chunk_maps"] = [[name, ["00" * 32] + list(ids)[1:]]] + [
             list(row) for row in metadata["chunk_maps"][1:]
         ]
-        primary._latest_snapshot = dict(package, metadata=metadata)
+        primary.snapshots.latest = dataclasses.replace(package, metadata=metadata)
         self._make_joiner(service, primary)
         with pytest.raises(VerificationError):
             service.run(0.5)
@@ -105,12 +107,12 @@ class TestSnapshots:
         rejected rather than installed (or re-fetched forever)."""
         fill(service, 40)
         primary = service.primary_node()
-        package = primary._latest_snapshot
-        chunks = dict(package["chunks"])
+        package = primary.snapshots.latest
+        chunks = dict(package.chunks)
         victim = next(iter(chunks))
         blob = chunks[victim]
         chunks[victim] = b"\x00" + blob[1:]
-        primary._latest_snapshot = dict(package, chunks=chunks)
+        primary.snapshots.latest = dataclasses.replace(package, chunks=chunks)
         # The disk cache would satisfy the request with good bytes; tamper
         # it the same way so the substitution is actually served.
         primary.storage.files[f"state_{victim}.chunk"] = chunks[victim]
@@ -130,14 +132,11 @@ class TestSnapshots:
         Receipt.from_dict(response.body["receipt"]).verify(primary.service_certificate)
 
 
-def test_rolled_back_snapshot_evidence_drops_the_pending_snapshot():
-    """A primary appends snapshot evidence at seqno E, is deposed before E
-    replicates, and later commits the *new* primary's entry at E. The
-    pending snapshot must die with its evidence: receipting whatever now
-    sits at E with the stale snapshot digest would install a package no
-    joiner can verify."""
-    from repro.ledger.receipts import Receipt
-
+def deposed_after_snapshot_evidence():
+    """A primary appends snapshot evidence (an entry with claims) at seqno
+    E, is deposed before E replicates, and — once the partition heals —
+    holds the *new* primary's entry at E, committed. Returns
+    ``(service, old, new, stale)`` with ``stale`` the rolled-back entry."""
     service = make_service(
         n_nodes=3,
         node_config=NodeConfig(signature_interval=10, snapshot_interval=20),
@@ -146,16 +145,16 @@ def test_rolled_back_snapshot_evidence_drops_the_pending_snapshot():
     old = service.primary_node()
     others = [n.node_id for n in service.backup_nodes()]
     user = service.any_user_client()
-    produce = old._maybe_snapshot
+    produce = old.snapshots.on_commit
     evidence = []
 
     def produce_then_cut_off(commit_seqno):
         produce(commit_seqno)
-        if old._pending_snapshot is not None and not evidence:
-            evidence.append(old.ledger.entry_at(old._pending_snapshot["evidence_seqno"]))
+        if old.snapshots._pending is not None and not evidence:
+            evidence.append(old.ledger.entry_at(old.snapshots._pending.evidence_seqno))
             service.network.partition_groups([old.node_id], others)
 
-    old._maybe_snapshot = produce_then_cut_off
+    old.snapshots.on_commit = produce_then_cut_off
     for i in range(60):
         if evidence:
             break
@@ -179,12 +178,21 @@ def test_rolled_back_snapshot_evidence_drops_the_pending_snapshot():
 
     service.network.heal()
     service.run(2.0)
-    # The deposed primary holds the new primary's entry at E, committed...
     assert old.consensus.commit_seqno > stale.txid.seqno
     assert old.ledger.entry_at(stale.txid.seqno).txid != stale.txid
-    # ...and never turned its stale snapshot into a join package.
-    assert old._pending_snapshot is None
-    assert old._latest_snapshot is None
+    return service, old, new, stale
+
+
+def test_rolled_back_snapshot_evidence_drops_the_pending_snapshot():
+    """The pending snapshot must die with its evidence: receipting whatever
+    now sits at E with the stale snapshot digest would install a package no
+    joiner can verify."""
+    from repro.ledger.receipts import Receipt
+
+    service, old, new, stale = deposed_after_snapshot_evidence()
+    # The deposed primary never turned its stale snapshot into a join package.
+    assert old.snapshots._pending is None
+    assert old.snapshots.latest is None
 
     # Re-elected, it admits a joiner (by full replay: it has no snapshot)...
     old.consensus.timer_scale = 0.2
@@ -195,7 +203,24 @@ def test_rolled_back_snapshot_evidence_drops_the_pending_snapshot():
     assert joiner.store.get("records", 100) == "new"
     # ...and the next interval snapshots normally.
     fill(service, 30, start=200)
-    package = old._latest_snapshot
+    package = old.snapshots.latest
     assert package is not None
-    Receipt.from_dict(package["receipt"]).verify(old.service_certificate)
-    assert package["metadata"]["base_seqno"] > stale.txid.seqno
+    Receipt.from_dict(package.receipt).verify(old.service_certificate)
+    assert package.metadata["base_seqno"] > stale.txid.seqno
+
+
+def test_rolled_back_entry_takes_its_receipt_claims_with_it():
+    """The deposed primary retained the claims of its evidence entry at E.
+    They must go when E is rolled back: attached to the receipt of the
+    entry that committed there instead, they contradict its leaf."""
+    from repro.ledger.receipts import Receipt
+
+    service, old, _new, stale = deposed_after_snapshot_evidence()
+    txid = old.ledger.entry_at(stale.txid.seqno).txid
+    response = service.any_user_client().call(
+        old.node_id, "/node/receipt", {"txid": str(txid), "with_claims": True}
+    )
+    assert response.ok, response.error
+    receipt = Receipt.from_dict(response.body["receipt"])
+    assert receipt.claims is None
+    receipt.verify(old.service_certificate)

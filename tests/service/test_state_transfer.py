@@ -1,6 +1,8 @@
 """Incremental state transfer: chunked dedup joins, resume, fallback, and
 the chunked-vs-full-replay differential across seeds."""
 
+import dataclasses
+
 import pytest
 
 from repro.node.config import NodeConfig
@@ -47,16 +49,16 @@ def make_joiner(service, node_id, storage=None):
 
 def spy_install(joiner, captured):
     """Record the transfer plan's dedup accounting at install time."""
-    original = joiner._complete_chunked_install
+    original = joiner.join._complete_install
 
     def wrapper():
-        transfer = joiner._pending_state_transfer
-        captured["cached"] = transfer["cached"]
-        captured["fetched"] = transfer["fetched"]
-        captured["chunks"] = len(transfer["have"])
+        transfer = joiner.join._transfer
+        captured["cached"] = transfer.cached
+        captured["fetched"] = transfer.fetched
+        captured["chunks"] = len(transfer.have)
         original()
 
-    joiner._complete_chunked_install = wrapper
+    joiner.join._complete_install = wrapper
 
 
 class TestChunkedJoin:
@@ -98,12 +100,12 @@ class TestChunkedJoin:
         victim = make_joiner(service, "joiner-crash")
         service.run_until(
             lambda: (
-                victim._pending_state_transfer is not None
-                and victim._pending_state_transfer["fetched"] >= 3
+                victim.join._transfer is not None
+                and victim.join._transfer.fetched >= 3
             ),
             timeout=5.0,
         )
-        fetched_before_crash = victim._pending_state_transfer["fetched"]
+        fetched_before_crash = victim.join._transfer.fetched
         victim.crash()
         # The salvaged disk (chunk cache included) goes into a fresh node.
         stats = {}
@@ -122,16 +124,16 @@ class TestChunkedJoin:
         service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         primary = service.primary_node()
-        package = primary._latest_snapshot
-        victim = next(iter(package["chunks"]))
-        chunks = dict(package["chunks"])
+        package = primary.snapshots.latest
+        victim = next(iter(package.chunks))
+        chunks = dict(package.chunks)
         chunks.pop(victim)
-        primary._latest_snapshot = dict(package, chunks=chunks)
+        primary.snapshots.latest = dataclasses.replace(package, chunks=chunks)
         primary.storage.delete(f"state_{victim}.chunk")
         joiner = make_joiner(service, "joiner-fallback")
         service.run(0.5)
         assert joiner.consensus is None  # transfer abandoned, not stalled
-        assert joiner._pending_state_transfer is None
+        assert joiner.join._transfer is None
         # New traffic produces the next (complete) snapshot; the join retry
         # picks it up and completes.
         fill(service, 40, start=500)
@@ -153,7 +155,7 @@ def _joined_run(seed, mode):
         # Withhold the snapshot: the joiner must replay the whole ledger
         # through consensus catch-up. (The snapshot package returns at the
         # next production; evidence entries are unaffected.)
-        primary._latest_snapshot = None
+        primary.snapshots.latest = None
     node = service.add_node()
     fill(service, 30, start=100)
     service.run(1.0)

@@ -66,6 +66,7 @@ class TestUntrustedHost:
         forwarding and state-chunk messages, and never a bare
         ``repro.consensus.messages`` object (``secure_channels`` is on)."""
         from repro.consensus import messages as consensus_messages
+        from repro.net.channels import FrameSegment
         from repro.node import wire
 
         captured = []
@@ -84,7 +85,7 @@ class TestUntrustedHost:
         service.run(0.3)
 
         named = (
-            wire.ChannelHello, wire.JoinRequest, wire.JoinResponse,
+            wire.JoinRequest, wire.JoinResponse,
             wire.ForwardedRequest, wire.ForwardedResponse,
             wire.StateChunkRequest, wire.StateChunkResponse,
         )
@@ -92,11 +93,11 @@ class TestUntrustedHost:
             payload for src, dst, payload in captured
             if src in service.nodes and dst in service.nodes
         ]
-        segments = [p for p in between_nodes if isinstance(p, wire.FrameSegment)]
+        segments = [p for p in between_nodes if isinstance(p, FrameSegment)]
         assert segments, "expected sealed consensus traffic"
         for payload in between_nodes:
             assert type(payload).__module__ != consensus_messages.__name__
-            if isinstance(payload, wire.FrameSegment):
+            if isinstance(payload, FrameSegment):
                 assert payload.frame.box is not None, "frame left unsealed on the wire"
                 assert secret_text.encode() not in payload.frame.box
             else:
