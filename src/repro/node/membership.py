@@ -181,4 +181,4 @@ class Membership:
                     maps.NODES_INFO, node_id, dict(row, status=NodeStatus.RETIRED.value)
                 )
                 node.append_local_entry(write_set)
-                node.request_signature_soon()
+                node.request_signature(immediate=True)

@@ -358,7 +358,7 @@ class CCFNode:
         )
         self.unsigned_entries += 1
         self._arm_replication()
-        self._arm_signature_flush()
+        self.request_signature()
         return entry
 
     def claims_at(self, seqno: int) -> dict | None:
@@ -379,10 +379,9 @@ class CCFNode:
         self.append_signature_now()
         return True
 
-    def request_signature_soon(self) -> None:
-        self._arm_signature_flush(immediate=True)
-
-    def _arm_signature_flush(self, immediate: bool = False) -> None:
+    def request_signature(self, immediate: bool = False) -> None:
+        """Sign the unsigned tail within ``signature_flush_time`` — or, for
+        an entry whose commit something is waiting on, right away."""
         if self._sig_flush_handle is not None:
             if not immediate:
                 return

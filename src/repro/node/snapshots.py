@@ -102,7 +102,7 @@ class Snapshots:
             evidence_seqno=entry.txid.seqno,
             claims=claims,
         )
-        node.request_signature_soon()
+        node.request_signature(immediate=True)
 
     def _finalize_if_ready(self) -> None:
         pending = self._pending

@@ -128,7 +128,7 @@ def reprovision_recovery_shares(node, secret: LedgerSecret) -> None:
         previous_secrets=previous,
     )
     node.append_local_entry(tx.write_set)
-    node.request_signature_soon()
+    node.request_signature(immediate=True)
 
 
 def perform_rekey(node, generation: int) -> None:

@@ -185,7 +185,7 @@ class CCFService:
         if primary.unsigned_entries > 0:
             # Nudge a signature so bootstrap converges even under configs
             # with very long signature intervals / disabled flushing.
-            primary.request_signature_soon()
+            primary.request_signature(immediate=True)
             return False
         target = primary.ledger.last_seqno
         for node in self.nodes.values():

@@ -29,26 +29,29 @@ from repro.sim.chaos import ChaosEngine, ChaosSpec
 from repro.sim.trace import TraceRecorder, callback_label
 
 # (spec, seed) -> (trace digest, sha256 of the schedule report's fingerprint).
+# The digests were re-recorded when the node's scheduled callbacks changed
+# module and qualname (``repro.node.node.CCFNode._enqueue_request`` became
+# ``repro.node.frontend.Frontend.admit``, and so on); nothing else moved.
 CHAOS = [
     (
         "crashes",
         dict(steps=3, p_crash=0.3),
         5,
-        "d408cc685de19caad5b48512c4442148a1354193a31c858728972f3d470cbb58",
+        "dc9937a6dfc9ece128049f086835dcbc968ee1f1e8d75c62dc3b1557d4da4643",
         "7dc8a14e71d8b541432c231412623045f35e43dc36fde2a7c2743cc82372a846",
     ),
     (
         "three-nodes",
         dict(n_nodes=3, steps=2),
         3,
-        "d1440f99e8b3853a22d1405e73d4af2f1a3d14df4dd8853ff6c00e8834c335a9",
+        "f9860c9555dbbd946e09f0c42066ddc7b80859ef66b021b4991287d8b61b3402",
         "448c5579fdafa274feee3fc252ec63e562ea99fa8cae7a7da60163611cb95fc5",
     ),
     (
         "batching+read-offload",
         dict(steps=3, p_crash=0.3, batch_execution=True, read_offload=True),
         9,
-        "514c7ed4e5c0c5404b713f39d0b928eaec3a9d6d2b466528bd1085aefa2b6237",
+        "b920887cb2fef110d9524f0b9d953a228a84661656b8c51a50d16e8cacc00c61",
         "042e7a6a70a40141c433aa4c1fbafa1a67d5e8937a057a0a55fe880b7cb215f6",
     ),
 ]
