@@ -11,9 +11,10 @@ ledger files from one host's disk and starts a recovery node:
    Shamir) and the private state decrypted;
 5. members vote to open the service, binding old and new identities.
 
-The protocol steps come from :mod:`repro.sim.disaster` — the same helpers
-the seeded disaster schedules and ``tests/service/test_disaster_recovery``
-drive, so this walkthrough exercises exactly the code the chaos runs do.
+The member moves are :class:`CCFService` methods — the same ones the seeded
+disaster schedules (:mod:`repro.sim.disaster`) and
+``tests/service/test_disaster_recovery`` drive, so this walkthrough
+exercises exactly the code those runs do.
 
 Run:  python examples/disaster_recovery.py
 """
@@ -22,7 +23,6 @@ from repro.node.config import NodeConfig
 from repro.recovery.recovery import start_recovered_service
 from repro.service.client import ContinuityTracker
 from repro.service.service import CCFService, ServiceSetup
-from repro.sim.disaster import submit_recovery_shares, vote_to_open
 
 
 def main() -> None:
@@ -65,12 +65,12 @@ def main() -> None:
           f"(differs from old: {old_identity.public_key.encode() != new_identity.public_key.encode()})")
 
     # --- members submit recovery shares -------------------------------
-    recovered = submit_recovery_shares(service, recovery_node)
+    recovered = service.submit_recovery_shares()
     print(f"recovery shares submitted (private state recovered: {recovered})")
 
     # --- members vote to open the recovered service --------------------
-    state = vote_to_open(service, recovery_node, summary)
-    print(f"opening proposal: {state}")
+    service.open_service(summary)
+    print("opening proposal accepted; the recovered service is open")
     service.run(0.3)
 
     # --- the recovery is *detectable*: the client's audit reports the

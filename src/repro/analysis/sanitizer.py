@@ -21,40 +21,10 @@ that event — guarding the machinery itself against bit-rot.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+import sys
 
 from repro.sim.chaos import ChaosEngine, ChaosSpec, ScheduleReport
-from repro.sim.trace import Divergence, TraceRecorder, first_divergence
-
-
-@dataclass(frozen=True)
-class ReplayCheck:
-    """Outcome of a 2-run determinism check."""
-
-    seed: int
-    events: int
-    rng_draws: int
-    digest: str  # first run's final digest
-    divergence: Divergence | None
-    fingerprints_match: bool  # ScheduleReport fingerprints (coarser signal)
-
-    @property
-    def ok(self) -> bool:
-        return self.divergence is None and self.fingerprints_match
-
-    def describe(self) -> str:
-        if self.ok:
-            return (
-                f"seed {self.seed}: deterministic over {self.events} events, "
-                f"{self.rng_draws} rng draws (digest {self.digest[:16]}…)"
-            )
-        if self.divergence is not None:
-            return f"seed {self.seed}: {self.divergence.describe()}"
-        return (
-            f"seed {self.seed}: trace digests match but schedule report "
-            f"fingerprints differ — report fields escape the traced state"
-        )
+from repro.sim.trace import TraceRecorder, first_divergence
 
 
 def run_traced_schedule(
@@ -64,20 +34,6 @@ def run_traced_schedule(
     recorder = TraceRecorder(perturb_at=perturb_at)
     report = ChaosEngine(spec).run_schedule(seed, tracer=recorder)
     return report, recorder
-
-
-def check_replay_determinism(spec: ChaosSpec, seed: int) -> ReplayCheck:
-    """Run the same seeded schedule twice and compare traces."""
-    report_a, trace_a = run_traced_schedule(spec, seed)
-    report_b, trace_b = run_traced_schedule(spec, seed)
-    return ReplayCheck(
-        seed=seed,
-        events=trace_a.event_count,
-        rng_draws=trace_a.rng_draws,
-        digest=trace_a.digest,
-        divergence=first_divergence(trace_a, trace_b),
-        fingerprints_match=report_a.fingerprint() == report_b.fingerprint(),
-    )
 
 
 def localization_selftest(spec: ChaosSpec, seed: int) -> tuple[bool, str]:
@@ -108,47 +64,24 @@ def localization_selftest(spec: ChaosSpec, seed: int) -> tuple[bool, str]:
 
 
 def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.sanitizer",
-        description="Replay a seeded chaos schedule twice and verify the "
-        "trace digests match; localize the first divergence otherwise.",
+    parser = ChaosEngine.cli_parser(
+        "repro.analysis.sanitizer",
+        "Replay seeded chaos schedules twice and verify the trace digests "
+        "match; localize the first divergence otherwise.",
+        schedules=1,
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--schedules", type=int, default=1,
-                        help="consecutive seeds to check, starting at --seed")
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--selftest", action="store_true",
                         help="also inject nondeterminism and require exact "
                         "localization")
     args = parser.parse_args(argv)
-
-    spec = ChaosSpec()
-    overrides = {}
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-
-    failed = False
-    for seed in range(args.seed, args.seed + args.schedules):
-        check = check_replay_determinism(spec, seed)
-        print(check.describe())
-        failed = failed or not check.ok
-
+    engine, _ = ChaosEngine.from_cli(args)
+    ok = engine.replay_checks(args.schedules, args.seed)
     if args.selftest:
-        passed, description = localization_selftest(spec, args.seed)
+        passed, description = localization_selftest(engine.spec, args.seed)
         print(f"selftest: {description}")
-        failed = failed or not passed
-
-    return 1 if failed else 0
+        ok = ok and passed
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

@@ -100,8 +100,3 @@ class ActiveConfigurations:
     def quorum_in_each(self, acks: set[str]) -> bool:
         """True if ``acks`` contains a majority of every active config."""
         return all(config.quorum_satisfied(acks) for config in self._configs)
-
-    def highest_quorum_possible(self, reachable: set[str]) -> bool:
-        """Can any quorum still form from ``reachable`` nodes? (Used by the
-        primary's step-down check.)"""
-        return self.quorum_in_each(reachable)

@@ -85,9 +85,6 @@ class Network:
     def unregister(self, name: str) -> None:
         self._handlers.pop(name, None)
 
-    def is_registered(self, name: str) -> bool:
-        return name in self._handlers
-
     # ------------------------------------------------------------------
     # Faults
 

@@ -61,18 +61,11 @@ class CostModel:
 
     # Signing the Merkle root inside the enclave (Figure 8's ~1 ms bump).
     signature_cost: float = 1.0e-3
-    # Verifying a signature (receipts, attestation checks at join).
-    verify_cost: float = 1.2e-3
     # Primary-side cost per entry per backup for building/sending
     # append_entries (Figure 7 left's decline with cluster size).
     replication_cost_per_backup: float = 3.0e-6
-    # Backup-side cost to validate and append one replicated entry.
-    backup_append_cost: float = 8.0e-6
     # Forwarding a user request from a backup to the primary (section 4.3).
     forwarding_cost: float = 5.0e-6
-    # Snapshot serialization, per KV entry. Delta snapshots charge this only
-    # for entries actually re-serialized (dirty maps); reused chunks are free.
-    snapshot_cost_per_entry: float = 0.5e-6
     # Shipping sealed state to a joiner, per byte (manifest + chunk
     # responses). Makes join time scale with transferred state in simulated
     # time, so dedup savings are visible to the clock and not just to
@@ -132,12 +125,6 @@ class CostModel:
         shared = write * self.batch_overhead_fraction
         shared += num_backups * self.replication_cost_per_backup
         return shared + batch_size * write * (1.0 - self.batch_overhead_fraction)
-
-    def snapshot_production_cost(self, serialized_entries: int) -> float:
-        """Primary-side cost of producing one snapshot: serializing (and
-        sealing) ``serialized_entries`` KV entries. Delta snapshots pass only
-        the dirty-map entry count — O(change), not O(state)."""
-        return serialized_entries * self.snapshot_cost_per_entry
 
     def state_transfer_cost(self, num_bytes: int) -> float:
         """Wire-time surcharge for shipping ``num_bytes`` of state."""

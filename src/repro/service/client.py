@@ -237,12 +237,6 @@ class ContinuityTracker:
                 )
         return findings
 
-    def require_continuity(self, node_id: str) -> None:
-        """Raise the first typed finding, if any."""
-        findings = self.audit(node_id)
-        if findings:
-            raise findings[0]
-
 
 class ClosedLoopClient:
     """The paper's load generator: up to ``concurrency`` outstanding

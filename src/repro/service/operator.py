@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.node import maps
 from repro.node.node import CCFNode
-from repro.service.service import CCFService
+from repro.service.service import CCFService, trust_actions
 from repro.storage.host_storage import HostStorage
 
 
@@ -81,25 +81,15 @@ class Operator:
         timeline.mark("failure_detected", service.scheduler.now)
 
         # B: prepare a new host (snapshots are copied implicitly via the
-        # join protocol) and send the join request to the current primary.
-        node = service.new_node()
+        # join protocol) and join it through the current primary, once the
+        # election has produced one.
+        node, _ = service.join_node(timeout=10.0)
         node_id = node.node_id
-        primary = service.primary_node()
-        if primary is None:
-            # Wait for the election to finish first.
-            service.run_until(lambda: service.primary_node() is not None, timeout=10.0)
-            primary = service.primary_node()
-        node.request_join(primary.node_id, primary.service_certificate)
-        service.run_until(lambda: node.consensus is not None, timeout=10.0)
         timeline.mark("joined", service.scheduler.now)
 
         # C: one proposal trusts the new node and removes the failed one.
         proposal_id, state = service.propose(
-            [
-                {"name": "transition_node_to_trusted", "args": {"node_id": node_id}},
-                {"name": "remove_node", "args": {"node_id": failed_node_id}},
-            ],
-            timeout=10.0,
+            trust_actions(node_id, replacing=failed_node_id), timeout=10.0
         )
         timeline.mark("proposal_submitted", service.scheduler.now)
 

@@ -6,6 +6,13 @@ state; every other node joins with a verified attestation quote, becomes
 PENDING, and is promoted to TRUSTED through member governance; finally a
 member proposal opens the service to users. Everything runs through the
 same endpoints and governance machinery a real deployment would use.
+
+This is also the one place a running cluster is *driven*: every move the
+paper gives the operator (join a node, trust it in place of a failed one)
+and the members (submit a recovery share, vote the service open) is a
+method here, on :class:`MemberHandle` or on
+:class:`repro.service.operator.Operator`; the examples, the benchmarks and
+the chaos and disaster schedules of :mod:`repro.sim` all call these.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from repro.app.context import RequestContext
 from repro.app.logging_app import build_logging_app
 from repro.crypto.certs import Identity
 from repro.crypto.ecies import EncryptionKeyPair
-from repro.errors import CCFError
+from repro.errors import CCFError, IntegrityError, RecoveryError
 from repro.governance.proposals import build_governance_app
 from repro.ledger.secrets import LedgerSecretStore
 from repro.net.network import LinkConfig, Network
@@ -28,8 +35,9 @@ from repro.node.config import NodeConfig
 from repro.node.node import CCFNode
 from repro.node.start import start_new_service
 from repro.recovery.shares import provision_recovery_shares
-from repro.service.client import ServiceClient
+from repro.service.client import Response, ServiceClient
 from repro.sim.scheduler import Scheduler
+from repro.storage.host_storage import HostStorage
 from repro.tee.attestation import HardwareRoot
 from repro.tee.enclave import code_id_for
 
@@ -45,6 +53,22 @@ class MemberHandle:
     @property
     def subject(self) -> str:
         return self.identity.subject
+
+    def fetch_share(self, node_id: str) -> bytes:
+        """Fetch and decrypt this member's recovery share (section 5.2)."""
+        response = self.client.call(
+            node_id, "/gov/encrypted_recovery_share", {},
+            credentials={"certificate": self.identity.certificate.to_dict()},
+        )
+        if not response.ok:
+            raise RecoveryError(f"share fetch failed: {response.error}")
+        return self.encryption.decrypt(bytes.fromhex(response.body["encrypted_share"]))
+
+    def submit_share(self, node_id: str, share: bytes) -> Response:
+        """Submit a decrypted share over this member's signed session."""
+        return self.client.call(
+            node_id, "/gov/submit_recovery_share", {"share": share.hex()}, signed=True
+        )
 
 
 @dataclass
@@ -63,6 +87,30 @@ class ServiceSetup:
     service_subject: str = "ccf-service"
     link: LinkConfig = field(default_factory=LinkConfig)
     seed: int = 42
+
+
+def bootstrap_service(setup: ServiceSetup, tracer=None, obs=None) -> CCFService:
+    """A bootstrapped service, observed from its first event: a
+    :class:`repro.sim.trace.TraceRecorder` and/or an
+    :class:`repro.obs.ObsCollector` attached *before* bootstrap, so the
+    bootstrap events and every RNG draw land in the trace, and the nodes
+    created during bootstrap wire themselves to the collector."""
+    service = CCFService(setup)
+    if tracer is not None:
+        service.scheduler.attach_tracer(tracer)
+    if obs is not None:
+        obs.attach_to_service(service)
+    service.bootstrap()
+    return service
+
+
+def trust_actions(node_id: str, replacing: str | None = None) -> list[dict]:
+    """The proposal that trusts a joined node and, in the same breath,
+    removes the node it replaces (Figure 9, C)."""
+    actions = [{"name": "transition_node_to_trusted", "args": {"node_id": node_id}}]
+    if replacing is not None:
+        actions.append({"name": "remove_node", "args": {"node_id": replacing}})
+    return actions
 
 
 class CCFService:
@@ -188,9 +236,7 @@ class CCFService:
             primary.request_signature(immediate=True)
             return False
         target = primary.ledger.last_seqno
-        for node in self.nodes.values():
-            if node.stopped or node.consensus is None:
-                continue
+        for node in self.live_nodes():
             if len(node.consensus.configurations) != 1:
                 return False
             if node.consensus.commit_seqno < target:
@@ -200,29 +246,107 @@ class CCFService:
     def add_node(self) -> CCFNode:
         """Start a new node, join it, and promote it to TRUSTED through
         governance (the section 4.4 / Figure 9 path)."""
-        node = self.new_node()
+        node, _ = self.join_node()
         node_id = node.node_id
-        primary = self.primary_node()
-        if primary is None:
-            raise CCFError("no primary to join through")
-        node.request_join(primary.node_id, primary.service_certificate)
-        self.run_until(lambda: node.consensus is not None, timeout=5.0)
-        self.run_governance(
-            [{"name": "transition_node_to_trusted", "args": {"node_id": node_id}}]
-        )
+        self.trust_node(node_id)
         self.run_until(
             lambda: node_id in self.primary_node().consensus.configurations.current.nodes,
             timeout=5.0,
         )
         return node
 
-    def open_service(self) -> None:
-        self.run_governance([{"name": "transition_service_to_open", "args": {}}])
+    def join_node(
+        self,
+        disk: HostStorage | None = None,
+        expected_seqno: int | None = None,
+        timeout: float = 5.0,
+    ) -> tuple[CCFNode, IntegrityError | None]:
+        """Start a new node and bring it as far as running consensus: the
+        attested join of section 4.4 through the current primary, waiting
+        out an election first.
+
+        With ``disk`` the machine came back with its old disk (section
+        6.2): the node validates that ledger, up to ``expected_seqno`` when
+        the operator knows how far it had persisted, and rejoins over it.
+        A node that rejects its disk joins with an empty one instead, like
+        a new machine, and its verdict is returned beside it."""
+        node = self.new_node()
+        self.run_until(lambda: self.primary_node() is not None, timeout)
+        primary = self.primary_node()
+        rejected = None
+        if disk is not None:
+            try:
+                node.join.restart_from_disk(
+                    disk, primary.node_id, primary.service_certificate,
+                    expected_seqno=expected_seqno,
+                )
+            except IntegrityError as exc:
+                rejected = exc
+        if disk is None or rejected is not None:
+            node.request_join(primary.node_id, primary.service_certificate)
+        self.run_until(lambda: node.consensus is not None, timeout)
+        return node, rejected
+
+    def trust_node(
+        self, node_id: str, replacing: str | None = None, timeout: float = 5.0
+    ) -> None:
+        """Members trust a joined node, removing the node it replaces in
+        the same proposal (Figure 9, C-D).
+
+        An election in mid-round takes the primary out from under the
+        proposal, and can roll back the node's PENDING record after its
+        join response was already delivered. The joiner re-sends until the
+        record sticks, so wait for it on whoever is primary *now* and run
+        the round again rather than fail."""
+
+        def recorded() -> bool:
+            primary = self.primary_node()
+            return (
+                primary is not None
+                and primary.store.get(maps.NODES_INFO, node_id) is not None
+            )
+
+        error = None
+        for _attempt in range(3):
+            try:
+                self.run_until(recorded, timeout)
+                self.run_governance(trust_actions(node_id, replacing), timeout)
+                return
+            except CCFError as exc:
+                error = exc
+        raise error
+
+    def open_service(self, summary: dict | None = None, timeout: float = 5.0) -> None:
+        """Members vote the service open, and it opens. After a recovery
+        pass its ``summary``: the proposal then names the previous and the
+        new service identity, binding it to exactly this recovery (section
+        5.2)."""
+        args = {}
+        if summary is not None:
+            args = {
+                "previous_service_identity":
+                    summary["previous_service_identity"]["public_key"],
+                "next_service_identity": summary["new_service_identity"]["public_key"],
+            }
+        self.run_governance([{"name": "transition_service_to_open", "args": args}], timeout)
         self.run_until(
             lambda: (self.primary_node().store.get(maps.SERVICE_INFO, "service") or {})
             .get("status") == maps.SERVICE_OPEN,
-            timeout=5.0,
+            timeout,
         )
+
+    def submit_recovery_shares(self, members: list[MemberHandle] | None = None) -> bool:
+        """Members fetch, decrypt and submit their shares to the recovery
+        node until the threshold reconstructs the ledger secret (section
+        5.2). Returns whether it did."""
+        node_id = self._require_primary().node_id
+        for member in members if members is not None else self.members:
+            result = member.submit_share(node_id, member.fetch_share(node_id))
+            if not result.ok:
+                raise RecoveryError(f"share submission failed: {result.error}")
+            if result.body.get("recovered"):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Governance driving
@@ -292,30 +416,26 @@ class CCFService:
         self.scheduler.run_until(self.scheduler.now + seconds)
 
     def run_until(self, predicate: Callable[[], bool], timeout: float = 5.0) -> None:
-        deadline = self.scheduler.now + timeout
-        while not predicate():
-            if self.scheduler.now >= deadline:
-                raise CCFError(f"condition not reached within {timeout}s (sim time)")
-            if not self.scheduler.step():
-                raise CCFError("scheduler drained before the condition held")
+        why_not = self.scheduler.step_until(predicate, timeout)
+        if why_not is not None:
+            raise CCFError(f"condition {why_not} (sim time)")
+
+    def live_nodes(self) -> list[CCFNode]:
+        """The nodes that are up and running consensus."""
+        return [
+            node for node in self.nodes.values()
+            if not node.stopped and node.consensus is not None
+        ]
 
     def primary_node(self) -> CCFNode | None:
-        primaries = [
-            node
-            for node in self.nodes.values()
-            if not node.stopped and node.consensus is not None and node.consensus.is_primary
-        ]
+        primaries = [node for node in self.live_nodes() if node.consensus.is_primary]
         if not primaries:
             return None
         return max(primaries, key=lambda node: node.consensus.view)
 
     def backup_nodes(self) -> list[CCFNode]:
         primary = self.primary_node()
-        return [
-            node
-            for node in self.nodes.values()
-            if not node.stopped and node is not primary and node.consensus is not None
-        ]
+        return [node for node in self.live_nodes() if node is not primary]
 
     def any_user_client(self) -> ServiceClient:
         return self.user_clients[0]

@@ -35,6 +35,7 @@ trace recorder and comparing digests.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -45,13 +46,12 @@ from repro.errors import (
 )
 from repro.ledger.entry import TxID
 from repro.net.network import LinkConfig
-from repro.node import maps
 from repro.node.config import NodeConfig
 from repro.recovery.recovery import replay_public_ledger, start_recovered_service
 from repro.service.client import ContinuityTracker
 from repro.service.operator import Operator, SalvagedDisk
-from repro.service.service import CCFService, ServiceSetup
-from repro.verification import liveness
+from repro.service.service import ServiceSetup, bootstrap_service
+from repro.sim.runner import ScheduleEngine
 from repro.verification.disaster import DisasterEvidence, check_disaster_invariants
 
 
@@ -61,29 +61,7 @@ class DisasterSpec:
     complete, replayable description of a run."""
 
     n_nodes: int = 3
-    n_members: int = 3
-    recovery_threshold: int = 2
-    signature_interval: int = 5
-
     settled_writes: int = 8  # fully committed before the disaster
-    receipt_every: int = 2  # fetch a receipt for every k-th settled write
-    racing_writes: int = 5  # writes racing the kill sequence
-
-    p_kill_all: float = 0.6  # else a minority lingers until salvage
-    p_mid_chunk_crash: float = 0.5  # arm a disk crash point on this victim
-    max_crash_countdown: int = 4
-    kill_spread: float = 0.08  # max seeded stagger between kills
-
-    p_salvage: float = 0.7  # per disk (at least one is always salvaged)
-    p_corrupt_salvage: float = 0.3  # per salvaged disk
-
-    p_member_offline: float = 0.3
-    p_wrong_share: float = 0.4
-    p_duplicate_share: float = 0.4
-
-    rejoin_nodes: int = 1
-    post_recovery_writes: int = 2
-    recovery_bound: float = 5.0  # simulated seconds, threshold -> open
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -112,6 +90,10 @@ class DisasterReport:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def failures(self) -> list[str]:
+        return self.violations
+
     def fingerprint(self) -> str:
         """Canonical byte-for-byte description of the run: same
         (seed, spec) must yield the same fingerprint."""
@@ -128,153 +110,54 @@ class DisasterReport:
         return "\n".join(lines)
 
 
-@dataclass
-class DisasterBatchReport:
-    """Aggregate over a batch of schedules."""
+# The service every schedule loses.
+N_MEMBERS = 3
+RECOVERY_THRESHOLD = 2
+SIGNATURE_INTERVAL = 5
 
-    schedules: list[DisasterReport] = field(default_factory=list)
+RECEIPT_EVERY = 2  # fetch a receipt for every k-th settled write
+RACING_WRITES = 5  # writes racing the kill sequence, at most one per victim
 
-    @property
-    def ok(self) -> bool:
-        return all(schedule.ok for schedule in self.schedules)
+P_KILL_ALL = 0.6  # else a minority lingers until salvage
+P_MID_CHUNK_CRASH = 0.5  # arm a disk crash point on this victim
+MAX_CRASH_COUNTDOWN = 4
+KILL_SPREAD = 0.08  # max seeded stagger between kills
 
-    @property
-    def failing_seeds(self) -> list[int]:
-        return [s.seed for s in self.schedules if not s.ok]
+P_SALVAGE = 0.7  # per disk (at least one is always salvaged)
+P_CORRUPT_SALVAGE = 0.3  # per salvaged disk
 
-    def summary(self) -> str:
-        faults: set[str] = set()
-        for schedule in self.schedules:
-            faults |= schedule.member_faults
-        recovered = sum(1 for s in self.schedules if s.recovery_failed is None)
-        lines = [
-            f"disaster: {len(self.schedules)} schedules, "
-            f"{recovered} recovered, "
-            f"{sum(s.acked_writes for s in self.schedules)} acked writes, "
-            f"{sum(s.receipts_held for s in self.schedules)} receipts held",
-            f"disks: {sum(s.salvaged_disks for s in self.schedules)} salvaged, "
-            f"{sum(s.corrupted_disks for s in self.schedules)} corrupted; "
-            f"lost writes detected: "
-            f"{sum(s.lost_writes_detected for s in self.schedules)}",
-            f"member faults exercised: {', '.join(sorted(faults)) or 'none'}",
-        ]
-        for schedule in self.schedules:
-            if not schedule.ok:
-                lines.append(
-                    f"FAIL seed={schedule.seed}: " + "; ".join(schedule.violations)
-                )
-        if self.ok:
-            lines.append(
-                "all schedules passed receipt-durability, "
-                "rollback-detectability, and recovery-liveness"
-            )
-        return "\n".join(lines)
+P_MEMBER_OFFLINE = 0.3
+P_WRONG_SHARE = 0.4
+P_DUPLICATE_SHARE = 0.4
+
+REJOIN_NODES = 1
+POST_RECOVERY_WRITES = 2
+RECOVERY_BOUND = 5.0  # simulated seconds, share threshold -> service open
 
 
-# ----------------------------------------------------------------------
-# §5.2 protocol helpers — shared by the orchestrator, the walkthrough
-# example (examples/disaster_recovery.py), and its test.
-
-
-def fetch_member_share(member, node_id: str) -> bytes:
-    """A member fetches and decrypts their recovery share."""
-    response = member.client.call(
-        node_id, "/gov/encrypted_recovery_share", {},
-        credentials={"certificate": member.identity.certificate.to_dict()},
-    )
-    if not response.ok:
-        raise RecoveryError(f"share fetch failed: {response.error}")
-    return member.encryption.decrypt(bytes.fromhex(response.body["encrypted_share"]))
-
-
-def submit_member_share(member, node_id: str, share: bytes):
-    """Submit a decrypted share over the member's signed session."""
-    return member.client.call(
-        node_id, "/gov/submit_recovery_share", {"share": share.hex()}, signed=True
-    )
-
-
-def submit_recovery_shares(service, node, members=None) -> bool:
-    """Happy path: members fetch, decrypt, and submit shares until the
-    threshold reconstructs the ledger secret. Returns True on recovery."""
-    for member in members if members is not None else service.members:
-        share = fetch_member_share(member, node.node_id)
-        result = submit_member_share(member, node.node_id, share)
-        if not result.ok:
-            raise RecoveryError(f"share submission failed: {result.error}")
-        if result.body.get("recovered"):
-            return True
-    return False
-
-
-def vote_to_open(service, node, summary, timeout: float = 5.0) -> str:
-    """Members propose and vote ``transition_service_to_open``, naming the
-    previous and next service identities to bind the proposal to exactly
-    this recovery (section 5.2). Returns the final proposal state."""
-    response = service.members[0].client.call(
-        node.node_id, "/gov/propose",
-        {"actions": [{"name": "transition_service_to_open", "args": {
-            "previous_service_identity":
-                summary["previous_service_identity"]["public_key"],
-            "next_service_identity":
-                summary["new_service_identity"]["public_key"],
-        }}]},
-        signed=True, timeout=timeout,
-    )
-    if not response.ok:
-        raise RecoveryError(f"opening proposal failed: {response.error}")
-    proposal_id = response.body["proposal_id"]
-    state = response.body["state"]
-    for member in service.members:
-        if state == "Accepted":
-            break
-        vote = member.client.call(
-            node.node_id, "/gov/vote",
-            {"proposal_id": proposal_id, "ballot": {"approve": True}},
-            signed=True, timeout=timeout,
-        )
-        if vote.ok:
-            state = vote.body["state"]
-    return state
-
-
-# ----------------------------------------------------------------------
-
-
-class DisasterEngine:
+class DisasterEngine(ScheduleEngine):
     """Runs seeded full-service-loss schedules and checks the §5.2
     invariants end to end."""
 
-    def __init__(self, spec: DisasterSpec | None = None):
-        self.spec = spec if spec is not None else DisasterSpec()
+    spec_type = DisasterSpec
+    cli_flags = {"--nodes": "n_nodes"}
+    prog = "repro.sim.disaster"
+    description = "Run seeded full-service-loss disaster schedules."
+    all_clear = (
+        "all schedules passed receipt-durability, "
+        "rollback-detectability, and recovery-liveness"
+    )
 
     # -- schedule phases ------------------------------------------------
-
-    def _build_service(self, seed: int, tracer=None, obs=None):
-        service = CCFService(ServiceSetup(
-            n_nodes=self.spec.n_nodes,
-            n_members=self.spec.n_members,
-            recovery_threshold=self.spec.recovery_threshold,
-            node_config=NodeConfig(signature_interval=self.spec.signature_interval),
-            link=LinkConfig(base_latency=0.004, jitter=0.0008),
-            seed=seed,
-        ))
-        if tracer is not None:
-            service.scheduler.attach_tracer(tracer)
-        if obs is not None:
-            obs.attach_to_service(service)
-        service.bootstrap()
-        return service
 
     def _settled_phase(self, service, tracker, report: DisasterReport) -> dict[str, str]:
         """Writes that fully commit, then receipts for a subset of them.
         Returns txid -> expected message for later read-back checks."""
-        spec = self.spec
         user = service.any_user_client()
         primary = service.primary_node()
         tracker.pin_identity(primary.node_id)
         expected: dict[str, str] = {}
-        for i in range(spec.settled_writes):
+        for i in range(self.spec.settled_writes):
             msg = f"dr-{report.seed}-{i}"
             response = user.call(
                 primary.node_id, "/app/write_message", {"id": i, "msg": msg}
@@ -286,7 +169,7 @@ class DisasterEngine:
                 expected[response.txid] = msg
         service.run(0.5)  # commit, sign, persist, fsync everywhere
         for index, txid in enumerate(sorted(tracker.acked)):
-            if index % spec.receipt_every == 0:
+            if index % RECEIPT_EVERY == 0:
                 if tracker.fetch_receipt(primary.node_id, txid) is not None:
                     report.receipts_held += 1
         return expected
@@ -295,30 +178,29 @@ class DisasterEngine:
         """Kill all (or a supermajority of) nodes at seeded instants,
         racing further client writes; every death resolves that disk's
         un-synced writes with seeded power-loss fates."""
-        spec = self.spec
         rng = service.scheduler.rng
         user = service.any_user_client()
         now = lambda: service.scheduler.now  # noqa: E731 - tiny local helper
 
         node_ids = sorted(service.nodes)
         rng.shuffle(node_ids)
-        kill_all = rng.random() < spec.p_kill_all
-        minority = 0 if kill_all else (spec.n_nodes - 1) // 2
+        kill_all = rng.random() < P_KILL_ALL
+        minority = 0 if kill_all else (self.spec.n_nodes - 1) // 2
         victims = node_ids[: len(node_ids) - minority]
         report.fault_log.append(
             (now(), f"kill {'all' if kill_all else 'supermajority'}: {victims}")
         )
 
-        race = iter(range(spec.racing_writes))
+        race = iter(range(RACING_WRITES))
         for victim in victims:
             node = service.nodes[victim]
-            if rng.random() < spec.p_mid_chunk_crash:
-                countdown = rng.randrange(0, spec.max_crash_countdown + 1)
+            if rng.random() < P_MID_CHUNK_CRASH:
+                countdown = rng.randrange(0, MAX_CRASH_COUNTDOWN + 1)
                 node.storage.arm_crash_point(countdown)
                 report.fault_log.append(
                     (now(), f"arm crash point on {victim} (countdown {countdown})")
                 )
-            service.run(rng.uniform(0.005, spec.kill_spread))
+            service.run(rng.uniform(0.005, KILL_SPREAD))
             # A client write racing the kill sequence: acked-but-doomed
             # writes are exactly what rollback detectability is about.
             i = next(race, None)
@@ -348,7 +230,7 @@ class DisasterEngine:
         # recovery: CCF's recovery replaces the service wholesale.
         for node_id in node_ids[len(victims):]:
             node = service.nodes[node_id]
-            service.run(rng.uniform(0.005, spec.kill_spread))
+            service.run(rng.uniform(0.005, KILL_SPREAD))
             node.crash()
             node.storage.power_loss(rng)
             report.fault_log.append((now(), f"decommission {node_id}"))
@@ -359,18 +241,17 @@ class DisasterEngine:
     ) -> list[SalvagedDisk]:
         """The operator pulls a seeded subset of the dead disks; the
         adversary corrupts a seeded subset of those."""
-        spec = self.spec
         rng = service.scheduler.rng
         operator = Operator(service)
         now = service.scheduler.now
         node_ids = sorted(service.nodes)
-        chosen = [n for n in node_ids if rng.random() < spec.p_salvage]
+        chosen = [n for n in node_ids if rng.random() < P_SALVAGE]
         if not chosen:
             chosen = [node_ids[rng.randrange(len(node_ids))]]
         disks: list[SalvagedDisk] = []
         for node_id in chosen:
             disk = operator.salvage_disk(node_id, rng)
-            if rng.random() < spec.p_corrupt_salvage:
+            if rng.random() < P_CORRUPT_SALVAGE:
                 description = self._corrupt_disk(disk, rng)
                 if description is not None:
                     disk.corrupted = True
@@ -440,29 +321,28 @@ class DisasterEngine:
         """Member share submission under seeded member faults: an offline
         member, a wrong share (typed rejection, no poisoning), a duplicate
         share (no-op). Sets ``shares_reached_threshold``."""
-        spec = self.spec
         rng = service.scheduler.rng
         now = lambda: service.scheduler.now  # noqa: E731 - tiny local helper
         members = list(service.members)
         rng.shuffle(members)
         if (
-            rng.random() < spec.p_member_offline
-            and len(members) - 1 >= spec.recovery_threshold
+            rng.random() < P_MEMBER_OFFLINE
+            and len(members) - 1 >= RECOVERY_THRESHOLD
         ):
             offline = members.pop()
             report.member_faults.add("offline-member")
             report.fault_log.append(
                 (now(), f"member {offline.subject} offline during recovery")
             )
-        wrong_planned = rng.random() < spec.p_wrong_share
-        duplicate_planned = rng.random() < spec.p_duplicate_share
+        wrong_planned = rng.random() < P_WRONG_SHARE
+        duplicate_planned = rng.random() < P_DUPLICATE_SHARE
 
         for index, member in enumerate(members):
-            share = fetch_member_share(member, node.node_id)
+            share = member.fetch_share(node.node_id)
             if index == 0 and wrong_planned:
                 bogus = bytearray(share)
                 bogus[len(bogus) // 2] ^= 0xFF
-                result = submit_member_share(member, node.node_id, bytes(bogus))
+                result = member.submit_share(node.node_id, bytes(bogus))
                 report.member_faults.add("wrong-share")
                 report.fault_log.append(
                     (now(),
@@ -476,7 +356,7 @@ class DisasterEngine:
                         "wrong share was not rejected with a typed "
                         f"commitment error (got {result.status}: {result.error})"
                     )
-            result = submit_member_share(member, node.node_id, share)
+            result = member.submit_share(node.node_id, share)
             if not result.ok:
                 report.violations.append(
                     f"share submission by {member.subject} failed: {result.error}"
@@ -492,7 +372,7 @@ class DisasterEngine:
                 and duplicate_planned
                 and not result.body.get("recovered")
             ):
-                again = submit_member_share(member, node.node_id, share)
+                again = member.submit_share(node.node_id, share)
                 report.member_faults.add("duplicate-share")
                 report.fault_log.append(
                     (now(), f"member {member.subject} re-submits (retry)")
@@ -505,25 +385,15 @@ class DisasterEngine:
                 evidence.shares_reached_threshold = True
                 return
 
-    def _rejoin_phase(self, service, node, report: DisasterReport) -> None:
+    def _rejoin_phase(self, service, report: DisasterReport) -> None:
         """Fresh nodes join the recovered service through the real attested
         join path, then governance trusts them (sections 4.4/5.2)."""
-        for _ in range(self.spec.rejoin_nodes):
-            successor = service.new_node()
-            successor.request_join(node.node_id, node.service_certificate)
+        for _rejoin in range(REJOIN_NODES):
             try:
-                service.run_until(
-                    lambda: successor.consensus is not None,
-                    timeout=self.spec.recovery_bound,
-                )
-                service.run_governance([
-                    {"name": "transition_node_to_trusted",
-                     "args": {"node_id": successor.node_id}},
-                ], timeout=self.spec.recovery_bound)
+                successor, _ = service.join_node(timeout=RECOVERY_BOUND)
+                service.trust_node(successor.node_id, timeout=RECOVERY_BOUND)
             except CCFError as exc:
-                report.violations.append(
-                    f"recovery-liveness: rejoin of {successor.node_id} stuck: {exc}"
-                )
+                report.violations.append(f"recovery-liveness: rejoin stuck: {exc}")
                 return
             report.fault_log.append(
                 (service.scheduler.now, f"{successor.node_id} rejoined and trusted")
@@ -534,10 +404,19 @@ class DisasterEngine:
     def run_schedule(self, seed: int, tracer=None, obs=None) -> DisasterReport:
         """One fully seeded full-service-loss schedule. Deterministic:
         equal (seed, spec) gives equal reports and equal trace digests."""
-        spec = self.spec
-        report = DisasterReport(seed=seed, spec=spec.to_dict())
+        report = DisasterReport(seed=seed, spec=self.spec.to_dict())
         evidence = DisasterEvidence()
-        service = self._build_service(seed, tracer=tracer, obs=obs)
+        service = bootstrap_service(
+            ServiceSetup(
+                n_nodes=self.spec.n_nodes,
+                n_members=N_MEMBERS,
+                recovery_threshold=RECOVERY_THRESHOLD,
+                node_config=NodeConfig(signature_interval=SIGNATURE_INTERVAL),
+                link=LinkConfig(base_latency=0.004, jitter=0.0008),
+                seed=seed,
+            ),
+            tracer=tracer, obs=obs,
+        )
         scheduler = service.scheduler
         user = service.any_user_client()
         tracker = ContinuityTracker(user)
@@ -585,32 +464,20 @@ class DisasterEngine:
         threshold_time = scheduler.now
         if evidence.shares_reached_threshold:
             try:
-                state = vote_to_open(
-                    service, recovery_node, summary, timeout=spec.recovery_bound
-                )
-            except RecoveryError as exc:
+                service.open_service(summary, timeout=RECOVERY_BOUND)
+            except CCFError as exc:
                 report.violations.append(f"recovery-liveness: {exc}")
-                state = "failed"
-            if state == "Accepted":
-                opened = lambda: (  # noqa: E731 - tiny local predicate
-                    recovery_node.store.get(maps.SERVICE_INFO, "service") or {}
-                ).get("status") == maps.SERVICE_OPEN
-                violation = liveness.await_liveness(
-                    scheduler, opened,
-                    spec.recovery_bound - (scheduler.now - threshold_time),
-                    "recovered service open",
+            else:
+                evidence.service_opened = True
+                evidence.open_within_bound = (
+                    scheduler.now - threshold_time <= RECOVERY_BOUND
                 )
-                evidence.service_opened = opened()
-                evidence.open_within_bound = violation is None
-                if evidence.service_opened:
-                    report.fault_log.append(
-                        (scheduler.now, "recovered service is open")
-                    )
+                report.fault_log.append((scheduler.now, "recovered service is open"))
 
         if evidence.service_opened:
-            self._rejoin_phase(service, recovery_node, report)
+            self._rejoin_phase(service, report)
             # Post-recovery writes must commit on the recovered service.
-            for i in range(spec.post_recovery_writes):
+            for i in range(POST_RECOVERY_WRITES):
                 response = user.call(
                     recovery_node.node_id, "/app/write_message",
                     {"id": 200 + i, "msg": f"post-{seed}-{i}"},
@@ -661,89 +528,21 @@ class DisasterEngine:
         report.violations.extend(check_disaster_invariants(evidence))
         return report
 
-    def run(self, schedules: int = 10, base_seed: int = 0) -> DisasterBatchReport:
-        report = DisasterBatchReport()
-        for index in range(schedules):
-            report.schedules.append(self.run_schedule(base_seed * 10_007 + index))
-        return report
-
-
-# ----------------------------------------------------------------------
-# Determinism gate: same (seed, spec) -> byte-identical trace digests.
-
-
-def check_disaster_determinism(spec: DisasterSpec, seed: int):
-    """Run one schedule twice under the trace recorder; returns
-    (ok, description). On divergence the description localizes the first
-    differing event via the sanitizer's checkpoint search."""
-    from repro.sim.trace import TraceRecorder, first_divergence
-
-    trace_a, trace_b = TraceRecorder(), TraceRecorder()
-    report_a = DisasterEngine(spec).run_schedule(seed, tracer=trace_a)
-    report_b = DisasterEngine(spec).run_schedule(seed, tracer=trace_b)
-    divergence = first_divergence(trace_a, trace_b)
-    if divergence is not None:
-        return False, f"seed {seed}: {divergence.describe()}"
-    if report_a.fingerprint() != report_b.fingerprint():
-        return False, (
-            f"seed {seed}: trace digests match but report fingerprints "
-            "differ — report fields escape the traced state"
-        )
-    return True, (
-        f"seed {seed}: deterministic over {trace_a.event_count} events, "
-        f"{trace_a.rng_draws} rng draws (digest {trace_a.digest[:16]}…)"
-    )
-
-
-# ----------------------------------------------------------------------
-# CLI (used by CI's dr-smoke job)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim.disaster",
-        description="Run seeded full-service-loss disaster schedules.",
-    )
-    parser.add_argument("--schedules", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument(
-        "--replay-check", type=int, default=0, metavar="N",
-        help="also replay the first N schedules twice under the trace "
-        "recorder and require byte-identical digests",
-    )
-    args = parser.parse_args(argv)
-
-    spec = DisasterSpec()
-    if args.nodes is not None:
-        spec = dataclasses.replace(spec, n_nodes=args.nodes)
-
-    engine = DisasterEngine(spec)
-    report = engine.run(schedules=args.schedules, base_seed=args.seed)
-    print(report.summary())
-    exit_code = 0
-    if not report.ok:
-        for seed in report.failing_seeds:
-            print(
-                f"REPRODUCE with: python -m repro.sim.disaster --schedules 1 "
-                f"--seed {seed}"
-                + (f" --nodes {spec.n_nodes}" if args.nodes is not None else "")
-            )
-        exit_code = 1
-
-    for index in range(args.replay_check):
-        ok, description = check_disaster_determinism(
-            spec, args.seed * 10_007 + index
-        )
-        print(("replay-check ok: " if ok else "replay-check FAIL: ") + description)
-        if not ok:
-            exit_code = 1
-    return exit_code
+    def summarize(self, schedules: list[DisasterReport]) -> list[str]:
+        faults = set().union(*(s.member_faults for s in schedules))
+        recovered = sum(1 for s in schedules if s.recovery_failed is None)
+        return [
+            f"disaster: {len(schedules)} schedules, "
+            f"{recovered} recovered, "
+            f"{sum(s.acked_writes for s in schedules)} acked writes, "
+            f"{sum(s.receipts_held for s in schedules)} receipts held",
+            f"disks: {sum(s.salvaged_disks for s in schedules)} salvaged, "
+            f"{sum(s.corrupted_disks for s in schedules)} corrupted; "
+            f"lost writes detected: "
+            f"{sum(s.lost_writes_detected for s in schedules)}",
+            f"member faults exercised: {', '.join(sorted(faults)) or 'none'}",
+        ]
 
 
 if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+    sys.exit(DisasterEngine.main())

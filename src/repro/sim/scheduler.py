@@ -77,11 +77,6 @@ class Scheduler:
             raise CCFError(f"negative delay {delay}")
         return self.at(self.now + delay, callback)
 
-    @property
-    def in_event(self) -> bool:
-        """True while an event callback (or its end-of-event hooks) runs."""
-        return self._in_event
-
     def at_event_end(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` after the current event's callback returns, at the
         same virtual instant, before any further event is dispatched.
@@ -147,6 +142,18 @@ class Scheduler:
                 continue
             self.step()
         self.now = max(self.now, deadline)
+
+    def step_until(self, predicate: Callable[[], bool], bound: float) -> str | None:
+        """Step until ``predicate`` holds. Returns None once it does, or why
+        it cannot: ``bound`` seconds of virtual time passed, or the queue
+        drained first."""
+        deadline = self.now + bound
+        while not predicate():
+            if self.now >= deadline:
+                return f"not reached within {bound}s"
+            if not self.step():
+                return "unreachable (event queue drained)"
+        return None
 
     def run_to_completion(self, max_events: int = 10_000_000) -> None:
         """Drain the queue entirely (bounded against runaway loops)."""

@@ -25,12 +25,7 @@ from typing import Callable, Sequence
 
 from repro.consensus.raft import ConsensusNode
 from repro.consensus.state import Role
-from repro.errors import CCFError
 from repro.sim.scheduler import Scheduler
-
-
-class LivenessViolation(CCFError):
-    """A bounded-time progress property did not hold within its bound."""
 
 
 def await_liveness(
@@ -42,13 +37,8 @@ def await_liveness(
     """Advance simulated time until ``predicate`` holds. Returns None on
     success, or a violation string when the bound expires (or the event
     queue drains) first."""
-    deadline = scheduler.now + bound
-    while not predicate():
-        if scheduler.now >= deadline:
-            return f"liveness: {description} not reached within {bound}s"
-        if not scheduler.step():
-            return f"liveness: {description} unreachable (event queue drained)"
-    return None
+    why_not = scheduler.step_until(predicate, bound)
+    return None if why_not is None else f"liveness: {description} {why_not}"
 
 
 def has_live_primary(engines: Sequence[ConsensusNode]) -> bool:

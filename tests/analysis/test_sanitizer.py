@@ -3,14 +3,13 @@ deterministic from the seed, sensitive to the seed, and the binary-search
 localizer names exactly the event where injected nondeterminism lands."""
 
 import random
+import re
 
 import pytest
 
-from repro.analysis.sanitizer import (
-    check_replay_determinism, localization_selftest, run_traced_schedule,
-)
+from repro.analysis.sanitizer import localization_selftest, run_traced_schedule
 from repro.analysis import sanitizer as sanitizer_cli
-from repro.sim.chaos import ChaosSpec
+from repro.sim.chaos import ChaosEngine, ChaosSpec
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import (
     Divergence, TraceRecorder, TracedRandom, callback_label, first_divergence,
@@ -122,10 +121,13 @@ class TestFirstDivergence:
 
 class TestChaosReplayDeterminism:
     def test_two_runs_same_seed_identical_trace(self):
-        check = check_replay_determinism(SMALL, seed=11)
-        assert check.ok, check.describe()
-        assert check.events > 100
-        assert check.rng_draws > 0
+        ok, description = ChaosEngine(SMALL).check_replay(seed=11)
+        assert ok, description
+        events, rng_draws = re.search(
+            r"deterministic over (\d+) events, (\d+) rng draws", description
+        ).groups()
+        assert int(events) > 100
+        assert int(rng_draws) > 0
 
     def test_different_seed_different_digest(self):
         _, trace_a = run_traced_schedule(SMALL, seed=11)

@@ -1,6 +1,6 @@
 """Disaster recovery end to end (section 5.2).
 
-These tests drive the same shared protocol helpers as
+These tests drive the same :class:`CCFService` moves as
 ``examples/disaster_recovery.py`` and the seeded schedules of
 :mod:`repro.sim.disaster`: full service loss, disk salvage, public replay,
 member share submission, vote-to-open, and the client-side continuity
@@ -26,28 +26,21 @@ from repro.obs.collector import ObsCollector
 from repro.recovery.recovery import start_recovered_service
 from repro.service.client import ContinuityTracker
 from repro.service.operator import Operator
-from repro.service.service import CCFService, ServiceSetup
-from repro.sim.disaster import (
-    DisasterEngine,
-    DisasterSpec,
-    check_disaster_determinism,
-    submit_recovery_shares,
-    vote_to_open,
-)
+from repro.service.service import CCFService, ServiceSetup, bootstrap_service
+from repro.sim.disaster import DisasterEngine, DisasterSpec
 
 
 def build_service(seed: int = 42, obs: ObsCollector | None = None) -> CCFService:
-    service = CCFService(ServiceSetup(
-        n_nodes=3,
-        n_members=3,
-        recovery_threshold=2,
-        node_config=NodeConfig(signature_interval=5),
-        seed=seed,
-    ))
-    if obs is not None:
-        obs.attach_to_service(service)
-    service.bootstrap()
-    return service
+    return bootstrap_service(
+        ServiceSetup(
+            n_nodes=3,
+            n_members=3,
+            recovery_threshold=2,
+            node_config=NodeConfig(signature_interval=5),
+            seed=seed,
+        ),
+        obs=obs,
+    )
 
 
 def recover_from(service: CCFService, disk, subject: str = "svc-recovered"):
@@ -56,8 +49,8 @@ def recover_from(service: CCFService, disk, subject: str = "svc-recovered"):
     recovery_node = service.new_node()
     summary = start_recovered_service(recovery_node, disk, subject)
     service.run(0.2)
-    assert submit_recovery_shares(service, recovery_node)
-    assert vote_to_open(service, recovery_node, summary) == "Accepted"
+    assert service.submit_recovery_shares()
+    service.open_service(summary)
     service.run(0.3)
     return recovery_node, summary
 
@@ -198,14 +191,12 @@ class TestCrashPointEnumeration:
 class TestSeededDisasterSchedules:
     def test_schedules_pass_all_invariants(self):
         report = DisasterEngine(DisasterSpec(settled_writes=6)).run(
-            schedules=3, base_seed=9
+            schedules=3, first_seed=9
         )
         assert report.ok, report.summary()
         # The batch exercised actual loss or corruption somewhere.
         assert sum(s.salvaged_disks for s in report.schedules) >= 3
 
     def test_same_seed_replays_byte_identically(self):
-        ok, description = check_disaster_determinism(
-            DisasterSpec(settled_writes=6), seed=3
-        )
+        ok, description = DisasterEngine(DisasterSpec(settled_writes=6)).check_replay(seed=3)
         assert ok, description

@@ -6,6 +6,8 @@ from repro.crypto.certs import Identity
 from repro.crypto.ecies import EncryptionKeyPair
 from repro.node import maps
 from repro.recovery.recovery import start_recovered_service
+from repro.service.client import ServiceClient
+from repro.service.service import MemberHandle
 
 from tests.node.conftest import make_service
 
@@ -50,10 +52,8 @@ class TestShareReprovisioning:
         identity, encryption = _add_member(service, "m-late", b"late-member")
         service.run(0.5)
 
-        from repro.service.client import ServiceClient
-
-        late_client = ServiceClient(service.scheduler, service.network,
-                                    name="member:m-late", identity=identity)
+        late = MemberHandle(identity, encryption, client=ServiceClient(
+            service.scheduler, service.network, name="member:m-late", identity=identity))
         salvaged = primary.storage.clone()
         for node_id in list(service.nodes):
             service.kill_node(node_id)
@@ -62,21 +62,5 @@ class TestShareReprovisioning:
         service.run(0.2)
 
         # m-late + m0 submit shares (threshold 2).
-        fetched = late_client.call(
-            node.node_id, "/gov/encrypted_recovery_share", {},
-            credentials={"certificate": identity.certificate.to_dict()})
-        assert fetched.ok, fetched.error
-        share = encryption.decrypt(bytes.fromhex(fetched.body["encrypted_share"]))
-        result = late_client.call(node.node_id, "/gov/submit_recovery_share",
-                                  {"share": share.hex()}, signed=True)
-        assert result.ok, result.error
-        member0 = service.members[0]
-        fetched = member0.client.call(
-            node.node_id, "/gov/encrypted_recovery_share", {},
-            credentials={"certificate": member0.identity.certificate.to_dict()})
-        share0 = member0.encryption.decrypt(bytes.fromhex(fetched.body["encrypted_share"]))
-        result = member0.client.call(node.node_id, "/gov/submit_recovery_share",
-                                     {"share": share0.hex()}, signed=True)
-        assert result.ok, result.error
-        assert result.body["recovered"] is True
+        assert service.submit_recovery_shares([late, service.members[0]])
         assert node.store.get("records", 1) == "keep me"

@@ -32,42 +32,12 @@ def recover(service, salvaged, submitting_members=None):
     summary = start_recovered_service(node, salvaged, "ccf-service-recovered")
     service.run(0.2)
     members = submitting_members if submitting_members is not None else service.members[:2]
-    for member in members:
-        response = member.client.call(
-            node.node_id, "/gov/encrypted_recovery_share", {},
-            credentials={"certificate": member.identity.certificate.to_dict()},
-        )
-        assert response.ok, response.error
-        share = member.encryption.decrypt(bytes.fromhex(response.body["encrypted_share"]))
-        result = member.client.call(
-            node.node_id, "/gov/submit_recovery_share", {"share": share.hex()}, signed=True
-        )
-        assert result.ok, result.error
+    service.submit_recovery_shares(members)
     return node, summary
 
 
-def open_recovered(service, node, summary):
-    previous = summary["previous_service_identity"]["public_key"]
-    new = summary["new_service_identity"]["public_key"]
-    response = service.members[0].client.call(
-        node.node_id, "/gov/propose",
-        {"actions": [{"name": "transition_service_to_open", "args": {
-            "previous_service_identity": previous, "next_service_identity": new}}]},
-        signed=True,
-    )
-    assert response.ok, response.error
-    proposal_id = response.body["proposal_id"]
-    state = response.body["state"]
-    for member in service.members:
-        if state == "Accepted":
-            break
-        vote = member.client.call(
-            node.node_id, "/gov/vote",
-            {"proposal_id": proposal_id, "ballot": {"approve": True}}, signed=True,
-        )
-        if vote.ok:
-            state = vote.body["state"]
-    assert state == "Accepted"
+def open_recovered(service, summary):
+    service.open_service(summary)
     service.run(0.3)
 
 
@@ -75,7 +45,7 @@ class TestRecoveryProtocol:
     def test_full_recovery_restores_private_data(self):
         service, salvaged = build_failed_service()
         node, summary = recover(service, salvaged)
-        open_recovered(service, node, summary)
+        open_recovered(service, summary)
         user = service.any_user_client()
         for i in range(8):
             response = user.call(node.node_id, "/app/read_message", {"id": i})
@@ -107,36 +77,18 @@ class TestRecoveryProtocol:
         service.run(0.2)
         # First member submits a correct share.
         member = service.members[0]
-        response = member.client.call(
-            node.node_id, "/gov/encrypted_recovery_share", {},
-            credentials={"certificate": member.identity.certificate.to_dict()},
-        )
-        share = member.encryption.decrypt(bytes.fromhex(response.body["encrypted_share"]))
-        member.client.call(
-            node.node_id, "/gov/submit_recovery_share", {"share": share.hex()}, signed=True
-        )
+        member.submit_share(node.node_id, member.fetch_share(node.node_id))
         # Second member submits a corrupted share: typed rejection.
         from repro.crypto import shamir
 
         bogus = shamir.Share(index=2, value=123456789).encode()
-        result = service.members[1].client.call(
-            node.node_id, "/gov/submit_recovery_share", {"share": bogus.hex()}, signed=True
-        )
+        result = service.members[1].submit_share(node.node_id, bogus)
         assert result.status == 400
         assert "share commitment" in result.error
         # The bogus share did not poison anything: the second member's real
         # share still completes the reconstruction.
         member2 = service.members[1]
-        response = member2.client.call(
-            node.node_id, "/gov/encrypted_recovery_share", {},
-            credentials={"certificate": member2.identity.certificate.to_dict()},
-        )
-        share2 = member2.encryption.decrypt(
-            bytes.fromhex(response.body["encrypted_share"])
-        )
-        result = member2.client.call(
-            node.node_id, "/gov/submit_recovery_share", {"share": share2.hex()}, signed=True
-        )
+        result = member2.submit_share(node.node_id, member2.fetch_share(node.node_id))
         assert result.ok, result.error
         assert result.body["recovered"] is True
 
@@ -148,18 +100,10 @@ class TestRecoveryProtocol:
         start_recovered_service(node, salvaged, "recovered")
         service.run(0.2)
         member = service.members[0]
-        response = member.client.call(
-            node.node_id, "/gov/encrypted_recovery_share", {},
-            credentials={"certificate": member.identity.certificate.to_dict()},
-        )
-        share = member.encryption.decrypt(bytes.fromhex(response.body["encrypted_share"]))
-        first = member.client.call(
-            node.node_id, "/gov/submit_recovery_share", {"share": share.hex()}, signed=True
-        )
+        share = member.fetch_share(node.node_id)
+        first = member.submit_share(node.node_id, share)
         assert first.ok and first.body["submitted"] == 1
-        again = member.client.call(
-            node.node_id, "/gov/submit_recovery_share", {"share": share.hex()}, signed=True
-        )
+        again = member.submit_share(node.node_id, share)
         assert again.ok
         assert again.body["duplicate"] is True
         assert again.body["submitted"] == 1
@@ -179,7 +123,7 @@ class TestRecoveryProtocol:
     def test_recovered_service_accepts_new_writes(self):
         service, salvaged = build_failed_service()
         node, summary = recover(service, salvaged)
-        open_recovered(service, node, summary)
+        open_recovered(service, summary)
         user = service.any_user_client()
         response = user.call(node.node_id, "/app/write_message", {"id": 100, "msg": "post"})
         assert response.ok
@@ -190,7 +134,7 @@ class TestRecoveryProtocol:
     def test_new_writes_use_new_ledger_secret_generation(self):
         service, salvaged = build_failed_service()
         node, summary = recover(service, salvaged)
-        open_recovered(service, node, summary)
+        open_recovered(service, summary)
         user = service.any_user_client()
         response = user.call(node.node_id, "/app/write_message", {"id": 100, "msg": "post"})
         from repro.ledger.entry import TxID

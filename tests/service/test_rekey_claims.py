@@ -78,15 +78,7 @@ class TestLedgerRekey:
         node = service.new_node()
         start_recovered_service(node, salvaged, "recovered")
         service.run(0.2)
-        for member in service.members[:2]:
-            fetched = member.client.call(
-                node.node_id, "/gov/encrypted_recovery_share", {},
-                credentials={"certificate": member.identity.certificate.to_dict()})
-            share = member.encryption.decrypt(bytes.fromhex(fetched.body["encrypted_share"]))
-            result = member.client.call(
-                node.node_id, "/gov/submit_recovery_share",
-                {"share": share.hex()}, signed=True)
-            assert result.ok, result.error
+        assert service.submit_recovery_shares(service.members[:2])
         # Both generations are recovered: the rekey re-wrapped generation 0
         # under the new wrapping key, so the whole history decrypts.
         assert node.store.get("records", 2) == "new-gen"

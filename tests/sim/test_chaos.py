@@ -11,7 +11,8 @@ import dataclasses
 
 import pytest
 
-from repro.sim.chaos import ChaosEngine, ChaosReport, ChaosSpec, ScheduleReport, main
+from repro.sim.chaos import ChaosEngine, ChaosSpec, ScheduleReport
+from repro.sim.runner import BatchReport
 from repro.verification.invariants import InvariantViolation
 
 LIGHT = ChaosSpec(steps=3, p_crash=0.3)
@@ -20,16 +21,17 @@ LIGHT = ChaosSpec(steps=3, p_crash=0.3)
 class TestChaosAcceptance:
     @pytest.mark.slow
     def test_twenty_schedules_hold_all_invariants(self):
-        report = ChaosEngine().run(schedules=20, base_seed=0)
+        report = ChaosEngine().run(schedules=20, first_seed=0)
         assert report.ok, report.summary()
         assert len(report.schedules) == 20
         assert all(schedule.spec["n_nodes"] == 5 for schedule in report.schedules)
 
         # The taxonomy was actually exercised: at least six distinct fault
         # kinds, including a gray failure and a crash that lost its disk.
-        assert len(report.fault_kinds) >= 6, report.fault_kinds
-        assert "gray-failure" in report.fault_kinds
-        assert "crash-disk-loss" in report.fault_kinds
+        fault_kinds = set().union(*(s.fault_kinds for s in report.schedules))
+        assert len(fault_kinds) >= 6, fault_kinds
+        assert "gray-failure" in fault_kinds
+        assert "crash-disk-loss" in fault_kinds
 
         # Every injected ledger corruption was detected at recovery, and the
         # real join path was taken by at least one replacement node.
@@ -62,9 +64,9 @@ class TestChaosAcceptance:
                 raise InvariantViolation("deliberately broken: commit advanced")
 
         engine = ChaosEngine(LIGHT, extra_invariants=(nothing_ever_commits,))
-        report = engine.run(schedules=2, base_seed=0)
+        report = engine.run(schedules=2, first_seed=3)
         assert not report.ok
-        failing_seed = report.failing_seeds[0]
+        failing_seed = report.failing_seeds[1]
         failing = next(s for s in report.schedules if s.seed == failing_seed)
         assert "deliberately broken" in failing.safety_violations[0]
 
@@ -74,6 +76,11 @@ class TestChaosAcceptance:
         ).run_schedule(failing_seed)
         assert replay.fingerprint() == failing.fingerprint()
         assert replay.safety_violations == failing.safety_violations
+
+        # Which is what the command line's REPRODUCE line runs: a batch of
+        # one from the reported seed.
+        (again,) = engine.run(schedules=1, first_seed=failing_seed).schedules
+        assert again.fingerprint() == failing.fingerprint()
 
     def test_different_seeds_give_different_schedules(self):
         engine = ChaosEngine(LIGHT)
@@ -88,19 +95,19 @@ class TestReports:
         assert good.ok
         bad = ScheduleReport(seed=2, spec={}, safety_violations=["boom"])
         missed = ScheduleReport(seed=3, spec={}, corruptions_injected=1)
-        report = ChaosReport(schedules=[good, bad, missed])
+        report = BatchReport(ChaosEngine(), [good, bad, missed])
         assert not report.ok
         assert report.failing_seeds == [2, 3]
         assert "FAIL seed=2" in report.summary()
 
     def test_spec_round_trips_through_dict(self):
-        spec = ChaosSpec(steps=4, gray_slowdown=0.07)
+        spec = ChaosSpec(steps=4, p_partition=0.07)
         assert ChaosSpec(**spec.to_dict()) == spec
-        assert dataclasses.asdict(spec)["gray_slowdown"] == 0.07
+        assert dataclasses.asdict(spec)["p_partition"] == 0.07
 
 
 class TestCli:
     def test_smoke_run_exits_zero(self, capsys):
-        assert main(["--schedules", "1", "--steps", "2", "--seed", "4"]) == 0
+        assert ChaosEngine.main(["--schedules", "1", "--steps", "2", "--seed", "4"]) == 0
         out = capsys.readouterr().out
         assert "chaos: 1 schedules" in out

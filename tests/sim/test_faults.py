@@ -1,65 +1,8 @@
-"""Tests for scripted fault injection (repro.sim.faults)."""
-
-from repro.sim.faults import FaultPlan
+"""Tests for the fault surface chaos schedules drive: the network's fault
+switches, chunk replacement on a salvaged disk, and what a crashed node
+leaves behind."""
 
 from tests.node.conftest import make_service
-
-
-class TestFaultPlan:
-    def test_scheduled_crash(self):
-        service = make_service(n_nodes=3)
-        primary = service.primary_node()
-        plan = FaultPlan(service.scheduler, service.network)
-        plan.crash_node_at(service.scheduler.now + 0.2, primary)
-        service.run(0.1)
-        assert not primary.stopped
-        service.run(0.2)
-        assert primary.stopped
-        assert plan.log[0][1] == f"crash {primary.node_id}"
-
-    def test_scheduled_partition_and_heal(self):
-        service = make_service(n_nodes=3)
-        plan = FaultPlan(service.scheduler, service.network)
-        now = service.scheduler.now
-        plan.partition_at(now + 0.1, ["n0"], ["n1", "n2"]).heal_at(now + 1.0)
-        service.run(0.5)
-        # The partition is in force: n0 cannot reach n1.
-        delivered = []
-        service.network.register("fault-probe", lambda s, p: delivered.append(p))
-        service.network.send("n0", "n1", "blocked")
-        service.run(0.1)
-        service.run(0.6)  # past the heal
-        service.network.send("n0", "fault-probe", "after-heal")
-        service.run(0.1)
-        assert delivered == ["after-heal"]
-        assert [entry for _t, entry in plan.log] == [
-            "partition ['n0'] | ['n1', 'n2']",
-            "heal all partitions",
-        ]
-
-    def test_loss_window(self):
-        service = make_service(n_nodes=1)
-        plan = FaultPlan(service.scheduler, service.network)
-        now = service.scheduler.now
-        plan.loss_window(now + 0.1, now + 0.2, probability=0.5)
-        service.run(0.15)
-        assert service.network._loss_probability == 0.5
-        service.run(0.2)
-        assert service.network._loss_probability == 0.0
-
-    def test_crash_during_traffic_triggers_failover(self):
-        """End-to-end: a planned crash of the primary leads to a new
-        primary without manual intervention."""
-        service = make_service(n_nodes=3)
-        primary = service.primary_node()
-        plan = FaultPlan(service.scheduler, service.network)
-        plan.crash_node_at(service.scheduler.now + 0.1, primary)
-        service.run_until(
-            lambda: service.primary_node() is not None
-            and service.primary_node().node_id != primary.node_id,
-            timeout=10.0,
-        )
-        assert service.primary_node().consensus.view > 1
 
 
 class TestStorageChunkReplacement:
@@ -89,89 +32,6 @@ class TestStorageChunkReplacement:
         names = storage.list_files("ledger_")
         assert names == ["ledger_1_2.chunk"]
         assert storage.read_ledger_entries() == list(ledger.entries())
-
-
-class TestFaultWindows:
-    """Window validation and timestamped logging for the extended taxonomy."""
-
-    def _plan(self, n_nodes=1):
-        service = make_service(n_nodes=n_nodes)
-        return service, FaultPlan(service.scheduler, service.network)
-
-    def test_windows_reject_end_before_begin(self):
-        import pytest
-
-        from repro.errors import ConfigurationError
-
-        service, plan = self._plan()
-        for arm in (
-            lambda: plan.loss_window(2.0, 1.0, probability=0.5),
-            lambda: plan.loss_window(1.0, 1.0, probability=0.5),
-            lambda: plan.link_loss_window(2.0, 1.0, "a", "b", probability=0.5),
-            lambda: plan.duplicate_window(2.0, 1.0, probability=0.5),
-            lambda: plan.delay_spike_window(2.0, 1.0, probability=0.5, magnitude=0.1),
-            lambda: plan.gray_window(2.0, 1.0, "n0", slowdown=0.1),
-        ):
-            with pytest.raises(ConfigurationError):
-                arm()
-
-    def test_clock_skew_rejects_nonpositive_scale(self):
-        import pytest
-
-        from repro.errors import ConfigurationError
-
-        service, plan = self._plan(n_nodes=1)
-        node = service.nodes["n0"]
-        with pytest.raises(ConfigurationError):
-            plan.clock_skew_at(1.0, node, scale=0.0)
-        with pytest.raises(ConfigurationError):
-            plan.clock_skew_at(1.0, node, scale=-1.5)
-
-    def test_fault_log_carries_fire_timestamps(self):
-        service, plan = self._plan()
-        start = service.scheduler.now
-        plan.loss_window(start + 0.1, start + 0.3, probability=0.25)
-        plan.duplicate_window(start + 0.2, start + 0.4, probability=0.5)
-        service.run(0.5)
-        times = [round(t - start, 6) for t, _ in plan.log]
-        notes = [note for _, note in plan.log]
-        assert times == [0.1, 0.2, 0.3, 0.4]
-        assert notes == [
-            "loss 25% begins",
-            "duplication 50% begins",
-            "loss window ends",
-            "duplication ends",
-        ]
-
-    def test_crash_then_heal_leaves_node_down(self):
-        """heal() lifts partitions but never resurrects a crashed node."""
-        service = make_service(n_nodes=3)
-        plan = FaultPlan(service.scheduler, service.network)
-        now = service.scheduler.now
-        plan.partition_at(now + 0.1, ["n1"], ["n0", "n2"])
-        plan.crash_node_at(now + 0.2, service.nodes["n1"])
-        plan.heal_at(now + 0.3)
-        service.run(0.5)
-        assert service.network._partitions == set()
-        assert service.network.is_down("n1")
-        assert service.nodes["n1"].stopped
-        assert [note for _, note in plan.log] == [
-            "partition ['n1'] | ['n0', 'n2']",
-            "crash n1",
-            "heal all partitions",
-        ]
-
-    def test_gray_and_skew_windows_apply_and_clear(self):
-        service = make_service(n_nodes=3)
-        plan = FaultPlan(service.scheduler, service.network)
-        now = service.scheduler.now
-        plan.gray_window(now + 0.1, now + 0.3, "n1", slowdown=0.02)
-        plan.clock_skew_at(now + 0.1, service.nodes["n2"], scale=1.5)
-        service.run(0.2)
-        assert service.network.slowdown_of("n1") == 0.02
-        assert service.nodes["n2"].consensus.timer_scale == 1.5
-        service.run(0.2)
-        assert service.network.slowdown_of("n1") == 0.0
 
 
 class TestNetworkFaults:
