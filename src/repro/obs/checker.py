@@ -82,42 +82,44 @@ class _NodeFold:
 
 
 class TraceChecker:
-    """Feed trace events in order; every fold step is invariant-checked."""
+    """Feed trace events in order; each event is checked for what it changed."""
 
     def __init__(self) -> None:
-        self._nodes: dict[str, _NodeFold] = {}
-        self._order: list[str] = []  # first-seen order (stable node indexing)
-        self._prev_state: model.State | None = None
+        self._nodes: dict[str, _NodeFold] = {}  # first-seen order
+        # The longest committed prefix seen so far. Committed prefixes only
+        # grow, so commit agreement holds iff each is a prefix of this one.
+        self._committed: list[tuple[int, bool]] = []
         self.result = CheckResult()
-
-    def _node(self, node_id: str) -> _NodeFold:
-        fold = self._nodes.get(node_id)
-        if fold is None:
-            fold = _NodeFold()
-            self._nodes[node_id] = fold
-            self._order.append(node_id)
-            self.result.nodes.append(node_id)
-            # The node set changed shape: edge checks compare states
-            # node-wise, so restart the edge chain from here.
-            self._prev_state = None
-        return fold
 
     @property
     def has_gaps(self) -> bool:
         return self.result.has_gaps
 
     def _abstract_state(self) -> model.State:
-        """The current global abstract state. For gapped traces the logs and
-        commits are zeroed: election safety still checks exactly, while the
-        prefix invariants degrade to trivially-true (reported via has_gaps)."""
-        nodes = []
-        for node_id in self._order:
-            fold = self._nodes[node_id]
-            if self.result.has_gaps:
-                nodes.append((fold.view, fold.role, (), 0))
-            else:
-                nodes.append((fold.view, fold.role, tuple(fold.log), fold.commit))
-        return tuple(nodes)
+        """The current global abstract state, built only to word a
+        violation. For gapped traces the logs and commits are zeroed:
+        election safety still checks exactly, while the prefix invariants
+        degrade to trivially-true (reported via has_gaps)."""
+        if self.result.has_gaps:
+            return tuple((f.view, f.role, (), 0) for f in self._nodes.values())
+        return tuple(
+            (f.view, f.role, tuple(f.log), f.commit) for f in self._nodes.values()
+        )
+
+    def _two_primaries(self) -> bool:
+        views = [f.view for f in self._nodes.values() if f.role == model.PRIMARY]
+        return len(views) != len(set(views))
+
+    def _extends_committed(self, log: list, old: int, new: int) -> bool:
+        """Does ``log[:new]`` agree with the longest committed prefix, given
+        that ``log[:old]`` already did? Extends that prefix if it is longer."""
+        committed = self._committed
+        shared = min(new, len(committed))
+        if old < shared and log[old:shared] != committed[old:shared]:
+            return False
+        if new > len(committed):
+            committed.extend(log[len(committed):new])
+        return True
 
     def feed(self, span: Span) -> str | None:
         """Fold one event span; returns a violation description (and records
@@ -126,9 +128,14 @@ class TraceChecker:
             return self.result.violation
         if span.name not in EVENT_NAMES or span.node is None:
             return None
-        fold = self._node(span.node)
+        fold = self._nodes.get(span.node)
+        seen = fold is not None
+        if fold is None:
+            fold = self._nodes[span.node] = _NodeFold()
+            self.result.nodes.append(span.node)
         attrs = span.attrs
         self.result.events_checked += 1
+        agrees = True
 
         if span.name == "ledger.append":
             seqno, view = attrs["seqno"], attrs["view"]
@@ -136,7 +143,16 @@ class TraceChecker:
             if fold.gapped or seqno > expected:
                 # Snapshot-based ledger (or mid-run attach): prefix unseen.
                 fold.gapped = True
-                self.result.has_gaps = True
+                if not self.result.has_gaps:
+                    before = self._abstract_state()
+                    self.result.has_gaps = True
+                    if seen and any(f.commit for f in self._nodes.values()):
+                        # Zeroing every commit reads as a regression
+                        # against the state before this event.
+                        self.result.states_checked += 1
+                        return self._fail(
+                            span, model.check_edge(before, self._abstract_state())
+                        )
             elif seqno < expected:
                 return self._fail(
                     span,
@@ -166,6 +182,8 @@ class TraceChecker:
                 return self._fail(
                     span, f"commit regressed {fold.commit} -> {seqno}"
                 )
+            if seqno > fold.commit and not self.result.has_gaps:
+                agrees = self._extends_committed(fold.log, fold.commit, seqno)
             fold.commit = seqno
         elif span.name == "consensus.become_primary":
             fold.role = model.PRIMARY
@@ -177,14 +195,9 @@ class TraceChecker:
             fold.role = model.BACKUP  # candidate: not a primary yet
             fold.view = max(fold.view, attrs["view"])
 
-        state = self._abstract_state()
         self.result.states_checked += 1
-        violation = model.check_state(state)
-        if violation is None and self._prev_state is not None:
-            violation = model.check_edge(self._prev_state, state)
-        if violation is not None:
-            return self._fail(span, violation)
-        self._prev_state = state
+        if not agrees or self._two_primaries():
+            return self._fail(span, model.check_state(self._abstract_state()))
         return None
 
     def _fail(self, span: Span, description: str) -> str:

@@ -170,8 +170,16 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, LabelPairs], Counter | Gauge | Histogram] = {}
+        # (kind, name, *labels as passed) -> instrument: a hook that fires
+        # per event finds its instrument without redacting and sorting
+        # its labels again.
+        self._handles: dict[tuple, Counter | Gauge | Histogram] = {}
 
     def _get(self, kind: type, name: str, labels: dict[str, str]):
+        handle = (kind, name, *labels.items())
+        metric = self._handles.get(handle)
+        if metric is not None:
+            return metric
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
@@ -181,6 +189,10 @@ class MetricsRegistry:
             raise ConfigurationError(
                 f"metric {name!r} already registered as {type(metric).__name__}"
             )
+        # Only str values key a handle: 1, 1.0 and True are one dict key
+        # but three different labels.
+        if all(type(value) is str for value in labels.values()):
+            self._handles[handle] = metric
         return metric
 
     def counter(self, name: str, **labels: str) -> Counter:

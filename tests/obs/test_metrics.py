@@ -111,6 +111,21 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             registry.gauge("x")
 
+    def test_label_order_and_repeat_calls_share_one_instrument(self):
+        registry = MetricsRegistry()
+        a = registry.counter("sent", node="n0", kind="ae")
+        assert registry.counter("sent", kind="ae", node="n0") is a
+        assert registry.counter("sent", node="n0", kind="ae") is a
+        with pytest.raises(ConfigurationError):
+            registry.gauge("sent", node="n0", kind="ae")
+
+    def test_equal_values_of_different_types_stay_different_labels(self):
+        registry = MetricsRegistry()
+        registry.counter("c", code=1).inc()
+        registry.counter("c", code=True).inc()
+        registry.counter("c", code="1").inc()
+        assert registry.snapshot() == {"c{code=1}": 2.0, "c{code=True}": 1.0}
+
     def test_collect_by_prefix(self):
         registry = MetricsRegistry()
         registry.counter("net.sent", node="n0").inc()
