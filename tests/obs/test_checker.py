@@ -140,6 +140,17 @@ class TestViolations:
         assert not result.ok
         assert "disagree" in result.violation
 
+    def test_seen_node_skipping_seqnos_names_the_appending_node(self):
+        spans = _bootstrap_events("n0") + [
+            _event(3, "ledger.append", "n1", view=1, seqno=1, kind="signature", sig=True),
+            _event(4, "ledger.append", "n1", view=1, seqno=5, kind="user", sig=False),
+        ]
+        result = check_trace(spans)
+        assert result.violation == (
+            "[span 4 ledger.append node=n1] "
+            "n1: append at seqno 5 skips past observed log length 1"
+        )
+
     def test_violation_names_the_span(self):
         spans = _bootstrap_events() + [
             _event(3, "consensus.commit", "n0", view=1, seqno=9),
