@@ -6,7 +6,7 @@ loop: every traced run emits ledger/consensus events (via
 :mod:`repro.obs.collector`), and this module folds those events back into
 the abstract states of :mod:`repro.verification.model`, checking the model's
 safety invariants — election safety, commit agreement, committed-prefix
-stability — after every event. A passing chaos run is therefore not just
+stability — at every event. A passing chaos run is therefore not just
 "nothing crashed" but "every observed state transition was one the spec
 allows".
 
@@ -18,11 +18,33 @@ Event vocabulary (span names; all zero-duration events with a ``node``):
 - ``consensus.become_primary`` / ``consensus.step_down`` /
   ``consensus.election`` attrs: view
 
+What each event is checked for — only what it can have changed, so the
+cost is linear in the trace:
+
+- *The fold's guards*, on the event's own node: an append lands only at
+  ``len(log) + 1``, a truncate may not cut below the commit, a commit may
+  neither pass the observed log nor regress.
+- *Election safety*, over every node's ``(view, role)`` pair: O(nodes).
+- *Commit agreement*, only when a node's commit advances: its newly
+  committed slice is compared with the longest committed prefix seen so
+  far, which it then extends. The guards make every committed prefix
+  append-only, so pairwise agreement is exactly "each is a prefix of the
+  longest".
+- *Committed-prefix stability and commit monotonicity* (``model.check_edge``)
+  need no per-event comparison: the same guards are those two invariants,
+  node by node.
+
+A violation is worded by ``model.check_state`` over the abstract state,
+built only then. The whole-state fold this replaces is kept as the
+differential oracle in ``tests/oracles/trace_checker.py``.
+
 A trace recorded from mid-run attachment (or from a node that joined via
 snapshot) has *log gaps*: the entries below the snapshot base were never
 observed. Gapped traces degrade gracefully — election safety is still
 checked exactly, while log-prefix invariants (which need the full prefix)
-are skipped and reported via ``has_gaps``.
+are skipped and reported via ``has_gaps``. The gap must show on a node's
+first event: a node already in the trace that skips seqnos while commits
+are being checked is a violation, not a gap.
 """
 
 from __future__ import annotations
@@ -143,9 +165,9 @@ class TraceChecker:
                 fold.gapped = True
                 self.result.has_gaps = True
                 if skips and any(f.commit for f in self._nodes.values()):
-                    # A node observed from its first entry skips ahead
-                    # while commits are being checked: the prefix
-                    # invariants would silently switch off.
+                    # A node already in the trace skips ahead while
+                    # commits are being checked: the prefix invariants
+                    # would silently switch off.
                     self.result.states_checked += 1
                     return self._fail(
                         span,

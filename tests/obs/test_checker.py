@@ -1,11 +1,13 @@
 """Tests for the trace conformance checker (repro.obs.checker).
 
-Synthetic traces pin the violation detectors one by one; the chaos test
-replays a full fault-injected schedule's trace through the checker and
-requires model conformance end to end.
+Synthetic traces pin the violation detectors one by one and hold the
+checker to linear cost; the chaos tests replay fault-injected schedules'
+traces through the checker and require model conformance end to end.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -159,6 +161,34 @@ class TestViolations:
         assert "[span 3 consensus.commit node=n0]" in result.violation
 
 
+class TestLinearCost:
+    def test_fifty_thousand_appends_check_in_linear_time(self):
+        # 10,000 entries on each of five nodes, a signature every 20, and
+        # every node commits at each signature: a whole-state check per
+        # event would re-slice every log 55,000 times.
+        nodes = [f"n{i}" for i in range(5)]
+        spans = [_event(0, "consensus.become_primary", "n0", view=1)]
+        for seqno in range(1, 10_001):
+            sig = seqno % 20 == 0
+            kind = "signature" if sig else "user"
+            for node in nodes:
+                spans.append(
+                    _event(len(spans), "ledger.append", node,
+                           view=1, seqno=seqno, kind=kind, sig=sig)
+                )
+            if sig:
+                for node in nodes:
+                    spans.append(
+                        _event(len(spans), "consensus.commit", node, view=1, seqno=seqno)
+                    )
+        started = time.perf_counter()
+        result = check_trace(spans)
+        elapsed = time.perf_counter() - started
+        assert result.ok, result.describe()
+        assert result.events_checked == len(spans) == 52_501
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
+
+
 class TestRoundTrip:
     def test_check_trace_text_round_trips_through_jsonl(self):
         spans = _bootstrap_events() + [
@@ -189,3 +219,17 @@ class TestChaosConformance:
         # Faults were actually injected and observed.
         assert report.fault_kinds, "schedule injected no faults"
         assert report.ok, report.fingerprint()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(5))
+    def test_chaos_smoke_schedule_yields_conformant_trace(self, seed):
+        # The five default schedules CI's chaos-smoke job runs
+        # (python -m repro.sim.chaos --schedules 5), each traced whole.
+        collector = ObsCollector(seed=seed)
+        report = ChaosEngine(ChaosSpec()).run_schedule(seed, obs=collector)
+        assert report.ok, report.fingerprint()
+
+        result = check_trace(collector.spans)
+        assert result.ok, result.describe()
+        assert not result.has_gaps
+        assert result.events_checked > 1000

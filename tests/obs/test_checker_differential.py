@@ -125,8 +125,8 @@ def _outcome(result) -> tuple:
 
 
 def _reword_gap_flip(oracle: WholeStateChecker, span) -> bool:
-    """The one deliberate difference. When a node already observed from its
-    first entry skips seqnos while commits exist, the oracle zeroes every
+    """The one deliberate difference. When a node already in the trace
+    skips seqnos while commits exist, the oracle zeroes every
     commit and blames the first node with one ("node 0: commit regressed
     1 -> 0"), whoever appended; the checker names the appending node."""
     violation = oracle.result.violation
