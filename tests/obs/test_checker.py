@@ -165,7 +165,7 @@ class TestLinearCost:
     def test_fifty_thousand_appends_check_in_linear_time(self):
         # 10,000 entries on each of five nodes, a signature every 20, and
         # every node commits at each signature: a whole-state check per
-        # event would re-slice every log 55,000 times.
+        # event would re-slice every log 52,501 times.
         nodes = [f"n{i}" for i in range(5)]
         spans = [_event(0, "consensus.become_primary", "n0", view=1)]
         for seqno in range(1, 10_001):
