@@ -42,18 +42,6 @@ class LinkConfig:
         return self.base_latency + rng.uniform(0, self.jitter)
 
 
-@dataclass
-class LinkFaults:
-    """Fault state for one *directed* link (src -> dst)."""
-
-    loss_probability: float = 0.0
-    extra_delay: float = 0.0
-
-    @property
-    def is_clear(self) -> bool:
-        return self.loss_probability == 0.0 and self.extra_delay == 0.0
-
-
 class Network:
     """Registry of endpoints + fault state + delivery scheduling."""
 
@@ -64,7 +52,7 @@ class Network:
         self._down: set[str] = set()
         self._partitions: set[frozenset[str]] = set()
         self._loss_probability = 0.0
-        self._link_faults: dict[tuple[str, str], LinkFaults] = {}
+        self._link_loss: dict[tuple[str, str], float] = {}
         self._slowdowns: dict[str, float] = {}
         self._duplicate_probability = 0.0
         self._spike_probability = 0.0
@@ -136,19 +124,10 @@ class Network:
     def set_link_loss(self, src: str, dst: str, probability: float) -> None:
         """Asymmetric loss on the directed link src -> dst only."""
         self._check_probability(probability)
-        faults = self._link_faults.setdefault((src, dst), LinkFaults())
-        faults.loss_probability = probability
-        if faults.is_clear:
-            del self._link_faults[(src, dst)]
-
-    def set_link_delay(self, src: str, dst: str, extra_delay: float) -> None:
-        """Add a fixed extra delay to the directed link src -> dst."""
-        if extra_delay < 0:
-            raise ConfigurationError("link delay must be >= 0")
-        faults = self._link_faults.setdefault((src, dst), LinkFaults())
-        faults.extra_delay = extra_delay
-        if faults.is_clear:
-            del self._link_faults[(src, dst)]
+        if probability == 0.0:
+            self._link_loss.pop((src, dst), None)
+        else:
+            self._link_loss[(src, dst)] = probability
 
     def set_slowdown(self, name: str, extra_delay: float) -> None:
         """Gray failure: ``name`` stays alive and correct, but every message
@@ -181,10 +160,10 @@ class Network:
 
     def clear_faults(self) -> None:
         """Lift every network fault except crashed endpoints: partitions,
-        loss (global and per-link), delays, slowdowns, duplication, spikes."""
+        loss (global and per-link), slowdowns, duplication, spikes."""
         self._partitions.clear()
         self._loss_probability = 0.0
-        self._link_faults.clear()
+        self._link_loss.clear()
         self._slowdowns.clear()
         self._duplicate_probability = 0.0
         self._spike_probability = 0.0
@@ -197,14 +176,8 @@ class Network:
             return True
         if self._loss_probability and self.scheduler.rng.random() < self._loss_probability:
             return True
-        link = self._link_faults.get((src, dst))
-        if (
-            link is not None
-            and link.loss_probability
-            and self.scheduler.rng.random() < link.loss_probability
-        ):
-            return True
-        return False
+        link_loss = self._link_loss.get((src, dst))
+        return link_loss is not None and self.scheduler.rng.random() < link_loss
 
     # ------------------------------------------------------------------
     # Delivery
@@ -213,9 +186,6 @@ class Network:
         rng = self.scheduler.rng
         latency = self.link.sample(rng) + extra_delay
         latency += self._slowdowns.get(src, 0.0) + self._slowdowns.get(dst, 0.0)
-        link = self._link_faults.get((src, dst))
-        if link is not None:
-            latency += link.extra_delay
         if self._spike_probability and rng.random() < self._spike_probability:
             latency += rng.uniform(0, self._spike_magnitude)
         return latency

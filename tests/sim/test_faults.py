@@ -119,7 +119,7 @@ class TestNetworkFaults:
         network.clear_faults()
         assert network._partitions == set()
         assert network._loss_probability == 0.0
-        assert network._link_faults == {}
+        assert network._link_loss == {}
         assert network.slowdown_of("b") == 0.0
         assert network._duplicate_probability == 0.0
         assert network._spike_probability == 0.0
