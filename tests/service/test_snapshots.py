@@ -195,7 +195,11 @@ def test_rolled_back_snapshot_evidence_drops_the_pending_snapshot():
     assert old.snapshots.latest is None
 
     # Re-elected, it admits a joiner (by full replay: it has no snapshot)...
+    # The scale applies from the next draw, so re-arm the timer before the
+    # kill: at most 0.2 of the longest timeout, it fires before any other
+    # backup's, whatever the earlier draws were.
     old.consensus.timer_scale = 0.2
+    old.consensus._reset_election_timer()
     service.kill_node(new.node_id)
     service.run_until(lambda: old.consensus.is_primary, timeout=10.0)
     joiner = service.add_node()
