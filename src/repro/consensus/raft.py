@@ -67,17 +67,13 @@ class ConsensusConfig:
     election_timeout_min: float = 0.15
     election_timeout_max: float = 0.30
     heartbeat_interval: float = 0.03
-    max_batch_entries: int = 200
+    # Entries per append_entries: each replication trigger (heartbeat,
+    # replicate_now or ack) sends a lagging peer one window of at most
+    # this many, so a catch-up stream is one ordered message per round.
+    max_batch_entries: int = 800
     # The primary steps down if fewer than a majority of backups acked
     # within this window (section 4.2, last paragraph).
     step_down_window: float = 0.45
-    # How many max_batch_entries windows to pipeline toward a lagging peer
-    # per replication trigger (ack or replicate_now), with next_index
-    # advanced optimistically between windows. >1 keeps a catch-up stream
-    # full instead of paying one round trip per window, and gives frame
-    # coalescing multi-message (sender, peer) batches to amortize seals
-    # over. Heartbeats stay single-window: they are liveness probes.
-    catch_up_windows: int = 4
 
 
 class ConsensusNode:
@@ -409,63 +405,56 @@ class ConsensusNode:
             self._step_down()
 
     def _send_append_entries(
-        self,
-        peer: str,
-        shared: dict[int, AppendEntries] | None = None,
-        windows: int = 1,
+        self, peer: str, shared: dict[int, AppendEntries] | None = None
     ) -> None:
-        """Send up to ``windows`` consecutive append_entries batches to
-        ``peer``, advancing ``next_index`` optimistically between them.
+        """Send ``peer`` one append_entries window starting at its
+        ``next_index``, and advance ``next_index`` past the window.
 
-        With ``windows > 1`` a lagging peer receives a pipelined burst in
-        one event instead of one window per ack round trip; a failure ack
-        rewinds ``next_index`` as usual, discarding the optimism. The burst
-        is also what frame coalescing feeds on: k windows to one peer in
-        one event collapse into one sealed frame.
+        ``next_index`` is optimistic: it points past the last entry *sent*,
+        not the last acknowledged, so each entry goes to each peer once. A
+        window that never arrives is found by the next append to that peer
+        (a write or a heartbeat), whose ``prev_txid`` the peer does not
+        hold; the failure ack then rewinds ``next_index`` to the peer's
+        ``match_hint``.
         """
-        for _ in range(max(1, windows)):
-            next_seqno = self._next_index.get(peer, self.ledger.last_seqno + 1)
-            # A snapshot-based ledger does not hold entries at or below its
-            # base; a peer lagging below it cannot be caught up by replication
-            # and must re-join from a snapshot (section 4.4). Clamp so we never
-            # frame a batch we cannot actually read.
-            if next_seqno <= self.ledger.base_seqno:
-                next_seqno = self.ledger.base_seqno + 1
-                self._next_index[peer] = next_seqno
-            # Serialize-once fast path: within one broadcast (heartbeat or
-            # replicate_now), peers at the same next_index receive the *same*
-            # message object, so the batch framing is encoded once for all of
-            # them (encode_message memoizes per instance). The message content
-            # and per-peer send order are exactly what per-peer construction
-            # produced; only redundant host-side work is dropped.
-            message = shared.get(next_seqno) if shared is not None else None
-            if message is None:
-                prev_txid = self.ledger.txid_at(min(next_seqno - 1, self.ledger.last_seqno))
-                last = min(
-                    self.ledger.last_seqno, next_seqno + self.config.max_batch_entries - 1
-                )
-                entries = (
-                    tuple(self.ledger.entries(next_seqno, last)) if last >= next_seqno else ()
-                )
-                message = AppendEntries(
-                    view=self.view,
-                    leader_id=self.node_id,
-                    prev_txid=prev_txid,
-                    entries=entries,
-                    leader_commit=self.commit_seqno,
-                )
-                if shared is not None:
-                    shared[next_seqno] = message
-            obs = self.scheduler.obs
-            if obs is not None:
-                obs.append_entries_sent(self.node_id, peer, len(message.entries))
-            self.host.send_consensus_message(peer, message)
-            if not message.entries:
-                break
-            covered = message.entries[-1].txid.seqno
-            if covered >= self.ledger.last_seqno:
-                break
-            self._next_index[peer] = covered + 1
+        next_seqno = self._next_index.get(peer, self.ledger.last_seqno + 1)
+        # A snapshot-based ledger does not hold entries at or below its
+        # base; a peer lagging below it cannot be caught up by replication
+        # and must re-join from a snapshot (section 4.4). Clamp so we never
+        # frame a batch we cannot actually read.
+        if next_seqno <= self.ledger.base_seqno:
+            next_seqno = self.ledger.base_seqno + 1
+            self._next_index[peer] = next_seqno
+        # Serialize-once fast path: within one broadcast (heartbeat or
+        # replicate_now), peers at the same next_index receive the *same*
+        # message object, so the batch framing is encoded once for all of
+        # them (encode_message memoizes per instance). The message content
+        # and per-peer send order are exactly what per-peer construction
+        # produced; only redundant host-side work is dropped.
+        message = shared.get(next_seqno) if shared is not None else None
+        if message is None:
+            prev_txid = self.ledger.txid_at(min(next_seqno - 1, self.ledger.last_seqno))
+            last = min(
+                self.ledger.last_seqno, next_seqno + self.config.max_batch_entries - 1
+            )
+            entries = (
+                tuple(self.ledger.entries(next_seqno, last)) if last >= next_seqno else ()
+            )
+            message = AppendEntries(
+                view=self.view,
+                leader_id=self.node_id,
+                prev_txid=prev_txid,
+                entries=entries,
+                leader_commit=self.commit_seqno,
+            )
+            if shared is not None:
+                shared[next_seqno] = message
+        obs = self.scheduler.obs
+        if obs is not None:
+            obs.append_entries_sent(self.node_id, peer, len(message.entries))
+        self.host.send_consensus_message(peer, message)
+        if message.entries:
+            self._next_index[peer] = message.entries[-1].txid.seqno + 1
 
     def replicate_now(self) -> None:
         """Push new entries to peers immediately (called after the host
@@ -475,9 +464,7 @@ class ConsensusNode:
         shared: dict[int, AppendEntries] = {}
         for peer in self._replication_targets():
             if self._next_index.get(peer, 1) <= self.ledger.last_seqno:
-                self._send_append_entries(
-                    peer, shared, windows=self.config.catch_up_windows
-                )
+                self._send_append_entries(peer, shared)
 
     def on_append_entries(self, message: AppendEntries) -> None:
         if self._stopped:
@@ -509,10 +496,11 @@ class ConsensusNode:
         # The prefix matches; integrate the entries, deleting conflicts
         # ("the primary's ledger is the ground truth", section 4.2).
         entries = message.entries
-        # A re-sent window mostly covers entries this ledger already holds.
-        # By the induction of section 4.1 an equal transaction ID means an
-        # equal prefix, so one comparison at the last held entry skips them
-        # all; on a mismatch the loop below finds the first conflict.
+        # A window re-sent after a rewind mostly covers entries this ledger
+        # already holds. By the induction of section 4.1 an equal
+        # transaction ID means an equal prefix, so one comparison at the
+        # last held entry skips them all; on a mismatch the loop below
+        # finds the first conflict.
         held = min(len(entries), self.ledger.last_seqno - message.prev_txid.seqno)
         if held > 0:
             last_held = entries[held - 1].txid
@@ -579,19 +567,17 @@ class ConsensusNode:
         if message.success:
             advanced = message.last_seqno > self._match_index.get(peer, 0)
             self._match_index[peer] = max(self._match_index.get(peer, 0), message.last_seqno)
-            # Optimistic pipelining may already have next_index past this
-            # ack's match point; never rewind it on success, or the windows
-            # in flight between here and there would be re-sent.
+            # next_index is already past every window sent; never rewind it
+            # on success, or the windows in flight between this ack's match
+            # point and there would be re-sent.
             self._next_index[peer] = max(
                 self._next_index.get(peer, 1), self._match_index[peer] + 1
             )
             if advanced:
                 self._try_advance_commit()
             if self._next_index[peer] <= self.ledger.last_seqno:
-                # Keep catching the peer up, a pipelined burst at a time.
-                self._send_append_entries(
-                    peer, windows=self.config.catch_up_windows
-                )
+                # Keep catching the peer up, one window per round trip.
+                self._send_append_entries(peer)
         else:
             current = self._next_index.get(peer, self.ledger.last_seqno + 1)
             self._next_index[peer] = max(1, min(current - 1, message.match_hint + 1))
