@@ -32,30 +32,31 @@ from repro.sim.disaster import DisasterEngine, DisasterSpec
 from repro.sim.trace import TraceRecorder, callback_label
 
 # (spec, seed) -> (trace digest, sha256 of the schedule report's fingerprint).
-# The digests were re-recorded when the node's scheduled callbacks changed
-# module and qualname (``repro.node.node.CCFNode._enqueue_request`` became
-# ``repro.node.frontend.Frontend.admit``, and so on); nothing else moved.
+# Every pin except FIGURE_9 was last re-recorded when the primary stopped
+# re-sending unacknowledged entries: each append_entries carries only
+# entries not yet sent to that peer, so the message schedule, the RNG
+# latency draws that follow it and the resulting ledgers all moved.
 CHAOS = [
     (
         "crashes",
         dict(steps=3, p_crash=0.3),
         5,
-        "dc9937a6dfc9ece128049f086835dcbc968ee1f1e8d75c62dc3b1557d4da4643",
-        "7dc8a14e71d8b541432c231412623045f35e43dc36fde2a7c2743cc82372a846",
+        "3060eced2ff702a2133499a7c5fc185000f12ea525b63eb6fff5ae914ea881e7",
+        "44ee4f3461b804b2ae52b6f69a44aa65a69f03fbfef31512f776e4f297591ec0",
     ),
     (
         "three-nodes",
         dict(n_nodes=3, steps=2),
         3,
-        "f9860c9555dbbd946e09f0c42066ddc7b80859ef66b021b4991287d8b61b3402",
-        "448c5579fdafa274feee3fc252ec63e562ea99fa8cae7a7da60163611cb95fc5",
+        "0776fedf870196f118a8d915fe26073e6efe6c1bc8db4c37d23afe40ea00ac29",
+        "5f84c1c84ad78e2900c0f5f694a2137913351f4ed8712745ac995cfea1563300",
     ),
     (
         "batching+read-offload",
         dict(steps=3, p_crash=0.3, batch_execution=True, read_offload=True),
         9,
-        "b920887cb2fef110d9524f0b9d953a228a84661656b8c51a50d16e8cacc00c61",
-        "042e7a6a70a40141c433aa4c1fbafa1a67d5e8937a057a0a55fe880b7cb215f6",
+        "a55f0713cd278d6f09d8414185210a47aaa2cf24f6a84626258db0487dce5d3f",
+        "a25dd132908e605bc4930814fb04490c085da68182f11bb6461436924d950907",
     ),
 ]
 
@@ -75,9 +76,9 @@ class LabelFreeRecorder(TraceRecorder):
 # The same three schedules under LabelFreeRecorder. A rename re-records the
 # digests in CHAOS and must leave these alone.
 CHAOS_LABEL_FREE = {
-    "crashes": "d83138ccf65aa564164ed8acdaab11d352cfde4d608f93342266609fea262f17",
-    "three-nodes": "8f4f130dc4409c75eaa0191d4f2cf70b5cafa35c7cb7e803a04ebd40360d8c86",
-    "batching+read-offload": "ed32c2030d50be68f238bf95c23c773ccc1872074b188cbf5b7cce9de3dea688",
+    "crashes": "2668bd2b94ddf88366196da267781a9f6e13bff2c68a1dbbf1fe0630a8396d37",
+    "three-nodes": "f8e158942ebd49295f77f25b89ab4031da21da3914acde8f1bc316c308a4f31d",
+    "batching+read-offload": "52c680f7d05937d9403180480e84b7ef428d99984b6792992d2ce9958361d4fe",
 }
 
 # Disaster schedules are otherwise only ever compared with themselves
@@ -88,25 +89,25 @@ DISASTER = [
         "default-0",
         dict(),
         0,
-        "bb59dfc7cc868389b545a91d02e37ea07e62566587dd61d3747b2dd31ad2ad19",
-        "19535310b57842da00941f6eb7bd9d210c7db3c15ff0e35f4b67c5635607b0de",
-        "2b05ee321fe12ad86e88392b407d9803ec23a2c03af9f262e074c9acc6fd1578",
+        "5404dfdeffa0034748adbad00f365cba9974467ac8d89704674f70e10d90dd43",
+        "23e1370b398a1ef1fa84c61be683defad0ba0233507cd69e2eeb45c3938137a9",
+        "96cd50537a271f0c95112244a3f4c508495398e1221d412c61e96921b86d1e34",
     ),
     (
         "default-3",
         dict(),
         3,
-        "bd76faacbe181d096ffb4165d35e1f4f07eb9ab590f0da93f3c11e44e18c31e7",
-        "d7269cca50264266fab8869a3c65bd1a72813025c336238c6cfbe910cf94b8c7",
-        "9ed49fbd931c0eb0ad7526305ff54c91d65e57aaf61d64ac680acbfeb92fd3ef",
+        "e94a5e419d329457635dce23d2c8bff5decda90c940a6f16a3902128536ef67e",
+        "1f2be45181ee945166dd7ca80373970c87474395c101c69c3039679902e78edc",
+        "5f4b40b30fdeb2f04fc7205f02ec375c5f814ab2bf1acfd77c9bd14f9398255e",
     ),
     (
         "six-settled-writes",
         dict(settled_writes=6),
         3,
-        "a32e6070cd5e8089ebe5571d47dd0743984c5bef209f1b1ff34e6a44656c62ff",
-        "9d3f094ce927e96a507c1b993355dad2e22d3936d32f4087cde44074b321f0c4",
-        "fd3a9d7e02f3ad151fdc8e0b0dd0d31aa6792ecaadb5d5b5288cf6bf8bbe149a",
+        "7a75a95fa0fb511444aa37307be75974b8766fa7e4ee2384172ab3d7501180ae",
+        "222561149a22dba54f61e5e0c6894fbbc8cea84999a19d31748ffba32692cb1b",
+        "f8c4a2b6584c0ba6f243e47cd125db3432b584789fe126cf96de199112b6fd6a",
     ),
 ]
 
@@ -127,11 +128,11 @@ FIGURE_9 = [
 ]
 
 # 5 nodes, 50 closed-loop writers on the primary for 0.02 sim-s, then drained.
-_LEDGER_SHA256 = "908d5a9fc01716b8757e0f808429d3783b0b89a7517d774f9d0b9bc995619517"
+_LEDGER_SHA256 = "e3a6d9599bd16b195528601cac836ad1da36a7959e28f49c6be6b582af148058"
 WRITE_LOAD = {
-    "ok_replies": 985,
-    "primary_root": "44b6248c8cd86d2b3aadbeb406c31573e33e85698c2f6af649feeff21068cbc1",
-    "events_processed": 4411,
+    "ok_replies": 986,
+    "primary_root": "8b5e8110fc5b196eaf4faaefa860565c703e13295682b5ed5a670d4b50013d74",
+    "events_processed": 4192,
     "ledger_sha256": {node_id: _LEDGER_SHA256 for node_id in ("n0", "n1", "n2", "n3", "n4")},
 }
 
