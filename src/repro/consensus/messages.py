@@ -7,8 +7,10 @@ sender's view so receivers can synchronize views before processing.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
+from repro.errors import ConsensusError, KVError, LedgerError
 from repro.ledger.entry import LedgerEntry, TxID
 
 
@@ -72,23 +74,37 @@ CONSENSUS_MESSAGE_TYPES = (
 
 # ----------------------------------------------------------------------
 # Wire codec: consensus messages travel between enclaves through untrusted
-# hosts, sealed by the node-to-node channels — which need bytes.
+# hosts, sealed by the node-to-node channels — which need bytes. Nothing
+# hashes, signs or persists these bytes, so they need a deterministic layout
+# but not the canonical codec's sorted dicts: a kind byte, then a header of
+# big-endian integers ending with the length of the UTF-8 node id that
+# follows it. An AppendEntries then carries each entry as a 4-byte length
+# and its memoized ``LedgerEntry.encode()`` bytes.
 
-from repro.errors import ConsensusError  # noqa: E402
-from repro.kv.serialization import decode_value, encode_value  # noqa: E402
+_AE = struct.Struct(">BQQQQIH")  # view, prev txid, commit, #entries
+_AER = struct.Struct(">BQ?QQH")  # view, success, last seqno, match hint
+_RV = struct.Struct(">BQQQH")  # view, last signature txid
+_RVR = struct.Struct(">BQ?H")  # view, granted
+_LAYOUTS = {
+    0: (AppendEntries, _AE),
+    1: (AppendEntriesResponse, _AER),
+    2: (RequestVote, _RV),
+    3: (RequestVoteResponse, _RVR),
+}
+_LENGTH = struct.Struct(">I")
 
-
-# AppendEntries framing is memoized per message instance: the primary
-# shares one message object across every follower at the same next_index
-# (see ConsensusNode._send_append_entries), so an entry batch is encoded
-# once instead of once per destination. Channel sealing stays per-peer —
-# only the plaintext framing is shared. Counters are exported via
-# repro.obs.metrics as ``fastpath.ae_encode.*``.
+# AppendEntries framing is memoized per message instance: within one
+# broadcast the primary hands one message object to every peer at the same
+# next_index (see ConsensusNode._send_append_entries), and they share its
+# framing. Each window now goes to each peer once, so peers rarely line up;
+# what every send reuses is the entries' own memoized encodings. Channel
+# sealing stays per-peer. Counters are exported via repro.obs.metrics as
+# ``fastpath.ae_encode.*``.
 ENCODE_STATS = {"ae_encode.encodes": 0, "ae_encode.reuses": 0}
 
 
 def encode_message(message: object) -> bytes:
-    """Serialize a consensus message to canonical bytes."""
+    """Serialize a consensus message to its wire layout."""
     if isinstance(message, AppendEntries):
         cached = message.__dict__.get("_encoded")
         if cached is not None:
@@ -103,72 +119,63 @@ def encode_message(message: object) -> bytes:
 
 def _encode_message_uncached(message: object) -> bytes:
     if isinstance(message, AppendEntries):
-        payload = {
-            "t": "ae",
-            "view": message.view,
-            "leader": message.leader_id,
-            "prev": [message.prev_txid.view, message.prev_txid.seqno],
-            "entries": [entry.encode() for entry in message.entries],
-            "commit": message.leader_commit,
-        }
-    elif isinstance(message, AppendEntriesResponse):
-        payload = {
-            "t": "aer",
-            "view": message.view,
-            "sender": message.sender,
-            "success": message.success,
-            "last": message.last_seqno,
-            "hint": message.match_hint,
-        }
+        node = message.leader_id.encode()
+        prev = message.prev_txid
+        parts = [
+            _AE.pack(
+                0, message.view, prev.view, prev.seqno, message.leader_commit,
+                len(message.entries), len(node),
+            ),
+            node,
+        ]
+        for entry in message.entries:
+            data = entry.encode()
+            parts += (_LENGTH.pack(len(data)), data)
+        return b"".join(parts)
+    if isinstance(message, AppendEntriesResponse):
+        node = message.sender.encode()
+        header = _AER.pack(
+            1, message.view, message.success, message.last_seqno,
+            message.match_hint, len(node),
+        )
     elif isinstance(message, RequestVote):
-        payload = {
-            "t": "rv",
-            "view": message.view,
-            "candidate": message.candidate_id,
-            "sig": [message.last_signature_txid.view, message.last_signature_txid.seqno],
-        }
+        node = message.candidate_id.encode()
+        sig = message.last_signature_txid
+        header = _RV.pack(2, message.view, sig.view, sig.seqno, len(node))
     elif isinstance(message, RequestVoteResponse):
-        payload = {
-            "t": "rvr",
-            "view": message.view,
-            "sender": message.sender,
-            "granted": message.granted,
-        }
+        node = message.sender.encode()
+        header = _RVR.pack(3, message.view, message.granted, len(node))
     else:
         raise ConsensusError(f"cannot encode {type(message).__name__}")
-    return encode_value(payload)
+    return header + node
 
 
 def decode_message(data: bytes) -> object:
-    """Deserialize a consensus message from wire bytes."""
-    raw = decode_value(data)
-    if not isinstance(raw, dict) or "t" not in raw:
-        raise ConsensusError("malformed consensus message")
-    kind = raw["t"]
-    if kind == "ae":
-        return AppendEntries(
-            view=raw["view"],
-            leader_id=raw["leader"],
-            prev_txid=TxID(*raw["prev"]),
-            entries=tuple(LedgerEntry.decode(e) for e in raw["entries"]),
-            leader_commit=raw["commit"],
-        )
-    if kind == "aer":
-        return AppendEntriesResponse(
-            view=raw["view"],
-            sender=raw["sender"],
-            success=raw["success"],
-            last_seqno=raw["last"],
-            match_hint=raw["hint"],
-        )
-    if kind == "rv":
-        return RequestVote(
-            view=raw["view"],
-            candidate_id=raw["candidate"],
-            last_signature_txid=TxID(*raw["sig"]),
-        )
-    if kind == "rvr":
-        return RequestVoteResponse(
-            view=raw["view"], sender=raw["sender"], granted=raw["granted"]
-        )
-    raise ConsensusError(f"unknown consensus message kind {kind!r}")
+    """Deserialize a consensus message from its wire layout. The bytes come
+    off the network: anything malformed raises :class:`ConsensusError`."""
+    try:
+        kind, layout = _LAYOUTS[data[0]]
+        _, view, *fields, id_length = layout.unpack_from(data)
+        offset = layout.size + id_length
+        if offset > len(data):
+            raise ConsensusError("consensus message truncated in its node id")
+        node = data[layout.size : offset].decode()
+        if kind is AppendEntries:
+            prev_view, prev_seqno, commit, count = fields
+            entries = []
+            for _ in range(count):
+                (length,) = _LENGTH.unpack_from(data, offset)
+                offset += _LENGTH.size + length
+                if offset > len(data):
+                    raise ConsensusError("consensus message truncated in an entry")
+                entries.append(LedgerEntry.decode(data[offset - length : offset]))
+            message = kind(view, node, TxID(prev_view, prev_seqno), tuple(entries), commit)
+        elif kind is RequestVote:
+            message = kind(view, node, TxID(*fields))
+        else:
+            message = kind(view, node, *fields)
+    except (IndexError, KeyError, ValueError, struct.error, KVError, LedgerError) as exc:
+        raise ConsensusError(f"malformed consensus message: {exc}") from exc
+    if offset != len(data):
+        raise ConsensusError("trailing bytes after consensus message")
+    return message

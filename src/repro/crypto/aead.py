@@ -13,8 +13,9 @@ import struct
 from dataclasses import dataclass
 
 from repro.crypto.chacha20 import KEY_SIZE, NONCE_SIZE, chacha20_block, chacha20_xor
+from repro.crypto.ct import ct_eq
 from repro.crypto.hashing import sha256
-from repro.crypto.poly1305 import TAG_SIZE, constant_time_equal, poly1305_mac
+from repro.crypto.poly1305 import TAG_SIZE, poly1305_mac
 from repro.errors import CryptoError, VerificationError
 
 
@@ -68,7 +69,7 @@ class AEADKey:
         ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
         otk = chacha20_block(self.key, 0, nonce)[:32]
         expected = poly1305_mac(otk, _mac_data(aad, ciphertext))
-        if not constant_time_equal(tag, expected):
+        if not ct_eq(tag, expected):
             raise VerificationError("AEAD tag mismatch")
         return chacha20_xor(self.key, nonce, ciphertext)
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from repro.crypto.aead import AEADKey
 from repro.crypto.chacha20 import KEY_SIZE, NONCE_SIZE
+from repro.crypto.ct import ct_eq
 from repro.crypto.hashing import sha256
-from repro.crypto.poly1305 import constant_time_equal
 from repro.errors import CryptoError, VerificationError
 
 TAG_SIZE = 16
@@ -105,7 +105,7 @@ class FastAEADKey:
         if len(sealed) < TAG_SIZE:
             raise VerificationError("sealed box shorter than the tag")
         ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
-        if not constant_time_equal(tag, self._tag(nonce, ciphertext, aad)):
+        if not ct_eq(tag, self._tag(nonce, ciphertext, aad)):
             raise VerificationError("AEAD tag mismatch")
         return self._xor(ciphertext, self._keystream(nonce, len(ciphertext)))
 

@@ -28,14 +28,3 @@ def poly1305_mac(key: bytes, message: bytes) -> bytes:
         accumulator = ((accumulator + n) * r) % _P
     accumulator = (accumulator + s) & ((1 << 128) - 1)
     return accumulator.to_bytes(TAG_SIZE, "little")
-
-
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Compare two byte strings without early exit.
-
-    Alias of :func:`repro.crypto.ct.ct_eq`, kept for the AEAD call sites
-    that predate the central helper.
-    """
-    from repro.crypto.ct import ct_eq
-
-    return ct_eq(a, b)

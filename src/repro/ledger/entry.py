@@ -61,25 +61,37 @@ class EntryKind(enum.Enum):
     RECONFIGURATION = "reconfiguration"
 
 
-# The constant stretches of ``LedgerEntry.leaf_data``, each built by the
-# canonical encoder. Canonical order sorts a dict's keys by their encoded
-# bytes (length first): kind, view, seqno, claims_digest, public_digest,
-# private_digest.
+# The constant stretches of ``LedgerEntry.leaf_data`` and ``entry_aad``,
+# each built by the canonical encoder. Canonical order sorts a dict's keys
+# by their encoded bytes (length first): kind, view, seqno, claims_digest,
+# public_digest, private_digest — so both dicts open with kind, view, seqno.
 _DICT_OF_SIX = encode_value(dict.fromkeys(range(6)))[:5]  # dict tag + entry count
+_DICT_OF_THREE = encode_value(dict.fromkeys(range(3)))[:5]
 _DIGEST_HEAD = encode_value(bytes(32))[:5]  # bytes tag + length 32
-_LEAF_HEAD = {  # from the dict header through the "view" key
-    kind: _DICT_OF_SIX
-    + encode_value("kind")
-    + encode_value(kind.value)
-    + encode_value("view")
+_KIND_VIEW = {  # the "kind" entry, then the "view" key
+    kind: encode_value("kind") + encode_value(kind.value) + encode_value("view")
     for kind in EntryKind
 }
+_LEAF_HEAD = {kind: _DICT_OF_SIX + stretch for kind, stretch in _KIND_VIEW.items()}
+_AAD_HEAD = {kind: _DICT_OF_THREE + stretch for kind, stretch in _KIND_VIEW.items()}
 _LEAF_SEQNO = encode_value("seqno")
 _LEAF_CLAIMS = encode_value("claims_digest")
 _NO_CLAIMS = encode_value(b"")
 _LEAF_PUBLIC = encode_value("public_digest") + _DIGEST_HEAD
 _LEAF_PRIVATE = encode_value("private_digest") + _DIGEST_HEAD
 _EMPTY_PUBLIC_DIGEST = sha256(WriteSet().encode())
+
+
+def entry_aad(view: int, seqno: int, kind: EntryKind) -> bytes:
+    """The associated data an entry's private write set is sealed under.
+
+    Byte-identical to ``encode_value({"view": view, "seqno": seqno, "kind":
+    kind.value})``, spliced like :meth:`LedgerEntry.leaf_data`: every
+    private seal and every open builds it.
+    """
+    return b"".join(
+        (_AAD_HEAD[kind], encode_value(view), _LEAF_SEQNO, encode_value(seqno))
+    )
 
 
 @dataclass(frozen=True)
@@ -167,8 +179,9 @@ class LedgerEntry:
 
     @classmethod
     def decode(cls, data: bytes) -> "LedgerEntry":
-        """Decode an entry from its framing. Memoized: heartbeat batches
-        re-send recent entries, and every backup decodes each batch."""
+        """Decode an entry from its framing. Memoized: every backup decodes
+        each entry, and the simulated enclaves share one process, so all but
+        the first find the same bytes in the cache."""
         cached = _DECODE_CACHE.get(data)
         if cached is not None:
             return cached

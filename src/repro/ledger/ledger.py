@@ -20,7 +20,7 @@ from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import IntegrityError, LedgerError
 from repro.kv.serialization import encode_value
 from repro.kv.tx import WriteSet
-from repro.ledger.entry import EntryKind, LedgerEntry, TxID
+from repro.ledger.entry import EntryKind, LedgerEntry, TxID, entry_aad
 from repro.ledger.secrets import LedgerSecretStore
 
 SIGNATURES_MAP = "public:ccf.internal.signatures"
@@ -251,7 +251,7 @@ class Ledger:
         if not private.is_empty():
             secret = self.secrets.current()
             generation = secret.generation
-            aad = encode_value({"view": view, "seqno": seqno, "kind": kind.value})
+            aad = entry_aad(view, seqno, kind)
             private_blob = secret.seal(seqno, private.encode(), aad)
         return LedgerEntry(
             txid=TxID(view=view, seqno=seqno),
@@ -269,13 +269,7 @@ class Ledger:
         combined.merge(entry.public_writes)
         if entry.private_blob:
             secret = self.secrets.for_generation(entry.secret_generation)
-            aad = encode_value(
-                {
-                    "view": entry.txid.view,
-                    "seqno": entry.txid.seqno,
-                    "kind": entry.kind.value,
-                }
-            )
+            aad = entry_aad(entry.txid.view, entry.txid.seqno, entry.kind)
             plaintext = secret.open(entry.txid.seqno, entry.private_blob, aad)
             combined.merge(WriteSet.decode(plaintext))
         return combined

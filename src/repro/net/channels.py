@@ -20,6 +20,7 @@ per run.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from repro.crypto.fastaead import FastAEADKey
@@ -27,13 +28,13 @@ from repro.crypto.hkdf import hkdf
 from repro.crypto.x25519 import DHPrivateKey
 from repro.crypto.aead import nonce_from_counter
 from repro.errors import VerificationError
-from repro.kv.serialization import decode_value, encode_value
 from repro.net.network import Network
 from repro.obs.metrics import RUNTIME_STATS
 from repro.perf.costmodel import CostModel
 from repro.sim.scheduler import Scheduler
 
 _CHANNEL_DOMAIN = 0x43  # 'C'
+_LENGTH = struct.Struct(">I")  # a frame's plaintext: each payload behind its length
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,9 @@ class NodeChannels:
         """Seal a batch of payloads for ``peer_id`` as one frame.
 
         One AEAD seal and one counter increment cover the whole batch; the
-        plaintext is the canonical encoding of the payload list, so the
-        frame is self-describing and receivers recover the payloads in
-        send order. Frames share the per-peer counter stream with
+        plaintext is each payload behind its 4-byte length, concatenated,
+        so the frame is self-describing and receivers recover the payloads
+        in send order. Frames share the per-peer counter stream with
         single-message seals, so the nonce space stays collision-free even
         when the two granularities interleave (e.g. join secrets mid-run).
         """
@@ -120,7 +121,8 @@ class NodeChannels:
         RUNTIME_STATS.inc("channel.seal.calls")
         RUNTIME_STATS.inc("channel.seal.messages", len(payloads))
         RUNTIME_STATS.inc("channel.frames.sealed")
-        box = key.seal(nonce, encode_value(list(payloads)), aad=self.node_id.encode())
+        plaintext = b"".join(_LENGTH.pack(len(payload)) + payload for payload in payloads)
+        box = key.seal(nonce, plaintext, aad=self.node_id.encode())
         return SealedMessage(sender=self.node_id, counter=counter, box=box)
 
     def open(self, message: SealedMessage) -> bytes:
@@ -140,7 +142,9 @@ class NodeChannels:
         return payload
 
     def open_frame(self, sender: str, counter: int, box: bytes) -> list[bytes]:
-        """Authenticate and unpack one frame into its payload list.
+        """Authenticate and unpack one frame into its payload list; a box
+        that fails to open, or a plaintext that is not whole length-prefixed
+        payloads, raises :class:`VerificationError`.
 
         Does *not* consult or advance the per-message replay watermark —
         frame replay protection is segment-granular and lives in
@@ -151,10 +155,13 @@ class NodeChannels:
             counter * 2 + (0 if sender < self.node_id else 1), _CHANNEL_DOMAIN
         )
         plaintext = key.open(nonce, box, aad=sender.encode())
-        payloads = decode_value(plaintext)
-        if not isinstance(payloads, list) or not all(
-            isinstance(item, bytes) for item in payloads
-        ):
+        payloads = []
+        offset = 0
+        while offset + _LENGTH.size <= len(plaintext):
+            (length,) = _LENGTH.unpack_from(plaintext, offset)
+            offset += _LENGTH.size + length
+            payloads.append(plaintext[offset - length : offset])
+        if offset != len(plaintext):
             raise VerificationError(f"malformed frame from {sender}")
         RUNTIME_STATS.inc("channel.frames.opened")
         return payloads
@@ -321,7 +328,8 @@ class FramedLink:
     def accept(self, segment: FrameSegment) -> bytes | None:
         """The payload ``segment`` carries, or None when it is dropped: its
         sender crashed before the end-of-event seal ran, the segment is a
-        replay, the peer is unknown or the frame was tampered with."""
+        replay, or — counted as ``channel.frames.rejected`` — the peer is
+        unknown or the frame was tampered with or is malformed."""
         frame = segment.frame
         if frame.box is None:
             return None
@@ -330,4 +338,5 @@ class FramedLink:
                 frame.sender, frame.counter, frame.box, frame.count, segment.index
             )
         except VerificationError:
+            RUNTIME_STATS.inc("channel.frames.rejected")
             return None

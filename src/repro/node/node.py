@@ -335,10 +335,12 @@ class CCFNode:
     ) -> LedgerEntry:
         """Append a locally produced transaction (primary only): apply to
         the store, frame as a ledger entry, and hand to consensus."""
-        trusted_before = self._trusted_set()
+        # Only a write to nodes.info can change the trusted set.
+        touches_nodes = maps.NODES_INFO in write_set.updates
+        trusted_before = self._trusted_set() if touches_nodes else None
         seqno = self.ledger.last_seqno + 1
         self.store.apply_write_set(write_set, seqno)
-        trusted_after = self._trusted_set()
+        trusted_after = self._trusted_set() if touches_nodes else None
         is_reconfig = trusted_after != trusted_before
         entry = self.ledger.build_entry(
             self.consensus.view,

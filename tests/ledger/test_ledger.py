@@ -7,7 +7,7 @@ from repro.crypto.hashing import sha256
 from repro.errors import IntegrityError, LedgerError, VerificationError
 from repro.kv.serialization import encode_value
 from repro.kv.tx import WriteSet
-from repro.ledger.entry import EntryKind, LedgerEntry, TxID
+from repro.ledger.entry import EntryKind, LedgerEntry, TxID, entry_aad
 from repro.ledger.ledger import SIGNATURES_MAP, Ledger
 from repro.ledger.secrets import LedgerSecret, LedgerSecretStore
 from tests.oracles.structure import exact
@@ -112,6 +112,19 @@ class TestLeafData:
         assert LedgerEntry(TxID(1, 1), EntryKind.USER, hollow, b"blob").leaf_data() == (
             plain.leaf_data()
         )
+
+
+class TestEntryAad:
+    """Every private write set is sealed under ``entry_aad``'s bytes, and a
+    recovering node rebuilds them: they must stay the canonical dict."""
+
+    @pytest.mark.parametrize("kind", list(EntryKind))
+    @pytest.mark.parametrize("number", [0, 255, 256, 2**32, 2**64 - 1])
+    def test_bytes_are_the_canonical_three_key_dict(self, kind, number):
+        for view, seqno in ((number, 1), (1, number), (number, number)):
+            assert entry_aad(view, seqno, kind) == encode_value(
+                {"view": view, "seqno": seqno, "kind": kind.value}
+            )
 
 
 class TestAppend:

@@ -14,12 +14,19 @@ digest-for-digest against the per-message oracle
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 
 import pytest
 
 from repro.crypto.x25519 import DHPrivateKey
 from repro.errors import VerificationError
-from repro.net.channels import FrameAssembler, NodeChannels
+from repro.net.channels import (
+    FrameAssembler,
+    FramedLink,
+    FrameSegment,
+    NodeChannels,
+    PendingFrame,
+)
 from repro.obs.metrics import RUNTIME_STATS
 from repro.sim.chaos import ChaosEngine, ChaosSpec
 from repro.sim.trace import TraceRecorder
@@ -68,6 +75,19 @@ class TestFrameCrypto:
         tampered = bytes([sealed.box[0] ^ 0x01]) + sealed.box[1:]
         with pytest.raises(VerificationError):
             b.open_frame("alpha", sealed.counter, tampered)
+
+    @pytest.mark.parametrize("cut", [1, 5, 6])
+    def test_truncated_frame_plaintext_rejected(self, cut):
+        # A frame's plaintext is each payload behind a 4-byte length. A
+        # single-message seal shares the frame's key, nonce stream and AAD,
+        # so it can carry an authentic box around a hand-cut frame.
+        a, b = _pair()
+        plaintext = (5).to_bytes(4, "big") + b"hello"
+        whole = a.seal("beta", plaintext)
+        assert b.open_frame("alpha", whole.counter, whole.box) == [b"hello"]
+        cut_box = a.seal("beta", plaintext[:-cut])
+        with pytest.raises(VerificationError):
+            b.open_frame("alpha", cut_box.counter, cut_box.box)
 
     def test_seal_stats_amortization_visible(self):
         a, _b = _pair()
@@ -143,6 +163,55 @@ class TestFrameAssembler:
         for i in range(6):
             assembler.accept("alpha", counter, box, count, i)
         assert RUNTIME_STATS.get("channel.frames.opened") == 1
+
+
+class TestRejectedFrames:
+    """``FramedLink.accept`` drops a frame that fails to open and counts it
+    as ``channel.frames.rejected``."""
+
+    def test_dropped_and_counted_but_an_unsealed_segment_is_not(self):
+        a, b = _pair()
+        link = FramedLink(b, network=None, scheduler=None, cost=None)
+        sealed = a.seal_frame("beta", [b"payload"])
+        frame = PendingFrame()
+        frame.sender, frame.counter, frame.count = sealed.sender, sealed.counter, 1
+        frame.box = bytes([sealed.box[0] ^ 0x01]) + sealed.box[1:]
+        assert link.accept(FrameSegment(frame=frame, index=0)) is None
+        assert RUNTIME_STATS.get("channel.frames.rejected") == 1
+        # Its sender crashed before the end-of-event seal ran: not a rejection.
+        assert link.accept(FrameSegment(frame=PendingFrame(), index=0)) is None
+        assert RUNTIME_STATS.get("channel.frames.rejected") == 1
+
+    def test_no_entry_is_applied_from_a_tampered_box(self):
+        from repro.service.service import CCFService, ServiceSetup
+
+        service = CCFService(ServiceSetup(n_nodes=3, seed=7))
+        service.bootstrap()
+        primary = service.primary_node()
+        victim, bystander = service.backup_nodes()
+        seal_frame = primary.channels.seal_frame
+
+        def flip_a_bit(peer, payloads):
+            sealed = seal_frame(peer, payloads)
+            if peer != victim.node_id:
+                return sealed
+            box = bytes([sealed.box[0] ^ 0x01]) + sealed.box[1:]
+            return dataclasses.replace(sealed, box=box)
+
+        primary.channels.seal_frame = flip_a_bit
+        RUNTIME_STATS.reset()
+        held = primary.ledger.last_seqno  # all the victim can have been sent intact
+        user = service.any_user_client()
+        for i in range(5):
+            user.send(primary.node_id, "/app/write_message", {"id": i, "msg": f"m{i}"})
+        # Shorter than the victim's election timeout, so it does not campaign.
+        service.run(0.06)
+        assert RUNTIME_STATS.get("channel.frames.rejected") > 0
+        assert victim.ledger.last_seqno <= held
+        assert bystander.ledger.last_seqno > held
+        del primary.channels.seal_frame
+        service.run(1.0)
+        assert victim.ledger.last_seqno > held
 
 
 class TestChaosDifferential:
