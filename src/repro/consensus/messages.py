@@ -96,7 +96,7 @@ _LENGTH = struct.Struct(">I")
 # AppendEntries framing is memoized per message instance: within one
 # broadcast the primary hands one message object to every peer at the same
 # next_index (see ConsensusNode._send_append_entries), and they share its
-# framing. Each window now goes to each peer once, so peers rarely line up;
+# framing. Each window goes to each peer once, so peers rarely line up;
 # what every send reuses is the entries' own memoized encodings. Channel
 # sealing stays per-peer. Counters are exported via repro.obs.metrics as
 # ``fastpath.ae_encode.*``.
