@@ -8,7 +8,8 @@ cites [68, 88]:
    an abstract model of CCF consensus within explicit bounds;
 2. the **randomized adversarial explorer** drives the *real*
    implementation — actual ConsensusNode instances over the simulated
-   network — through crash/partition/loss schedules.
+   network — through seeded crash/partition/loss schedules
+   (``python -m repro.verification.explorer`` runs the same batches).
 
 During this reproduction's development, the explorer found a genuine
 commit-safety bug (a backup acknowledged its full ledger length, stale
@@ -19,7 +20,7 @@ counterexample trace.
 Run:  python examples/model_checking.py
 """
 
-from repro.verification.explorer import explore
+from repro.verification.explorer import ExplorerEngine, ExploreSpec
 from repro.verification.model import check
 
 
@@ -40,16 +41,12 @@ def main() -> None:
         print(f"  {step}")
 
     print("\n=== randomized adversarial exploration (real implementation) ===")
-    exploration = explore(n_nodes=3, schedules=6, steps_per_schedule=30, seed=2)
-    print(f"schedules run:       {exploration.schedules_run}")
-    print(f"steps checked:       {exploration.steps_checked}")
-    print(f"elections observed:  {exploration.elections_observed}")
-    print(f"commits observed:    {exploration.commits_observed}")
-    print(f"invariants held:     {exploration.ok}")
+    engine = ExplorerEngine(ExploreSpec(n_nodes=3, steps=30))
+    exploration = engine.run(schedules=6, first_seed=2)
+    print(exploration.summary())
+    print("replay check:", engine.check_replay(2)[1])
     if not exploration.ok:
-        for violation in exploration.violations:
-            print(f"  VIOLATION: {violation}")
-
+        raise SystemExit(1)
 
 if __name__ == "__main__":
     main()

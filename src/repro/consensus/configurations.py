@@ -86,6 +86,11 @@ class ActiveConfigurations:
     def pending(self) -> list[Configuration]:
         return self._configs[1:]
 
+    @property
+    def active(self) -> tuple[Configuration, ...]:
+        """Every active configuration, the current one first."""
+        return tuple(self._configs)
+
     def __len__(self) -> int:
         return len(self._configs)
 

@@ -111,7 +111,7 @@ def _consensus(ctx: RequestContext):
         "last_seqno": ctx.node.ledger.last_seqno,
         "configurations": [
             {"seqno": config.seqno, "nodes": sorted(config.nodes)}
-            for config in consensus.configurations._configs
+            for config in consensus.configurations.active
         ],
         "view_history": [
             {"view": start.view, "first_seqno": start.first_seqno}

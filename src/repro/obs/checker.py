@@ -5,10 +5,10 @@ traces against the TLA+ spec. This is the reproduction's version of that
 loop: every traced run emits ledger/consensus events (via
 :mod:`repro.obs.collector`), and this module folds those events back into
 the abstract states of :mod:`repro.verification.model`, checking the model's
-safety invariants — election safety, commit agreement, committed-prefix
-stability — at every event. A passing chaos run is therefore not just
-"nothing crashed" but "every observed state transition was one the spec
-allows".
+safety invariants — election safety, commit agreement, commit at a
+signature, committed-prefix stability — at every event. A passing chaos run
+is therefore not just "nothing crashed" but "every observed state
+transition was one the spec allows".
 
 Event vocabulary (span names; all zero-duration events with a ``node``):
 
@@ -25,11 +25,12 @@ cost is linear in the trace:
   ``len(log) + 1``, a truncate may not cut below the commit, a commit may
   neither pass the observed log nor regress.
 - *Election safety*, over every node's ``(view, role)`` pair: O(nodes).
-- *Commit agreement*, only when a node's commit advances: its newly
-  committed slice is compared with the longest committed prefix seen so
-  far, which it then extends. The guards make every committed prefix
+- *Commit agreement* and *commit at a signature*, only when a node's
+  commit advances: the entry it now commits must be a signature, and its
+  newly committed slice is compared with the longest committed prefix seen
+  so far, which it then extends. The guards make every committed prefix
   append-only, so pairwise agreement is exactly "each is a prefix of the
-  longest".
+  longest", and a commit point's entry never changes under it.
 - *Committed-prefix stability and commit monotonicity* (``model.check_edge``)
   need no per-event comparison: the same guards are those two invariants,
   node by node.
@@ -204,7 +205,9 @@ class TraceChecker:
                     span, f"commit regressed {fold.commit} -> {seqno}"
                 )
             if seqno > fold.commit and not self.result.has_gaps:
-                agrees = self._extends_committed(fold.log, fold.commit, seqno)
+                agrees = fold.log[seqno - 1][1] and self._extends_committed(
+                    fold.log, fold.commit, seqno
+                )
             fold.commit = seqno
         elif span.name == "consensus.become_primary":
             fold.role = model.PRIMARY

@@ -302,14 +302,7 @@ SKEW_MAX = 1.8
 
 
 class ChaosEngine(ScheduleEngine):
-    """Runs seeded chaos schedules and aggregates their reports.
-
-    ``extra_invariants`` are additional callables ``f(engines) -> None``
-    checked alongside the safety invariants — tests use a deliberately
-    broken one to prove violations replay byte-identically. They must
-    signal violations by raising :class:`InvariantViolation`; any other
-    exception is a bug in the invariant itself and propagates.
-    """
+    """Runs seeded chaos schedules and aggregates their reports."""
 
     spec_type = ChaosSpec
     cli_flags = {"--nodes": "n_nodes", "--steps": "steps"}
@@ -317,18 +310,16 @@ class ChaosEngine(ScheduleEngine):
     description = "Run seeded chaos schedules over the full CCF stack."
     all_clear = "all safety invariants held; all liveness bounds met"
 
-    def __init__(self, spec: ChaosSpec | None = None, extra_invariants=()):
-        super().__init__(spec)
-        self.extra_invariants = tuple(extra_invariants)
-
     # ------------------------------------------------------------------
 
-    def _check_safety(self, cluster: ServiceCluster) -> str | None:
-        engines = cluster.all_engines()
+    def check_safety(self, engines: list) -> None:
+        """Raise :class:`InvariantViolation` if a safety property is broken
+        (a test subclass breaks it on purpose to prove violations replay)."""
+        check_all_invariants(engines)
+
+    def _safety_violation(self, cluster: ServiceCluster) -> str | None:
         try:
-            check_all_invariants(engines)
-            for invariant in self.extra_invariants:
-                invariant(engines)
+            self.check_safety(cluster.all_engines())
         except InvariantViolation as violation:  # recorded, not raised
             return str(violation)
         return None
@@ -503,7 +494,7 @@ class ChaosEngine(ScheduleEngine):
             self._inject_step_faults(cluster, report, state)
             service.run(STEP_DURATION)
             report.steps_run += 1
-            violation = self._check_safety(cluster)
+            violation = self._safety_violation(cluster)
             if violation is not None:
                 report.safety_violations.append(f"step {step}: {violation}")
                 break
@@ -514,7 +505,7 @@ class ChaosEngine(ScheduleEngine):
         report.fault_log.append((service.scheduler.now, "heal everything"))
         if not report.safety_violations:
             self._check_recovery(cluster, report)
-            violation = self._check_safety(cluster)
+            violation = self._safety_violation(cluster)
             if violation is not None:
                 report.safety_violations.append(f"final: {violation}")
 

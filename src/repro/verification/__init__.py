@@ -1,27 +1,24 @@
 """Mechanical checking of the consensus protocol.
 
 The paper's authors model-checked CCF's consensus (including
-reconfiguration) in TLA+ [68, 88]. This package provides the laptop-scale
-analog for the reproduction:
+reconfiguration) in TLA+ [68, 88]. This package is the laptop-scale analog:
 
-- :mod:`repro.verification.invariants` — the classic safety invariants
-  (election safety, log matching, leader completeness, commit safety)
-  as executable checks over a set of live nodes.
-- :mod:`repro.verification.explorer` — a bounded explicit-state explorer
-  that drives small clusters through many adversarial schedules (message
-  orderings, crashes, partitions) derived from a seed, checking the
-  invariants at every step.
+- :mod:`repro.verification.model` — an abstract model explored
+  exhaustively within bounds; its ``check_state`` is the one statement of
+  election safety, commit agreement and commit-at-signature.
+- :mod:`repro.verification.invariants` — live engines abstracted to model
+  states, plus byte-level log matching and configuration agreement.
+- :mod:`repro.verification.explorer` — seeded crash, partition and loss
+  schedules over small clusters of real engines, on the schedule runner
+  (not imported here, so ``python -m`` runs it as a fresh module).
 """
 
 from repro.verification.invariants import check_all_invariants, InvariantViolation
-from repro.verification.explorer import explore, ExplorationResult
 from repro.verification.model import check as model_check, ModelResult
 
 __all__ = [
     "check_all_invariants",
     "InvariantViolation",
-    "explore",
-    "ExplorationResult",
     "model_check",
     "ModelResult",
 ]

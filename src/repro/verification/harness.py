@@ -137,8 +137,14 @@ class MiniHost:
 class Cluster:
     """N MiniHost nodes wired through one simulated network."""
 
-    def __init__(self, n: int, seed: int = 1, config: ConsensusConfig | None = None):
+    def __init__(self, n: int, seed: int = 1, config: ConsensusConfig | None = None,
+                 tracer=None, obs=None):
+        # A TraceRecorder and an ObsCollector observe from the first event.
         self.scheduler = Scheduler(seed=seed)
+        if tracer is not None:
+            self.scheduler.attach_tracer(tracer)
+        if obs is not None:
+            obs.attach(self.scheduler)
         self.network = Network(self.scheduler, LinkConfig(base_latency=0.0005, jitter=0.0001))
         self.config = config if config is not None else ConsensusConfig()
         self.node_ids = [f"n{i}" for i in range(n)]
@@ -155,6 +161,7 @@ class Cluster:
                 config=self.config,
             )
             host.consensus = consensus
+            host.ledger.obs, host.ledger.obs_owner = obs, node_id
             self.hosts[node_id] = host
             self.network.register(
                 node_id,

@@ -1,18 +1,16 @@
-"""Executable safety invariants for CCF's consensus (section 4).
+"""Executable safety invariants for CCF's consensus (section 4), over the
+consensus engines of all (live and dead) nodes; a violation raises
+:class:`InvariantViolation`.
 
-Each check takes the consensus engines of all (live and dead) nodes and
-raises :class:`InvariantViolation` with a diagnostic if the corresponding
-property is broken. They are the runtime analog of the TLA+ spec's
-invariants [88]:
+Election safety, commit agreement and commit-at-signature are stated once,
+in :func:`repro.verification.model.check_state`, over each engine abstracted
+to the model's ``(view, role, log, commit)`` — the state the trace checker
+folds to, so a live violation and a trace violation read the same. Checked
+here are the two properties the abstraction cannot see:
 
-- **Election safety** — at most one primary per view.
-- **Log matching** — if two ledgers contain the same transaction ID, they
-  are identical up to and including that transaction (section 4.1's
-  prev-txid induction).
-- **Commit safety** — the committed prefixes of any two nodes agree
-  entry-for-entry.
-- **Signature commit rule** — every node's commit point is at a signature
-  transaction (or 0 / its snapshot base).
+- **Log matching, byte for byte** — nodes that hold the same transaction ID
+  hold the same entry bytes and the same previous transaction ID (section
+  4.1's prev-txid induction), so by induction the same ledger up to it.
 - **Configuration agreement** — nodes agree on the configuration
   established at any committed reconfiguration seqno.
 """
@@ -22,6 +20,7 @@ from __future__ import annotations
 from repro.consensus.raft import ConsensusNode
 from repro.consensus.state import Role
 from repro.errors import CCFError
+from repro.verification import model
 
 
 class InvariantViolation(CCFError):
@@ -29,79 +28,46 @@ class InvariantViolation(CCFError):
     environmental failure)."""
 
 
-def check_election_safety(nodes: list[ConsensusNode]) -> None:
-    primaries_by_view: dict[int, list[str]] = {}
-    for node in nodes:
-        if node.role is Role.PRIMARY:
-            primaries_by_view.setdefault(node.view, []).append(node.node_id)
-    for view, primaries in primaries_by_view.items():
-        if len(primaries) > 1:
-            raise InvariantViolation(
-                f"election safety: view {view} has primaries {primaries}"
-            )
+def abstract(node: ConsensusNode) -> model.NodeState:
+    """The model's view of one engine: its log as ``(view, is_signature)``
+    per seqno, ``None`` at or below the ledger's snapshot base."""
+    ledger = node.ledger
+    log = (None,) * ledger.base_seqno + tuple(
+        (entry.txid.view, entry.is_signature) for entry in ledger.entries()
+    )
+    role = model.PRIMARY if node.role is Role.PRIMARY else model.BACKUP
+    return (node.view, role, log, node.commit_seqno)
 
 
 def check_log_matching(nodes: list[ConsensusNode]) -> None:
-    for i, node_a in enumerate(nodes):
-        for node_b in nodes[i + 1:]:
-            last_common = min(node_a.ledger.last_seqno, node_b.ledger.last_seqno)
-            base = max(node_a.ledger.base_seqno, node_b.ledger.base_seqno)
-            # Find the highest seqno where the txids agree; everything
-            # before it must agree too.
-            for seqno in range(last_common, base, -1):
-                if node_a.ledger.txid_at(seqno) == node_b.ledger.txid_at(seqno):
-                    for earlier in range(base + 1, seqno + 1):
-                        entry_a = node_a.ledger.entry_at(earlier) \
-                            if earlier > node_a.ledger.base_seqno else None
-                        entry_b = node_b.ledger.entry_at(earlier) \
-                            if earlier > node_b.ledger.base_seqno else None
-                        if entry_a is None or entry_b is None:
-                            continue  # below a snapshot base on one side
-                        if entry_a.encode() != entry_b.encode():
-                            raise InvariantViolation(
-                                "log matching: "
-                                f"{node_a.node_id} and {node_b.node_id} share txid "
-                                f"{node_a.ledger.txid_at(seqno)} but differ at "
-                                f"seqno {earlier}"
-                            )
-                    break
-
-
-def check_commit_safety(nodes: list[ConsensusNode]) -> None:
-    for i, node_a in enumerate(nodes):
-        for node_b in nodes[i + 1:]:
-            common_commit = min(node_a.commit_seqno, node_b.commit_seqno)
-            base = max(node_a.ledger.base_seqno, node_b.ledger.base_seqno)
-            for seqno in range(base + 1, common_commit + 1):
-                if node_a.ledger.txid_at(seqno) != node_b.ledger.txid_at(seqno):
-                    raise InvariantViolation(
-                        f"commit safety: {node_a.node_id} committed "
-                        f"{node_a.ledger.txid_at(seqno)} at {seqno} but "
-                        f"{node_b.node_id} committed {node_b.ledger.txid_at(seqno)}"
-                    )
-
-
-def check_commit_at_signature(nodes: list[ConsensusNode]) -> None:
-    for node in nodes:
-        commit = node.commit_seqno
-        if commit == 0 or commit <= node.ledger.base_seqno:
-            continue
-        if commit > node.ledger.last_seqno:
-            raise InvariantViolation(
-                f"{node.node_id}: commit {commit} beyond ledger end"
-            )
-        entry = node.ledger.entry_at(commit)
-        if not entry.is_signature:
-            raise InvariantViolation(
-                f"{node.node_id}: commit point {commit} is a "
-                f"{entry.kind.value} transaction, not a signature"
-            )
+    """One pass per seqno: the nodes holding an entry there, grouped by its
+    txid, must agree on the entry's bytes and on the txid before it."""
+    last = max((node.ledger.last_seqno for node in nodes), default=0)
+    for seqno in range(1, last + 1):
+        groups: dict = {}
+        for node in nodes:
+            ledger = node.ledger
+            if ledger.base_seqno < seqno <= ledger.last_seqno:
+                groups.setdefault(ledger.txid_at(seqno), []).append(node)
+        for txid, holders in groups.items():
+            first = holders[0].ledger
+            for other in holders[1:]:
+                if other.ledger.entry_at(seqno).encode() != first.entry_at(seqno).encode():
+                    differ = f"entry bytes at seqno {seqno}"
+                elif other.ledger.txid_at(seqno - 1) != first.txid_at(seqno - 1):
+                    differ = f"previous txid at seqno {seqno - 1}"
+                else:
+                    continue
+                raise InvariantViolation(
+                    f"log matching: {holders[0].node_id} and {other.node_id} share "
+                    f"txid {txid} but differ in {differ}"
+                )
 
 
 def check_configuration_agreement(nodes: list[ConsensusNode]) -> None:
     established: dict[int, tuple[str, frozenset]] = {}
     for node in nodes:
-        for config in node.configurations._configs:
+        for config in node.configurations.active:
             if config.seqno > node.commit_seqno:
                 continue  # pending configs may legitimately differ
             seen = established.get(config.seqno)
@@ -115,17 +81,13 @@ def check_configuration_agreement(nodes: list[ConsensusNode]) -> None:
                 )
 
 
-ALL_INVARIANTS = (
-    check_election_safety,
-    check_log_matching,
-    check_commit_safety,
-    check_commit_at_signature,
-    check_configuration_agreement,
-)
-
-
 def check_all_invariants(nodes: list[ConsensusNode]) -> None:
-    """Run every invariant; raises on the first violation."""
+    """Check every invariant; raises on the first violation."""
     live = [node for node in nodes if node is not None]
-    for invariant in ALL_INVARIANTS:
-        invariant(live)
+    violation = model.check_state(tuple(abstract(node) for node in live))
+    if violation is not None:
+        # The model numbers nodes by position; name them.
+        names = ", ".join(node.node_id for node in live)
+        raise InvariantViolation(f"{violation} (nodes by position: {names})")
+    check_log_matching(live)
+    check_configuration_agreement(live)

@@ -19,8 +19,9 @@ The abstraction (mirroring the shape of the TLA+ spec):
 - commit advances to the highest current-view signature entry whose prefix
   is replicated on a quorum.
 
-Checked invariants: election safety, log matching, and — the central one —
-**committed-prefix stability**: once any state commits entry ``e`` at
+Checked invariants: election safety, commit agreement, commit at a
+signature (``check_state``), and — the central one — **committed-prefix
+stability** (``check_edge``): once any state commits entry ``e`` at
 position ``i``, no reachable successor ever commits a different entry at
 ``i``.
 
@@ -38,7 +39,8 @@ from dataclasses import dataclass, field
 
 BACKUP, PRIMARY = 0, 1
 
-# A node: (view, role, log, commit) with log = tuple of (view, is_sig).
+# A node: (view, role, log, commit) with log = tuple of (view, is_sig);
+# a live ledger's positions below its snapshot base are None.
 NodeState = tuple[int, int, tuple[tuple[int, bool], ...], int]
 # Global state: tuple of nodes.
 State = tuple[NodeState, ...]
@@ -197,31 +199,47 @@ def _acks(follower: NodeState, prefix: tuple, buggy_ack: bool) -> bool:
     return f_log[: len(prefix)] == prefix
 
 
-def _check_state(state: State) -> str | None:
-    """Invariants over a single state."""
+def check_state(state: State) -> str | None:
+    """Election safety, commit agreement and commit-at-signature over one
+    state, for the BFS, traces (:mod:`repro.obs.checker`) and live engines
+    (:mod:`repro.verification.invariants`) alike. Returns a violation or
+    None. A ``None`` log position (unseen, below a snapshot base) is skipped."""
     # Election safety: at most one primary per view.
     primaries: dict[int, int] = {}
     for i, (view, role, _log, _commit) in enumerate(state):
         if role is PRIMARY:
             if view in primaries:
-                return f"two primaries in view {view}: {primaries[view]} and {i}"
+                return (
+                    f"election safety: two primaries in view {view}: "
+                    f"{primaries[view]} and {i}"
+                )
             primaries[view] = i
-    # Commit agreement: any two nodes' committed prefixes coincide.
+    # Commit agreement: any two nodes' committed prefixes coincide (an equal
+    # slice is the fast path; the BFS never produces None).
     for i, (_vi, _ri, log_i, commit_i) in enumerate(state):
         for j in range(i + 1, len(state)):
             _vj, _rj, log_j, commit_j = state[j]
             common = min(commit_i, commit_j)
-            if log_i[:common] != log_j[:common]:
+            if log_i[:common] != log_j[:common] and any(
+                a is not None and b is not None and a != b
+                for a, b in zip(log_i[:common], log_j[:common])
+            ):
                 return (
                     f"commit safety: nodes {i} and {j} disagree within their "
                     f"committed prefixes ({log_i[:common]} vs {log_j[:common]})"
                 )
+    # Commit at signature: a commit point is a signature transaction.
+    for i, (_view, _role, log, commit) in enumerate(state):
+        if commit > len(log):
+            return f"commit at signature: node {i} commits {commit} past its log end"
+        if commit and log[commit - 1] is not None and not log[commit - 1][1]:
+            return f"commit at signature: node {i} commits {commit}, not a signature"
     return None
 
 
-def _check_edge(parent: State, child: State) -> str | None:
-    """Invariants over a transition: a node's committed prefix is stable —
-    committed entries are never replaced and commit never regresses."""
+def check_edge(parent: State, child: State) -> str | None:
+    """Over a transition: committed entries are never replaced and commit
+    never regresses. Returns a violation description or None."""
     for i, (parent_node, child_node) in enumerate(zip(parent, child)):
         _pv, _pr, p_log, p_commit = parent_node
         _cv, _cr, c_log, c_commit = child_node
@@ -233,21 +251,6 @@ def _check_edge(parent: State, child: State) -> str | None:
                 f"({p_log[:p_commit]} -> {c_log[:p_commit]})"
             )
     return None
-
-
-def check_state(state: State) -> str | None:
-    """Public single-state invariant check (election safety + commit
-    agreement). Returns a violation description or None. Used by the trace
-    conformance checker (:mod:`repro.obs.checker`) to validate abstract
-    states folded from a real run's trace — the "Smart Casual Verification"
-    style of replaying execution traces against the spec."""
-    return _check_state(state)
-
-
-def check_edge(parent: State, child: State) -> str | None:
-    """Public transition invariant check (commit monotonicity + committed-
-    prefix stability). Returns a violation description or None."""
-    return _check_edge(parent, child)
 
 
 def check(
@@ -278,7 +281,7 @@ def check(
     while queue:
         state = queue.popleft()
         result.states_explored += 1
-        violation = _check_state(state)
+        violation = check_state(state)
         if violation is not None:
             return report(state, violation)
         if result.states_explored >= max_states:
@@ -286,7 +289,7 @@ def check(
             return result
         for action, next_state in successors(state, max_view, max_log, buggy_ack):
             result.transitions += 1
-            edge_violation = _check_edge(state, next_state)
+            edge_violation = check_edge(state, next_state)
             if edge_violation is not None:
                 if next_state not in parents:
                     parents[next_state] = (state, action)

@@ -11,8 +11,7 @@ from repro.consensus.messages import RequestVote, RequestVoteResponse
 from repro.consensus.raft import ConsensusConfig
 from repro.consensus.state import Role
 from repro.ledger.entry import TxID
-
-from tests.consensus.harness import Cluster
+from repro.verification.harness import Cluster
 
 
 def converge(cluster, seconds=1.0):
@@ -462,7 +461,7 @@ class TestCatchUpCommitRounding:
         leader's commit index down to the last signature it holds — its
         commit point may never rest on a user transaction. Regression for
         a bug found by the chaos engine (repro.sim.chaos)."""
-        from repro.verification.invariants import check_commit_at_signature
+        from repro.verification.invariants import check_all_invariants
 
         cluster = Cluster(3, seed=11, config=ConsensusConfig(max_batch_entries=1))
         cluster.start()
@@ -489,9 +488,10 @@ class TestCatchUpCommitRounding:
         for _ in range(20_000):
             if not cluster.scheduler.step():
                 break
-            # The invariant must hold at *every* intermediate step of the
-            # one-entry-at-a-time catch-up, not just at quiescence.
-            check_commit_at_signature(engines)
+            # Commit at a signature (with the other safety invariants) must
+            # hold at *every* intermediate step of the one-entry-at-a-time
+            # catch-up, not just at quiescence.
+            check_all_invariants(engines)
             if straggler.consensus.commit_seqno >= target:
                 break
         assert straggler.consensus.commit_seqno >= target

@@ -14,8 +14,7 @@ from repro.consensus.messages import AppendEntries
 from repro.node.config import NodeConfig
 from repro.service.client import ServiceClient
 from repro.service.service import CCFService, ServiceSetup
-
-from tests.consensus.harness import Cluster
+from repro.verification.harness import Cluster
 
 
 def record(engine, handler_name):

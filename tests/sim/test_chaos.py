@@ -18,6 +18,15 @@ from repro.verification.invariants import InvariantViolation
 LIGHT = ChaosSpec(steps=3, p_crash=0.3)
 
 
+class NothingEverCommits(ChaosEngine):
+    """A deliberately broken safety check: nothing may ever commit."""
+
+    def check_safety(self, engines):
+        super().check_safety(engines)
+        if max(engine.commit_seqno for engine in engines) > 0:
+            raise InvariantViolation("deliberately broken: commit advanced")
+
+
 class TestChaosAcceptance:
     @pytest.mark.slow
     def test_twenty_schedules_hold_all_invariants(self):
@@ -58,12 +67,7 @@ class TestChaosAcceptance:
     def test_broken_invariant_reproduces_from_reported_seed(self):
         """A deliberately broken invariant must (a) be caught, and (b)
         reproduce byte-identically from the reported seed alone."""
-
-        def nothing_ever_commits(engines):
-            if max(engine.commit_seqno for engine in engines) > 0:
-                raise InvariantViolation("deliberately broken: commit advanced")
-
-        engine = ChaosEngine(LIGHT, extra_invariants=(nothing_ever_commits,))
+        engine = NothingEverCommits(LIGHT)
         report = engine.run(schedules=2, first_seed=3)
         assert not report.ok
         failing_seed = report.failing_seeds[1]
@@ -71,9 +75,7 @@ class TestChaosAcceptance:
         assert "deliberately broken" in failing.safety_violations[0]
 
         # Replay from (seed, spec) in a fresh engine: byte-identical record.
-        replay = ChaosEngine(
-            ChaosSpec(**failing.spec), extra_invariants=(nothing_ever_commits,)
-        ).run_schedule(failing_seed)
+        replay = NothingEverCommits(ChaosSpec(**failing.spec)).run_schedule(failing_seed)
         assert replay.fingerprint() == failing.fingerprint()
         assert replay.safety_violations == failing.safety_violations
 
