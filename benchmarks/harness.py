@@ -32,8 +32,6 @@ def build_service(
     snapshot_interval: int = 0,
     secure_channels: bool = True,
     link_latency: float | None = None,
-    batch_execution: bool = False,
-    read_offload: bool = False,
 ) -> CCFService:
     """Bootstrap a service matching the paper's experiment setup."""
     config = NodeConfig(
@@ -44,8 +42,6 @@ def build_service(
         signature_flush_time=signature_flush_time,
         snapshot_interval=snapshot_interval,
         secure_channels=secure_channels,
-        batch_execution=batch_execution,
-        read_offload=read_offload,
         # Virtual-mode deployments (section 6.4: development / replication
         # without confidentiality) accept unattested virtual quotes.
         accept_virtual_attestation=(platform == "virtual"),

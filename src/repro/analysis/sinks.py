@@ -17,7 +17,7 @@ is large, which is a human judgement recorded with an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ALL_ARGS = -1  # sentinel: every positional argument is sink-relevant
 
@@ -204,12 +204,3 @@ def catalog() -> dict[str, list[dict]]:
         for decl in DECLASSIFIERS
     ]
     return {"sinks": sinks, "declassifiers": declassifiers}
-
-
-@dataclass
-class SinkHit:
-    """A matched sink call site (engine-internal)."""
-
-    sink: Sink
-    detail: str = ""
-    extra: dict = field(default_factory=dict)

@@ -27,9 +27,9 @@ class Request:
     request_id: int = field(default_factory=lambda: next(_request_counter))
     client_id: str = ""
     session_id: str = ""
-    # Read-offload freshness floor: serve this read only from a snapshot
-    # that includes the given committed TxID ("view.seqno"), else answer
-    # with a typed retryable "behind" error — never a silent stale read.
+    # Read floor: serve this read only from state that includes the given
+    # TxID ("view.seqno"), else answer with a typed retryable "behind"
+    # error — never a silent stale read.
     after_txid: str = ""
 
 
@@ -43,11 +43,6 @@ class Response:
     body: Any = None
     txid: str | None = None
     error: str | None = None
-    # Read-offload freshness metadata (set on offloaded reads): the snapshot
-    # seqno served, the node's commit seqno, and the latest signature-anchored
-    # TxID at or below the served snapshot, so clients can audit freshness by
-    # fetching that anchor's receipt (/node/receipt).
-    freshness: dict[str, Any] | None = None
 
     @property
     def ok(self) -> bool:

@@ -64,14 +64,6 @@ class RequestVoteResponse:
     granted: bool
 
 
-CONSENSUS_MESSAGE_TYPES = (
-    AppendEntries,
-    AppendEntriesResponse,
-    RequestVote,
-    RequestVoteResponse,
-)
-
-
 # ----------------------------------------------------------------------
 # Wire codec: consensus messages travel between enclaves through untrusted
 # hosts, sealed by the node-to-node channels — which need bytes. Nothing

@@ -99,12 +99,12 @@ class ServiceUnavailableError(CCFError):
 
 
 class ReadBehindError(CCFError):
-    """A read-offload request asked for freshness (``after_txid``) that this
-    node's committed snapshot does not yet include. Retryable: the client
-    can retry here after replication catches up, or read elsewhere. Never
-    raised in place of serving — it exists so an offloaded read is either
-    provably fresh or *typed* stale, not silently stale. ``after_txid``
-    carries the requested floor for diagnostics."""
+    """The state a node serves does not yet include a read's ``after_txid``
+    floor. Retryable: the client can retry here after replication catches
+    up, or read elsewhere. Never raised in place of serving — it exists so
+    a read with a floor is either provably fresh or *typed* stale, not
+    silently stale. ``after_txid`` carries the requested floor for
+    diagnostics."""
 
     def __init__(self, message: str, after_txid: str | None = None):
         super().__init__(message)
@@ -112,9 +112,8 @@ class ReadBehindError(CCFError):
 
 
 class ReadRolledBackError(CCFError):
-    """The ``after_txid`` freshness floor of a read-offload request refers
-    to a transaction that can no longer commit (superseded after an
-    election). Not retryable as-is: the client's speculative write was
+    """A read's ``after_txid`` floor refers to a transaction that can no
+    longer commit (superseded after an election). Not retryable as-is: the client's speculative write was
     rolled back, and any state derived from it must be reconciled."""
 
     def __init__(self, message: str, after_txid: str | None = None):

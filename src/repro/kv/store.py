@@ -44,31 +44,11 @@ class KVStore:
         """Start a transaction against the current state."""
         return Transaction(dict(self._maps), self.version)
 
-    def snapshot_view(self) -> tuple[dict[str, ChampMap], int]:
-        """The current map table + version, shared (persistent maps are
-        immutable) — the base snapshot for speculative batch execution."""
-        return dict(self._maps), self.version
-
     def _table_at(self, version: int) -> dict[str, ChampMap]:
         snapshot = self._history.get(version)
         if snapshot is None:
             raise KVError(f"no retained state at version {version}")
         return snapshot
-
-    def earliest_retained_version(self) -> int:
-        """The oldest version rollback history still covers."""
-        return self._history_order[0]
-
-    def begin_at(self, version: int) -> Transaction:
-        """Start a read-only view transaction against retained ``version``.
-
-        Used by read offload to serve from the last-committed snapshot while
-        later (uncommitted, speculative) versions are already applied.
-        Raises :class:`KVError` if the version is not retained.
-        """
-        if version == self.version:
-            return self.begin()
-        return Transaction(dict(self._table_at(version)), version)
 
     def commit(self, tx: Transaction, seqno: int | None = None) -> WriteSet:
         """Validate ``tx``'s reads and apply its write set at ``seqno``.

@@ -135,7 +135,6 @@ class Transaction:
         self.read_version = version
         self.write_set = WriteSet()
         self._reads: list[tuple[str, Any, Any]] = []  # (map, key, value seen)
-        self._scans: set[str] = set()  # maps read via full iteration
 
     def get(self, map_name: str, key: Any, default: Any = None) -> Any:
         local = self.write_set.updates.get(map_name)
@@ -163,8 +162,7 @@ class Transaction:
 
     def items(self, map_name: str) -> Iterator[tuple[Any, Any]]:
         """Iterate the map as this transaction sees it (snapshot + local
-        writes). Full scans record a map-level read for validation."""
-        self._scans.add(map_name)
+        writes)."""
         local = self.write_set.updates.get(map_name, {})
         underlying = self._snapshot.get(map_name)
         seen = set()
@@ -182,12 +180,6 @@ class Transaction:
 
     def reads(self) -> list[tuple[str, Any, Any]]:
         return list(self._reads)
-
-    def scanned_maps(self) -> set[str]:
-        """Maps this transaction iterated in full (``items``). Speculative
-        batch execution treats any write to a scanned map as a conflict,
-        since per-key read tracking cannot cover a scan."""
-        return set(self._scans)
 
     @property
     def is_read_only(self) -> bool:

@@ -42,11 +42,6 @@ class TxID:
         return (self.view, self.seqno) < (other.view, other.seqno)
 
 
-# The transaction at seqno 0 does not exist; this sentinel is the "previous
-# transaction ID" of the very first entry.
-GENESIS_TXID = TxID(view=0, seqno=0)
-
-
 _DECODE_CACHE: dict[bytes, "LedgerEntry"] = {}
 _DECODE_CACHE_MAX = 50_000
 

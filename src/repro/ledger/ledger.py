@@ -24,7 +24,6 @@ from repro.ledger.entry import EntryKind, LedgerEntry, TxID, entry_aad
 from repro.ledger.secrets import LedgerSecretStore
 
 SIGNATURES_MAP = "public:ccf.internal.signatures"
-TREE_MAP = "public:ccf.internal.tree"
 
 
 @dataclass(frozen=True)

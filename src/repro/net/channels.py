@@ -30,7 +30,6 @@ from repro.crypto.aead import nonce_from_counter
 from repro.errors import VerificationError
 from repro.net.network import Network
 from repro.obs.metrics import RUNTIME_STATS
-from repro.perf.costmodel import CostModel
 from repro.sim.scheduler import Scheduler
 
 _CHANNEL_DOMAIN = 0x43  # 'C'
@@ -268,13 +267,11 @@ class FramedLink:
         channels: NodeChannels,
         network: Network,
         scheduler: Scheduler,
-        cost: CostModel,
     ):
         self.node_id = channels.node_id
         self._channels = channels
         self._network = network
         self._scheduler = scheduler
-        self._cost = cost
         # Per-peer pending frame for the current scheduler event, plus the
         # raw payloads awaiting the single end-of-event seal.
         self._pending: dict[str, tuple[PendingFrame, list[bytes]]] = {}
@@ -319,11 +316,7 @@ class FramedLink:
             frame.count = len(payloads)
             obs = self._scheduler.obs
             if obs is not None:
-                obs.frame_sealed(
-                    self.node_id,
-                    len(payloads),
-                    self._cost.sealing_cost(len(payloads), 1),
-                )
+                obs.frame_sealed(self.node_id, len(payloads))
 
     def accept(self, segment: FrameSegment) -> bytes | None:
         """The payload ``segment`` carries, or None when it is dropped: its

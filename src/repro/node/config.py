@@ -30,21 +30,6 @@ class NodeConfig:
     accept_virtual_attestation: bool = False
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     cost_model: CostModel | None = None
-    # Pipelined execution (PR 8). When ``batch_execution`` is on, the
-    # primary drains queued writes into execution batches applied against a
-    # single KV snapshot, amortizing ledger/replication overhead per the
-    # cost model's batch_overhead_fraction. Batch size is adaptive, bounded
-    # by all three budgets below: a batch closes at ``batch_max_requests``
-    # requests or ``batch_max_bytes`` of request payload, and otherwise
-    # drains ``batch_latency_budget`` seconds after the first queued write.
-    batch_execution: bool = False
-    batch_max_requests: int = 50
-    batch_max_bytes: int = 65536
-    batch_latency_budget: float = 0.0005
-    # Serve read-only requests locally from the last-committed snapshot on
-    # any node (instead of forwarding reads of forwarded sessions to the
-    # primary), with TxID + receipt-claim freshness metadata on responses.
-    read_offload: bool = False
     # Incremental state transfer (PR 9). Snapshot production serializes
     # only maps that changed since the last snapshot into content-addressed
     # sealed chunks (~``snapshot_chunk_bytes`` of canonical rows each),
@@ -59,12 +44,6 @@ class NodeConfig:
             raise ConfigurationError("signature_interval must be >= 1")
         if self.worker_threads < 1:
             raise ConfigurationError("worker_threads must be >= 1")
-        if self.batch_max_requests < 1:
-            raise ConfigurationError("batch_max_requests must be >= 1")
-        if self.batch_max_bytes < 1:
-            raise ConfigurationError("batch_max_bytes must be >= 1")
-        if self.batch_latency_budget < 0:
-            raise ConfigurationError("batch_latency_budget must be >= 0")
         if self.snapshot_chunk_bytes < 256:
             raise ConfigurationError("snapshot_chunk_bytes must be >= 256")
         if self.join_chunk_batch < 1:

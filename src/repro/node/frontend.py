@@ -43,10 +43,10 @@ _STATUS_BY_ERROR: tuple[tuple[type[CCFError], int], ...] = (
     (AuthenticationError, 401),
     (AuthorizationError, 403),
     (ServiceUnavailableError, 503),
-    # 425 Too Early: the offloaded snapshot is behind the requested
-    # freshness floor — retryable here or on another node.
+    # 425 Too Early: the served state is behind the read's after_txid
+    # floor — retryable here or on another node.
     (ReadBehindError, 425),
-    # 410 Gone: the freshness floor was rolled back and can never
+    # 410 Gone: the after_txid floor was rolled back and can never
     # commit — not retryable as-is.
     (ReadRolledBackError, 410),
     (GovernanceError, 400),
@@ -65,14 +65,6 @@ def failure(request: Request, status: int, error: str) -> Response:
     return Response(request.request_id, status=status, error=error)
 
 
-def not_primary(request: Request) -> Response:
-    return failure(request, 503, "not primary")
-
-
-def no_endpoint(request: Request) -> Response:
-    return failure(request, 404, f"no endpoint {request.path}")
-
-
 def check_app_write_set(request: Request, write_set: WriteSet) -> None:
     """Section 6.1: application logic may read but never write CCF's
     internal and governance maps — those change only through governance
@@ -89,8 +81,7 @@ def check_app_write_set(request: Request, write_set: WriteSet) -> None:
 
 
 class Frontend:
-    """Admits client requests into the worker pool and executes them;
-    queued writes go through ``node.pipeline`` when batching is on."""
+    """Admits client requests into the worker pool and executes them."""
 
     def __init__(self, node) -> None:
         self.node = node  # the hosting CCFNode
@@ -138,14 +129,6 @@ class Frontend:
         )
         endpoint = self.lookup_endpoint(request.path)
         read_only = endpoint is not None and endpoint.read_only
-        if (
-            not read_only
-            and node.config.batch_execution
-            and node.consensus is not None
-            and node.consensus.can_accept_writes
-        ):
-            node.pipeline.enqueue(request, origin_node=None)
-            return
         service_time = (
             node.cost.read_cost() if read_only
             else node.cost.write_cost(self.backup_count())
@@ -210,7 +193,7 @@ class Frontend:
         finally:
             obs.finish_execute(self.node_id, request.request_id)
 
-    # -- Serial execution -----------------------------------------------
+    # -- Processing -----------------------------------------------------
 
     def _process(self, request: Request, worker: int) -> None:
         if not self.node.stopped:
@@ -220,20 +203,13 @@ class Frontend:
         node = self.node
         endpoint = self.lookup_endpoint(request.path)
         if endpoint is None:
-            self.reply(request, no_endpoint(request))
+            self.reply(request, failure(request, 404, f"no endpoint {request.path}"))
             return
         if node.store is None or node.consensus is None:
             self.reply(request, failure(request, 503, "node not yet part of a service"))
             return
 
         if endpoint.read_only:
-            if node.config.read_offload:
-                # Read offload (paper's read-scaling design): serve locally
-                # from the last-committed snapshot with freshness metadata;
-                # session consistency comes from the after_txid floor, not
-                # from following the forwarded session to the primary.
-                self._execute_read(request, endpoint, offload=True)
-                return
             # Session consistency: once a session was forwarded to the
             # primary, subsequent reads follow it too (section 4.3).
             if request.session_id and request.session_id in self._sessions_forwarded:
@@ -279,26 +255,12 @@ class Frontend:
             extra_delay=node.cost.forwarding_cost,
         )
 
-    def redirect(self, request: Request, origin_node: str | None) -> None:
-        """A queued write can no longer execute here (primacy lost): a
-        direct request re-enters the forwarding path, a forwarded one
-        bounces back to its origin as a retryable 503."""
-        if origin_node is None:
-            self.forward_or_fail(request)
-        else:
-            self.reply(request, not_primary(request), origin_node)
-
     def on_forwarded_request(self, _src: str, message: ForwardedRequest) -> None:
         node = self.node
         request = message.request
         endpoint = self.lookup_endpoint(request.path)
         if endpoint is None or node.consensus is None or not node.consensus.can_accept_writes:
-            response = not_primary(request)
-        elif node.config.batch_execution and not endpoint.read_only:
-            # Forwarded writes join the primary's execution batch like any
-            # other write; the reply returns through the forwarding origin.
-            node.pipeline.enqueue(request, origin_node=message.origin_node)
-            return
+            response = failure(request, 503, "not primary")
         else:
             # Forwarded execution runs immediately on arrival (the origin
             # node already charged the service time).
@@ -342,60 +304,41 @@ class Frontend:
                 )
         return auth_module.authenticate(request, endpoint.auth_policy, store)
 
-    def commit_write(
-        self, request: Request, ctx: RequestContext, body, worker: int
-    ) -> tuple[Response, bool]:
-        """The tail of every executed write, serial or batched: check what
-        the handler wrote, append it, and sign when the interval is due.
-        Returns the response and whether a signature was appended — the
-        triggering request pays for it, so its worker is busy for the
-        signing cost and the caller delays the response by as much."""
-        node = self.node
-        write_set = ctx.tx.write_set
-        check_app_write_set(request, write_set)
-        if ctx.tx.is_read_only:
-            txid = node.ledger.txid_at(min(node.store.version, node.ledger.last_seqno))
-            return Response(request.request_id, body=body, txid=str(txid)), False
-        entry = node.append_local_entry(write_set, claims=ctx.claims)
-        response = Response(request.request_id, body=body, txid=str(entry.txid))
-        signed = node.sign_if_due()
-        if signed:
-            self._workers[worker] += node.cost.signature_cost
-        return response, signed
-
     def _execute_write(
         self, request: Request, endpoint: Endpoint, worker: int
     ) -> tuple[Response, bool]:
+        """Execute a write, check what the handler wrote, append it, and
+        sign when the interval is due. Returns the response and whether a
+        signature was appended — the triggering request pays for it, so its
+        worker is busy for the signing cost and the caller delays the
+        response by as much."""
         node = self.node
         try:
             caller = self.authorize(request, endpoint)
             ctx = RequestContext(request, node.store.begin(), caller, node=node)
             body = endpoint.handler(ctx)
-            return self.commit_write(request, ctx, body, worker)
+            write_set = ctx.tx.write_set
+            check_app_write_set(request, write_set)
+            if ctx.tx.is_read_only:
+                txid = node.ledger.txid_at(
+                    min(node.store.version, node.ledger.last_seqno)
+                )
+                return Response(request.request_id, body=body, txid=str(txid)), False
+            entry = node.append_local_entry(write_set, claims=ctx.claims)
+            response = Response(request.request_id, body=body, txid=str(entry.txid))
+            signed = node.sign_if_due()
+            if signed:
+                self._workers[worker] += node.cost.signature_cost
+            return response, signed
         except CCFError as exc:
             return error_response(request, exc), False
 
-    def _execute_read(
-        self, request: Request, endpoint: Endpoint, offload: bool = False
-    ) -> None:
+    def _execute_read(self, request: Request, endpoint: Endpoint) -> None:
         node = self.node
-        obs = node.scheduler.obs
         try:
             caller = self.authorize(request, endpoint)
-            if offload and not node.is_primary:
-                # Backups serve from the last-committed snapshot: nothing
-                # speculative can leak into (or be silently missing from)
-                # an offloaded read.
-                served_version = min(node.consensus.commit_seqno, node.store.version)
-                served_version = max(
-                    served_version, node.store.earliest_retained_version()
-                )
-                tx = node.store.begin_at(served_version)
-            else:
-                # The primary serves current state: read-your-writes for
-                # sessions that stayed on the primary.
-                served_version = node.store.version
-                tx = node.store.begin()
+            served_version = node.store.version
+            tx = node.store.begin()
             if request.after_txid:
                 self._check_read_freshness(request.after_txid, served_version)
             ctx = RequestContext(request, tx, caller, node=node)
@@ -403,21 +346,13 @@ class Frontend:
             # Read-only: reply with the ID of the last applied transaction
             # (section 3.4).
             txid = node.ledger.txid_at(min(served_version, node.ledger.last_seqno))
-            response = Response(request.request_id, body=body, txid=str(txid))
-            if offload:
-                response.freshness = self._freshness_metadata(served_version)
-                if obs is not None:
-                    obs.offloaded_read(self.node_id, behind=False)
-            self.reply(request, response)
+            self.reply(request, Response(request.request_id, body=body, txid=str(txid)))
         except CCFError as exc:
-            if offload and isinstance(exc, (ReadBehindError, ReadRolledBackError)):
-                if obs is not None:
-                    obs.offloaded_read(self.node_id, behind=True)
             self.reply(request, error_response(request, exc))
 
     def _check_read_freshness(self, after_text: str, served_version: int) -> None:
-        """Enforce a read's ``after_txid`` freshness floor: serve only when
-        the served snapshot provably includes that exact transaction, else
+        """Enforce a read's ``after_txid`` floor: serve only when the
+        served state provably includes that exact transaction, else
         raise a *typed* error — behind (retryable) or rolled back (the
         floor can never commit). Never a silent stale answer."""
         try:
@@ -438,19 +373,3 @@ class Frontend:
             f"{after_text}; retry here later or read elsewhere",
             after_txid=after_text,
         )
-
-    def _freshness_metadata(self, served_version: int) -> dict:
-        """Metadata letting a client audit an offloaded read's freshness:
-        the served snapshot seqno, this node's commit seqno, and the latest
-        signature-anchored TxID at or below the served snapshot — the
-        client can fetch that anchor's receipt (/node/receipt) to bind the
-        snapshot to the signed Merkle root."""
-        ledger = self.node.ledger
-        anchor_seqno = ledger.prev_signature_seqno(served_version)
-        freshness = {
-            "served_seqno": served_version,
-            "commit_seqno": self.node.consensus.commit_seqno,
-        }
-        if anchor_seqno is not None:
-            freshness["signature_txid"] = str(ledger.txid_at(anchor_seqno))
-        return freshness

@@ -121,7 +121,7 @@ class Indexer:
     def feed_batch(self, items: list[tuple[TxID, WriteSet]]) -> int:
         """Consume one *batched* commit notification.
 
-        Pipelined execution commits whole batches at once, and catch-up
+        One commit advance can cover many entries at once, and catch-up
         replay can overlap a range an eager feed already covered — so the
         input may arrive unordered and may overlap ``last_indexed``.
         Entries are applied in seqno order, each exactly once (the

@@ -22,7 +22,6 @@ HISTORY = GOV_PREFIX + "history"  # signed governance requests
 JWT_ISSUERS = GOV_PREFIX + "jwt.issuers"
 
 SIGNATURES = INTERNAL_PREFIX + "signatures"
-TREE = INTERNAL_PREFIX + "tree"
 LEDGER_SECRET = INTERNAL_PREFIX + "ledger_secret"  # wrapped ledger secret
 RECOVERY_SHARES = INTERNAL_PREFIX + "recovery_shares"
 SNAPSHOT_EVIDENCE = INTERNAL_PREFIX + "snapshot_evidence"

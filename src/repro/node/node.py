@@ -38,7 +38,6 @@ from repro.node.frontend import Frontend
 from repro.node.indexer import Indexer
 from repro.node.join import Join
 from repro.node.membership import Membership
-from repro.node.pipeline import ExecutionPipeline
 from repro.node.snapshots import Snapshots
 from repro.recovery.shares import perform_rekey, reprovision_recovery_shares
 from repro.sim.scheduler import Scheduler
@@ -98,9 +97,8 @@ class CCFNode:
         self._claims_by_seqno: dict[int, dict] = {}
         self.stopped = False
 
-        self.frames = FramedLink(self.channels, network, scheduler, self.cost)
+        self.frames = FramedLink(self.channels, network, scheduler)
         self.frontend = Frontend(self)
-        self.pipeline = ExecutionPipeline(self)
         self.join = Join(self)
         self.membership = Membership(self)
         self.snapshots = Snapshots(self)
@@ -239,7 +237,6 @@ class CCFNode:
             self.membership.complete_retirements()
 
     def on_lose_primacy(self) -> None:
-        self.pipeline.on_lose_primacy()
         self.frontend.on_lose_primacy()
 
     # ------------------------------------------------------------------
@@ -273,9 +270,9 @@ class CCFNode:
                 secrets = self.enclave.memory.get("ledger_secrets")
                 if secrets is not None and len(secrets):
                     reprovision_recovery_shares(self, secrets.current())
-        # One batched notification per commit advance: pipelined commits can
-        # cover a whole execution batch at once, and the indexer guarantees
-        # exactly-once, in-order processing regardless of batch shape.
+        # One batched notification per commit advance: a commit can cover
+        # many entries at once, and the indexer guarantees exactly-once,
+        # in-order processing regardless of batch shape.
         self.indexer.feed_batch(indexable)
         self._commit_scan = max(self._commit_scan, commit_seqno)
         if reload_app:
@@ -454,10 +451,6 @@ class CCFNode:
         self.enclave.destroy()
         self.network.crash(self.node_id)
         self.network.unregister(self.node_id)
-
-    @property
-    def is_primary(self) -> bool:
-        return self.consensus is not None and self.consensus.is_primary
 
     def tx_status(self, txid: TxID) -> str:
         return self.consensus.status_of(txid).value

@@ -256,7 +256,6 @@ class ObsCollector:
         service_time: float,
         busy_workers: int,
         forwarded: bool = False,
-        batched: bool = False,
     ) -> None:
         root = self._root_by_request.get(request.request_id)
         span = self._new_span(
@@ -269,8 +268,6 @@ class ObsCollector:
         )
         if forwarded:
             span.attrs["forwarded"] = True
-        if batched:
-            span.attrs["batched"] = True
         span.charge("execution", service_time)
         if queue_wait > 0:
             span.charge("queue_wait", queue_wait)
@@ -310,45 +307,6 @@ class ObsCollector:
         span = self._event("signature_tx", node=node_id, view=view, seqno=seqno)
         span.charge("signing", cost)
         self.registry.counter("node.signature_txs", node=node_id).inc()
-
-    # ------------------------------------------------------------------
-    # Pipelined-execution hooks (PR 8)
-
-    def pipeline_batch(
-        self,
-        node_id: str,
-        n_requests: int,
-        n_bytes: int,
-        queue_wait: float,
-        service_time: float,
-    ) -> None:
-        """One execution batch drained on the primary."""
-        span = self._event(
-            "pipeline.batch", node=node_id, requests=n_requests, bytes=n_bytes
-        )
-        span.charge("execution", service_time)
-        if queue_wait > 0:
-            span.charge("queue_wait", queue_wait)
-        self.registry.counter("pipeline.batches", node=node_id).inc()
-        self.registry.counter("pipeline.batched_requests", node=node_id).inc(
-            n_requests
-        )
-        self.registry.histogram("pipeline.batch_size", node=node_id).observe(
-            n_requests
-        )
-        self.registry.histogram("pipeline.batch_bytes", node=node_id).observe(n_bytes)
-
-    def pipeline_conflict(self, node_id: str, path: str) -> None:
-        """A speculative batched execution conflicted with an earlier write
-        in its own batch and was rolled back + re-executed serially."""
-        self._event("pipeline.conflict", node=node_id, path=path)
-        self.registry.counter("pipeline.conflicts", node=node_id).inc()
-
-    def offloaded_read(self, node_id: str, behind: bool) -> None:
-        """A read served via read offload (or refused with a typed
-        behind/rolled-back error — never silently stale)."""
-        kind = "behind" if behind else "served"
-        self.registry.counter("pipeline.offloaded_reads", node=node_id, kind=kind).inc()
 
     # ------------------------------------------------------------------
     # Ledger hooks (wired per node; ``owner`` is the node id)
@@ -453,15 +411,12 @@ class ObsCollector:
     def message_dropped(self, src: str, dst: str) -> None:
         self.registry.counter("net.messages_dropped", node=dst).inc()
 
-    def frame_sealed(self, node_id: str, messages: int, cost: float) -> None:
+    def frame_sealed(self, node_id: str, messages: int) -> None:
         """One coalesced frame sealed at event end: ``messages`` payloads
-        under a single AEAD seal. ``cost`` is the CostModel's accounting
-        estimate — recorded, never scheduled, so observing it cannot perturb
-        the run (frames and per-message seals must trace identically)."""
+        under a single AEAD seal."""
         self.registry.counter("net.frames_sealed", node=node_id).inc()
         self.registry.counter("net.frame_messages", node=node_id).inc(messages)
         self.registry.histogram("net.frame_size").observe(float(messages))
-        self.registry.counter("net.frame_seal_cost", node=node_id).inc(cost)
 
     # ------------------------------------------------------------------
     # KV store hooks

@@ -71,21 +71,6 @@ class CostModel:
     # time, so dedup savings are visible to the clock and not just to
     # counters.
     state_transfer_cost_per_byte: float = 2.0e-9
-    # Fraction of the per-write service time that is fixed per-request
-    # pipeline overhead (Merkle append bookkeeping, ledger framing,
-    # replication hand-off) rather than application execution. Batched
-    # execution pays this once per batch instead of once per request;
-    # the remaining (1 - fraction) is charged per request unchanged, so a
-    # batch of one costs exactly the serial write cost.
-    batch_overhead_fraction: float = 0.6
-    # AEAD sealing split for coalesced wire frames: a fixed per-frame cost
-    # (key schedule, nonce derivation, tag finalization, counter update)
-    # plus a per-message cost (the payload bytes actually encrypted). These
-    # feed *accounting only* — frame seal costs are recorded through the obs
-    # hooks, never scheduled as simulated delay, so enabling coalescing
-    # cannot perturb trace digests (DESIGN.md: "coalescing cannot reorder").
-    seal_cost_per_frame: float = 2.5e-6
-    seal_cost_per_message: float = 0.5e-6
 
     def __post_init__(self) -> None:
         if (self.runtime, self.platform) not in _EXECUTION_COSTS:
@@ -94,8 +79,6 @@ class CostModel:
             )
         if self.worker_threads < 1:
             raise ConfigurationError("need at least one worker thread")
-        if not 0.0 <= self.batch_overhead_fraction < 1.0:
-            raise ConfigurationError("batch_overhead_fraction must be in [0, 1)")
 
     @property
     def execution(self) -> ExecutionCosts:
@@ -110,37 +93,6 @@ class CostModel:
         """Service time for one read request on any node."""
         return self.execution.read
 
-    def batched_write_cost(self, batch_size: int, num_backups: int = 0) -> float:
-        """Service time for one pipelined batch of ``batch_size`` writes.
-
-        The fixed per-request overhead share (``batch_overhead_fraction`` of
-        the write service time) and the per-backup replication hand-off are
-        paid once per batch; the application-execution share is paid per
-        request. ``batched_write_cost(1, n) == write_cost(n)`` exactly, so
-        enabling batching never changes the cost of an unbatched request.
-        """
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        write = self.execution.write
-        shared = write * self.batch_overhead_fraction
-        shared += num_backups * self.replication_cost_per_backup
-        return shared + batch_size * write * (1.0 - self.batch_overhead_fraction)
-
     def state_transfer_cost(self, num_bytes: int) -> float:
         """Wire-time surcharge for shipping ``num_bytes`` of state."""
         return num_bytes * self.state_transfer_cost_per_byte
-
-    def sealing_cost(self, n_messages: int, n_frames: int | None = None) -> float:
-        """Accounting cost of sealing ``n_messages`` payloads in
-        ``n_frames`` frames (defaults to one frame per message — the
-        uncoalesced shape). Coalescing's win is the per-frame term
-        amortizing: ``sealing_cost(k, 1) < sealing_cost(k, k)`` for k > 1.
-        """
-        if n_frames is None:
-            n_frames = n_messages
-        if n_messages < 0 or n_frames < 0:
-            raise ConfigurationError("seal counts must be >= 0")
-        return (
-            n_frames * self.seal_cost_per_frame
-            + n_messages * self.seal_cost_per_message
-        )

@@ -71,9 +71,9 @@ class ServiceClient:
     ) -> int:
         """Fire a request; returns the request id for correlation.
 
-        ``after_txid`` sets a read-offload freshness floor: a node serving
-        the read must prove its snapshot includes that committed TxID, or
-        reply with a typed retryable "behind" error (never silently stale).
+        ``after_txid`` sets a read's ``after_txid`` floor: a node serving
+        the read must prove its state includes that TxID, or reply with a
+        typed retryable "behind" error (never silently stale).
         """
         request = Request(
             path=path,

@@ -62,12 +62,6 @@ class ChaosSpec:
 
     n_nodes: int = 5
     steps: int = 6
-    # Pipelined execution knobs (PR 8): chaos schedules can run with the
-    # primary batching writes and backups serving offloaded reads, so the
-    # safety invariants and trace-digest determinism gates cover the
-    # pipelined hot path too.
-    batch_execution: bool = False
-    read_offload: bool = False
 
     # Per-step fault probabilities (the rest are constants of the engine).
     p_crash: float = 0.12
@@ -140,11 +134,7 @@ class ServiceCluster:
         self.service = bootstrap_service(
             ServiceSetup(
                 n_nodes=spec.n_nodes,
-                node_config=NodeConfig(
-                    signature_interval=SIGNATURE_INTERVAL,
-                    batch_execution=spec.batch_execution,
-                    read_offload=spec.read_offload,
-                ),
+                node_config=NodeConfig(signature_interval=SIGNATURE_INTERVAL),
                 link=LinkConfig(base_latency=BASE_LATENCY, jitter=BASE_LATENCY / 5),
                 seed=seed,
             ),

@@ -118,13 +118,6 @@ class TraceRecorder:
         self.rng_draws += 1
         self._fold(f"rng|{method}|{value_repr}".encode())
 
-    def record_mark(self, label: str) -> None:
-        """Fold an application-level marker into the digest — e.g. a
-        pipeline batch boundary (node, first seqno, size). Replay equality
-        then also proves the marked structure is deterministic, not just
-        the event/RNG stream around it."""
-        self._fold(f"mark|{label}".encode())
-
     def end_event(self) -> None:
         self.checkpoints.append(self._digest.hex())
 

@@ -171,7 +171,7 @@ class TestRejectedFrames:
 
     def test_dropped_and_counted_but_an_unsealed_segment_is_not(self):
         a, b = _pair()
-        link = FramedLink(b, network=None, scheduler=None, cost=None)
+        link = FramedLink(b, network=None, scheduler=None)
         sealed = a.seal_frame("beta", [b"payload"])
         frame = PendingFrame()
         frame.sender, frame.counter, frame.count = sealed.sender, sealed.counter, 1
@@ -264,19 +264,12 @@ class TestChaosDifferential:
 
     def test_frames_actually_coalesce_under_load(self):
         """Guard against silently testing the degenerate 1-message frame:
-        a service under batched write load must seal multi-message frames
-        (catch-up pipelining gives >1 message per peer per event)."""
-        from repro.node.config import NodeConfig
+        a service under write load, default configuration, must seal some
+        multi-message frames."""
         from repro.service.service import CCFService, ServiceSetup
 
         RUNTIME_STATS.reset()
-        service = CCFService(
-            ServiceSetup(
-                n_nodes=3,
-                node_config=NodeConfig(batch_execution=True),
-                seed=13,
-            )
-        )
+        service = CCFService(ServiceSetup(n_nodes=3, seed=13))
         service.bootstrap()
         user = service.any_user_client()
         primary = service.primary_node().node_id

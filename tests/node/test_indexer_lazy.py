@@ -51,7 +51,7 @@ class TestLazyIndexing:
 
 class TestBatchedFeed:
     """Regression tests for ``Indexer.feed_batch`` — the consumer of the
-    batched commit notifications emitted by pipelined execution."""
+    batched commit notifications emitted once per commit advance."""
 
     def _indexer(self):
         indexer = Indexer()
@@ -101,15 +101,11 @@ class TestBatchedFeed:
         assert len(indexer.strategy("message_writes").txids_for_key(0)) == 3
 
     def test_batched_service_indexes_each_commit_once(self):
-        """End to end: with pipelined execution on, the node-side indexer
-        sees every committed write exactly once — ``message_history`` (an
-        index-backed endpoint) lists one TxID per write, no duplicates."""
-        from repro.node.config import NodeConfig
-
-        service = make_service(
-            n_nodes=1,
-            node_config=NodeConfig(signature_interval=10, batch_execution=True),
-        )
+        """End to end: a commit advance feeds the node-side indexer one
+        batch, and the indexer sees every committed write exactly once —
+        ``message_history`` (an index-backed endpoint) lists one TxID per
+        write, no duplicates."""
+        service = make_service(n_nodes=1, signature_interval=10)
         user = service.any_user_client()
         node = service.primary_node()
         txids = []

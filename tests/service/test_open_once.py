@@ -9,12 +9,81 @@ dict order, on every node, and check that the window is dropped by rollback
 and empty once a service is quiet.
 """
 
+import random
+
 import pytest
 
+from repro.crypto.certs import Identity
 from repro.ledger.ledger import Ledger
+from repro.net.network import LinkConfig
+from repro.node.config import NodeConfig
+from repro.service.service import CCFService, ServiceSetup
 from tests.node.conftest import make_service
-from tests.node.test_batch_differential import SEEDS, _fingerprint
 from tests.oracles.structure import exact
+
+SEEDS = list(range(20))
+KEY_SPACE = 6  # small, so writes keep overwriting the same keys
+
+
+def run_workload(seed: int) -> None:
+    """The seed's randomized workload on a 1- or 3-node service: bursts of
+    writes, governance operations, reads with ``after_txid`` floors on
+    every node, and receipts for sampled committed entries."""
+    rng = random.Random(f"wl|{seed}")
+    n_nodes = 3 if seed % 4 == 0 else 1
+    setup = ServiceSetup(
+        n_nodes=n_nodes,
+        node_config=NodeConfig(signature_interval=rng.choice([1, 3, 7, 10])),
+        seed=1000 + seed,
+        link=LinkConfig(base_latency=0.00025, jitter=0.0),
+    )
+    service = CCFService(setup)
+    service.bootstrap()
+    user = service.any_user_client()
+    primary = service.primary_node()
+
+    last_txid = ""
+    step = 0
+    for _burst in range(rng.randint(3, 5)):
+        step += 1
+        for i in range(rng.randint(4, 12)):
+            key = rng.randrange(KEY_SPACE)
+            resp = user.call(
+                primary.node_id,
+                "/app/write_message",
+                {"id": key, "msg": f"s{step}w{i}k{key}"},
+            )
+            if resp.ok:
+                last_txid = resp.txid
+        # Barrier: settle replication and the signature flush before reads
+        # and governance.
+        service.run(0.2)
+        if rng.random() < 0.5:
+            name = f"wl-user-{seed}-{step}"
+            ident = Identity.create(name, name.encode())
+            service.run_governance(
+                [{"name": "set_user", "args": {
+                    "subject": name,
+                    "certificate": ident.certificate.to_dict(),
+                }}]
+            )
+            service.run(0.2)
+        for node in service.nodes.values():
+            user.call(
+                node.node_id,
+                "/app/read_message",
+                {"id": rng.randrange(KEY_SPACE)},
+                after_txid=last_txid,
+            )
+    service.run(0.5)
+
+    primary = service.primary_node()
+    commit = primary.consensus.commit_seqno
+    for seqno in sorted(rng.sample(range(1, commit + 1), min(3, commit))):
+        txid = primary.ledger.txid_at(seqno)
+        user.call(
+            primary.node_id, "/node/receipt", {"txid": str(txid), "with_claims": True}
+        )
 
 
 @pytest.fixture
@@ -62,9 +131,9 @@ def assert_windows_empty(service):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_carried_sets_match_the_oracle_on_the_differential_workloads(seed, takes):
-    """The batch-differential workloads (1- and 3-node services, governance,
-    serial and pipelined execution): every scanned entry on every node."""
-    _fingerprint(seed, batch_execution=seed % 2 == 1)
+    """The randomized workloads of ``run_workload`` (1- and 3-node services,
+    governance): every scanned entry on every node."""
+    run_workload(seed)
     assert takes["carried"] > 0
 
 
@@ -161,7 +230,7 @@ def test_rollback_drops_the_carried_sets_above_the_truncation_point(takes):
 
 def test_window_is_empty_after_quiescence_under_load():
     """No carried set outlives its commit scan: 5 nodes, a burst of
-    pipelined writes, then quiet."""
+    writes sent without waiting for replies, then quiet."""
     service = make_service(n_nodes=5, signature_interval=20)
     user = service.any_user_client()
     primary = service.primary_node()

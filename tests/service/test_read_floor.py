@@ -1,27 +1,14 @@
-"""Session consistency for offloaded reads (``NodeConfig.read_offload``).
+"""Session consistency for reads with an ``after_txid`` floor.
 
-Backups serve reads from their last-committed snapshot, so a session that
-wrote through the primary and then reads elsewhere races commit. The
-contract under test: with an ``after_txid`` freshness floor the client
-either observes its own write or gets a *typed, retryable* answer — 425
-(behind: the floor is not yet in the served snapshot) or 410 (rolled back:
-the floor can never commit) — and **never a silently stale 200**.
+Every node serves reads from the state it has applied, so a session that
+wrote through the primary and then reads on a backup races replication.
+The contract under test: with an ``after_txid`` floor the client either
+observes its own write or gets a *typed* answer — 425 (behind: the floor
+is not yet in the served state, retryable) or 410 (rolled back: the floor
+can never commit) — and **never a silently stale 200**.
 """
 
-from repro.node.config import NodeConfig
 from tests.node.conftest import make_service
-
-
-def _offload_service(signature_interval=50, n_nodes=3, **kwargs):
-    return make_service(
-        n_nodes=n_nodes,
-        node_config=NodeConfig(
-            signature_interval=signature_interval,
-            batch_execution=True,
-            read_offload=True,
-        ),
-        **kwargs,
-    )
 
 
 def _seqno(txid: str) -> int:
@@ -29,11 +16,11 @@ def _seqno(txid: str) -> int:
 
 
 def test_write_then_read_on_backup_is_behind_then_served():
-    """Immediately after a write the backup's committed snapshot cannot
-    contain it: the floored read must 425, not serve stale data. Once the
-    signature flush commits the write, the same read succeeds and its
-    freshness metadata proves the floor was honored."""
-    service = _offload_service(signature_interval=50)
+    """Immediately after a write the backup has not applied it yet: the
+    floored read must 425, not serve stale data. Once replication delivers
+    the write, the same read succeeds and its TxID shows the floor was
+    honored."""
+    service = make_service(signature_interval=50)
     user = service.any_user_client()
     primary = service.primary_node()
     backup = service.backup_nodes()[0]
@@ -52,18 +39,13 @@ def test_write_then_read_on_backup_is_behind_then_served():
     )
     assert read.ok
     assert read.body["msg"] == "v1"
-    assert read.freshness is not None
-    assert read.freshness["served_seqno"] >= _seqno(write.txid)
-    assert read.freshness["commit_seqno"] >= _seqno(write.txid)
-    # The signature anchor lets the client pull a receipt binding the
-    # served snapshot to a signed Merkle root.
-    assert "signature_txid" in read.freshness
+    assert _seqno(read.txid) >= _seqno(write.txid)
 
 
 def test_primary_serves_read_your_writes():
-    """Sessions that stay on the primary keep read-your-writes even with
-    offload enabled: the primary serves current state, no commit wait."""
-    service = _offload_service(signature_interval=50)
+    """Sessions that stay on the primary keep read-your-writes: the
+    primary serves current state, no commit wait."""
+    service = make_service(signature_interval=50)
     user = service.any_user_client()
     primary = service.primary_node()
     write = user.call(primary.node_id, "/app/write_message", {"id": 2, "msg": "mine"})
@@ -76,7 +58,7 @@ def test_primary_serves_read_your_writes():
 
 
 def test_malformed_after_txid_is_rejected():
-    service = _offload_service()
+    service = make_service()
     user = service.any_user_client()
     backup = service.backup_nodes()[0]
     read = user.call(
@@ -89,9 +71,10 @@ def test_malformed_after_txid_is_rejected():
 def test_session_consistency_property():
     """Randomized write-then-read-elsewhere sweep: every floored read
     either proves freshness (response body is exactly the latest write of
-    that key at or below the served snapshot, served snapshot includes the
-    floor) or is a typed 425. Both outcomes must actually occur."""
-    service = _offload_service(signature_interval=10)
+    that key at or below the served seqno, which the response's TxID
+    names and which includes the floor) or is a typed 425. Both outcomes
+    must actually occur."""
+    service = make_service(signature_interval=10)
     user = service.any_user_client()
     primary = service.primary_node()
     backups = service.backup_nodes()
@@ -117,7 +100,7 @@ def test_session_consistency_property():
         )
         if read.ok:
             served += 1
-            served_seqno = read.freshness["served_seqno"]
+            served_seqno = _seqno(read.txid)
             assert served_seqno >= _seqno(floor)
             expected = [
                 v for s, k, v in writes if k == read_key and s <= served_seqno
@@ -131,11 +114,11 @@ def test_session_consistency_property():
 
 
 def test_rolled_back_speculative_read_is_typed_410():
-    """A session whose freshness floor was a *rolled-back* speculative
+    """A session whose ``after_txid`` floor was a *rolled-back* speculative
     write (executed on a primary that lost an election before commit) must
     get the permanent 410, not the retryable 425: no amount of waiting
     will ever make that floor commit."""
-    service = _offload_service(signature_interval=5)
+    service = make_service(signature_interval=5)
     user = service.any_user_client()
     primary = service.primary_node()
     base = user.call(primary.node_id, "/app/write_message", {"id": 1, "msg": "base"})

@@ -51,13 +51,6 @@ CHAOS = [
         "0776fedf870196f118a8d915fe26073e6efe6c1bc8db4c37d23afe40ea00ac29",
         "5f84c1c84ad78e2900c0f5f694a2137913351f4ed8712745ac995cfea1563300",
     ),
-    (
-        "batching+read-offload",
-        dict(steps=3, p_crash=0.3, batch_execution=True, read_offload=True),
-        9,
-        "a55f0713cd278d6f09d8414185210a47aaa2cf24f6a84626258db0487dce5d3f",
-        "a25dd132908e605bc4930814fb04490c085da68182f11bb6461436924d950907",
-    ),
 ]
 
 
@@ -78,7 +71,6 @@ class LabelFreeRecorder(TraceRecorder):
 CHAOS_LABEL_FREE = {
     "crashes": "2668bd2b94ddf88366196da267781a9f6e13bff2c68a1dbbf1fe0630a8396d37",
     "three-nodes": "f8e158942ebd49295f77f25b89ab4031da21da3914acde8f1bc316c308a4f31d",
-    "batching+read-offload": "52c680f7d05937d9403180480e84b7ef428d99984b6792992d2ce9958361d4fe",
 }
 
 # Disaster schedules are otherwise only ever compared with themselves
