@@ -56,9 +56,13 @@ class FastAEADKey:
         return cls(bytes(sha256(b"fast-aead-keygen", seed)))
 
     def _keystream(self, nonce: bytes, length: int) -> bytes:
-        # Block i is SHA256(key || nonce || i): hash the shared prefix once
-        # and fork it per counter.
-        prefix = hashlib.sha256(self.key)
+        # Block i is SHA256(key || nonce || i): the hashed key is built once
+        # per key object, forked per nonce, and forked again per counter.
+        keyed = self.__dict__.get("_stream_cache")
+        if keyed is None:
+            keyed = hashlib.sha256(self.key)
+            object.__setattr__(self, "_stream_cache", keyed)
+        prefix = keyed.copy()
         prefix.update(nonce)
         blocks = []
         for counter in _counters((length + _BLOCK - 1) // _BLOCK):

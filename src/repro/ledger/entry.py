@@ -44,6 +44,12 @@ class TxID:
 
 _DECODE_CACHE: dict[bytes, "LedgerEntry"] = {}
 _DECODE_CACHE_MAX = 50_000
+# Recently spliced leaves, by entry encoding. Every node appends an entry
+# within a few events of the others, so a short window catches each reuse;
+# a memo on the entry object would keep one leaf per entry alive for the
+# life of the ledger.
+_LEAF_CACHE: dict[bytes, bytes] = {}
+_LEAF_CACHE_MAX = 256
 
 
 class EntryKind(enum.Enum):
@@ -123,7 +129,22 @@ class LedgerEntry:
         spliced from its constant parts: every node computes this for every
         entry it appends, the keys (and so their canonical order) never
         change, and the public write set is almost always empty.
+
+        Memoized by the entry's (memoized) encoding while the entry is
+        fresh: the leaf is a function of those bytes, and every node
+        appends the same bytes within a few events, so each entry is
+        spliced once, not once per node.
         """
+        encoded = self.encode()
+        leaf = _LEAF_CACHE.get(encoded)
+        if leaf is None:
+            leaf = self._leaf_data_uncached()
+            if len(_LEAF_CACHE) >= _LEAF_CACHE_MAX:
+                _LEAF_CACHE.clear()
+            _LEAF_CACHE[encoded] = leaf
+        return leaf
+
+    def _leaf_data_uncached(self) -> bytes:
         if self.public_writes.is_empty():
             public_digest = _EMPTY_PUBLIC_DIGEST
         else:

@@ -2,15 +2,23 @@
 
 Section 7: "Diffie-Hellman key exchange is used for node-to-node message
 headers and message forwarding." Each pair of nodes derives a shared AEAD
-key from their X25519 key pairs; consensus payloads between enclaves travel
-sealed under that key, so the untrusted hosts relaying them can neither read
-nor tamper with replicated private state.
+key from their X25519 key pairs. What travels under that key comes in two
+protections sharing one counter stream per peer:
 
-Sealing comes in two granularities sharing one counter stream per peer:
-per-message (:meth:`NodeChannels.seal` / :meth:`NodeChannels.open`) and
-per-frame (:meth:`NodeChannels.seal_frame` / :class:`FrameAssembler`), where
-a frame packs every payload a node produced for one peer during one
-scheduler event under a single AEAD seal and a single counter increment.
+- Per-message seals (:meth:`NodeChannels.seal` / :meth:`NodeChannels.open`)
+  *encrypt*: they carry the join secrets (ledger secrets and the service
+  key), which must never be readable outside an attested enclave.
+- Per-frame seals (:meth:`NodeChannels.seal_frame` / :class:`FrameAssembler`)
+  *authenticate only*, as CCF sends consensus traffic: the frame travels
+  as ``plaintext || tag``, where the tag is an AEAD seal of the empty
+  string whose associated data binds the sender and the whole plaintext.
+  Consensus messages need integrity and freshness, not secrecy: the
+  private half of every replicated entry is already sealed under the
+  ledger secret, and its public half is written to the host's disk anyway.
+  Encrypting the frame as well would seal each private write set twice.
+
+A frame packs every consensus message a node produced for one peer during
+one scheduler event behind a single tag and a single counter increment.
 :class:`FramedLink` is one node's framed traffic in both directions: the
 sender half that fills and seals frames, and the assembler that opens them.
 Fast-path counters live in :data:`repro.obs.metrics.RUNTIME_STATS`
@@ -23,7 +31,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.crypto.fastaead import FastAEADKey
+from repro.crypto.fastaead import TAG_SIZE, FastAEADKey
 from repro.crypto.hkdf import hkdf
 from repro.crypto.x25519 import DHPrivateKey
 from repro.crypto.aead import nonce_from_counter
@@ -34,6 +42,12 @@ from repro.sim.scheduler import Scheduler
 
 _CHANNEL_DOMAIN = 0x43  # 'C'
 _LENGTH = struct.Struct(">I")  # a frame's plaintext: each payload behind its length
+
+
+def _frame_aad(sender: str, plaintext: bytes) -> bytes:
+    """What a frame's tag authenticates: its sender, then its plaintext."""
+    name = sender.encode()
+    return _LENGTH.pack(len(name)) + name + plaintext
 
 
 @dataclass(frozen=True)
@@ -106,14 +120,16 @@ class NodeChannels:
         return SealedMessage(sender=self.node_id, counter=counter, box=box)
 
     def seal_frame(self, peer_id: str, payloads: list[bytes]) -> SealedMessage:
-        """Seal a batch of payloads for ``peer_id`` as one frame.
+        """Authenticate a batch of payloads for ``peer_id`` as one frame.
 
-        One AEAD seal and one counter increment cover the whole batch; the
+        One tag and one counter increment cover the whole batch. The
         plaintext is each payload behind its 4-byte length, concatenated,
         so the frame is self-describing and receivers recover the payloads
-        in send order. Frames share the per-peer counter stream with
-        single-message seals, so the nonce space stays collision-free even
-        when the two granularities interleave (e.g. join secrets mid-run).
+        in send order; it travels in the clear, followed by its tag (see
+        the module docstring for why). Frames share the per-peer counter
+        stream with single-message seals, so the nonce space stays
+        collision-free even when the two granularities interleave (e.g.
+        join secrets mid-run).
         """
         key = self._keys_for(peer_id)
         counter, nonce = self._send_nonce(peer_id)
@@ -121,8 +137,8 @@ class NodeChannels:
         RUNTIME_STATS.inc("channel.seal.messages", len(payloads))
         RUNTIME_STATS.inc("channel.frames.sealed")
         plaintext = b"".join(_LENGTH.pack(len(payload)) + payload for payload in payloads)
-        box = key.seal(nonce, plaintext, aad=self.node_id.encode())
-        return SealedMessage(sender=self.node_id, counter=counter, box=box)
+        tag = key.seal(nonce, b"", aad=_frame_aad(self.node_id, plaintext))
+        return SealedMessage(sender=self.node_id, counter=counter, box=plaintext + tag)
 
     def open(self, message: SealedMessage) -> bytes:
         key = self._keys_for(message.sender)
@@ -142,18 +158,23 @@ class NodeChannels:
 
     def open_frame(self, sender: str, counter: int, box: bytes) -> list[bytes]:
         """Authenticate and unpack one frame into its payload list; a box
-        that fails to open, or a plaintext that is not whole length-prefixed
-        payloads, raises :class:`VerificationError`.
+        shorter than the tag, a tag that does not verify, or a plaintext
+        that is not whole length-prefixed payloads, raises
+        :class:`VerificationError`. The tag is checked before a byte of the
+        plaintext is parsed.
 
         Does *not* consult or advance the per-message replay watermark —
         frame replay protection is segment-granular and lives in
         :class:`FrameAssembler`, which tracks ``(counter, index)`` pairs.
         """
         key = self._keys_for(sender)
+        if len(box) < TAG_SIZE:
+            raise VerificationError(f"frame from {sender} shorter than its tag")
         nonce = nonce_from_counter(
             counter * 2 + (0 if sender < self.node_id else 1), _CHANNEL_DOMAIN
         )
-        plaintext = key.open(nonce, box, aad=sender.encode())
+        plaintext, tag = box[:-TAG_SIZE], box[-TAG_SIZE:]
+        key.open(nonce, tag, aad=_frame_aad(sender, plaintext))
         payloads = []
         offset = 0
         while offset + _LENGTH.size <= len(plaintext):
@@ -202,7 +223,7 @@ class FrameAssembler:
     ) -> bytes | None:
         """Return segment ``index``'s payload, or None if replay-dropped.
 
-        Raises :class:`VerificationError` on tamper (AEAD failure) or a
+        Raises :class:`VerificationError` on tamper (tag failure) or a
         frame whose advertised segment count does not match its contents.
         """
         watermark = self._watermarks.get(sender, (0, 0))
@@ -305,7 +326,7 @@ class FramedLink:
         self._network.send(self.node_id, to, FrameSegment(frame=frame, index=index))
 
     def _seal_pending(self) -> None:
-        """End-of-event microtask: one AEAD seal per (this node, peer)."""
+        """End-of-event microtask: one frame tag per (this node, peer)."""
         pending = self._pending
         self._pending = {}
         for peer, (frame, payloads) in pending.items():

@@ -28,6 +28,7 @@ LEAK_SHAPES = {
     "via_helper.py": "TAINT001",
     "two_hop.py": "TAINT001",
     "via_collection.py": "TAINT001",
+    "mac_only_send.py": "TAINT001",
     "tuple_unpack.py": "TAINT001",
     "enclave_memory.py": "TAINT001",
     "storage_write.py": "TAINT002",

@@ -10,6 +10,7 @@ from repro.crypto.aead import AEADKey, nonce_from_counter
 from repro.crypto.chacha20 import chacha20_block, chacha20_xor
 from repro.crypto.ecies import EncryptionKeyPair, encrypt
 from repro.crypto.fastaead import DEFAULT_SUITE, FastAEADKey, make_key
+from repro.crypto.hashing import sha256
 from repro.crypto.hkdf import hkdf
 from repro.crypto.poly1305 import poly1305_mac
 from repro.crypto.x25519 import DHPrivateKey, x25519
@@ -167,6 +168,55 @@ class TestFastAEADAgainstReference:
             assert secret.open(seqno, sealed, b"aad") == b"private-%d" % seqno
         digest = bytes(range(32))
         assert secret.open_chunk(digest, secret.seal_chunk(digest, b"chunk", b"a"), b"a") == b"chunk"
+
+
+class TestFastAEADKnownAnswers:
+    """Boxes recorded before the hashed key was cached per key object: the
+    cache must leave every byte where it was. Lengths straddle the first
+    block boundary and pass the 256-entry precomputed counter table."""
+
+    KEY = FastAEADKey(bytes(range(32)))
+    NONCE = bytes(range(100, 112))
+    AAD = b"known-answer aad"
+    BOXES = {
+        0: "fdf7be0891e85ad8b3837e7ca0de1089",
+        1: "493fdde3f4b0d677584c7a3a03d39f9f2a",
+        31: "49ac75591f1270e31027a5b36b780abfe09ebca69f9975d2916165518f04fa"
+        "affbee11df7ec47238ea06196086ef26",
+        32: "49ac75591f1270e31027a5b36b780abfe09ebca69f9975d2916165518f04fa"
+        "cd66c37bfb94988d2825fbc640ee9e958f",
+        33: "49ac75591f1270e31027a5b36b780abfe09ebca69f9975d2916165518f04fa"
+        "cda5d7130f4f67b45a314f41693100631a5b",
+    }
+    # The 8,209-byte box for 8,193 bytes of plaintext, by its SHA-256.
+    LONG_BOX_SHA256 = "5faf11f4a389711946053223e8dc990d9199d29cc4336011f16aa3639c83bd11"
+
+    @staticmethod
+    def _plaintext(length):
+        return bytes(i % 251 for i in range(length))
+
+    @pytest.mark.parametrize("length", sorted(BOXES))
+    def test_short_boxes(self, length):
+        box = self.KEY.seal(self.NONCE, self._plaintext(length), self.AAD)
+        assert box.hex() == self.BOXES[length]
+        assert self.KEY.open(self.NONCE, box, self.AAD) == self._plaintext(length)
+
+    def test_box_past_the_counter_table(self):
+        box = self.KEY.seal(self.NONCE, self._plaintext(8_193), self.AAD)
+        assert len(box) == 8_193 + 16
+        assert bytes(sha256(box)).hex() == self.LONG_BOX_SHA256
+
+    def test_interleaved_keys_share_no_cached_state(self):
+        one = FastAEADKey(bytes(range(32)))
+        two = FastAEADKey(bytes(range(1, 33)))
+        for counter in range(8):
+            nonce = nonce_from_counter(counter)
+            plaintext = b"m" * (counter * 17)
+            for key in (one, two, one):
+                assert key.seal(nonce, plaintext, b"a") == reference_aead.seal(
+                    key.key, nonce, plaintext, b"a"
+                )
+        assert one.seal(self.NONCE, b"x" * 40) != two.seal(self.NONCE, b"x" * 40)
 
 
 class TestNonce:

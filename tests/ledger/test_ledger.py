@@ -1,5 +1,7 @@
 """Tests for ledger entries, the ledger, secrets, and signature transactions."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.ecdsa import SigningKey
@@ -112,6 +114,19 @@ class TestLeafData:
         assert LedgerEntry(TxID(1, 1), EntryKind.USER, hollow, b"blob").leaf_data() == (
             plain.leaf_data()
         )
+
+    @pytest.mark.parametrize("entry, leaf_sha256", _leaf_golden_entries())
+    def test_memoised_leaf_is_the_uncached_one_and_not_inherited(
+        self, entry, leaf_sha256
+    ):
+        assert entry.leaf_data() == entry._leaf_data_uncached()
+        assert entry.leaf_data() is entry.leaf_data()  # spliced once
+        # A derived entry is a new object: it computes its own leaf rather
+        # than reusing the memo of the entry it was derived from.
+        derived = dataclasses.replace(entry, private_blob=entry.private_blob + b"x")
+        assert derived.leaf_data() != entry.leaf_data()
+        assert derived.leaf_data() == derived._leaf_data_uncached()
+        assert sha256(entry.leaf_data()).hex() == leaf_sha256
 
 
 class TestEntryAad:

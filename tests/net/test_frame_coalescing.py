@@ -1,10 +1,10 @@
-"""Coalesced sealed wire frames (PR 10).
+"""Coalesced authenticated wire frames.
 
 The coalescing claim is sharp: all consensus messages one node produces for
-one peer within one scheduler event share a single AEAD seal, and compared
+one peer within one scheduler event share a single frame tag, and compared
 with one seal per message this changes *nothing observable* — not one
 event, not one RNG draw, not one ledger byte. These tests pin the claim at
-three levels: the frame crypto itself (roundtrip, tamper, nonce
+three levels: the frame format itself (roundtrip, tamper, reflection, nonce
 discipline), the segment replay watermark (provably order-isomorphic to
 per-message counters), and seeded full-stack chaos schedules diffed
 digest-for-digest against the per-message oracle
@@ -18,8 +18,13 @@ import dataclasses
 
 import pytest
 
+from repro.consensus.messages import AppendEntries, decode_message, encode_message
+from repro.crypto.aead import nonce_from_counter
+from repro.crypto.fastaead import TAG_SIZE
 from repro.crypto.x25519 import DHPrivateKey
 from repro.errors import VerificationError
+from repro.kv.tx import WriteSet
+from repro.ledger.entry import EntryKind, LedgerEntry, TxID
 from repro.net.channels import (
     FrameAssembler,
     FramedLink,
@@ -32,6 +37,19 @@ from repro.sim.chaos import ChaosEngine, ChaosSpec
 from repro.sim.trace import TraceRecorder
 
 from tests.oracles.per_message_seal import per_message_sealing
+
+
+def _length_prefix(payload: bytes) -> bytes:
+    return len(payload).to_bytes(4, "big")
+
+
+def _authentic_box(key, sender: str, receiver: str, counter: int, plaintext: bytes) -> bytes:
+    """``plaintext || tag`` exactly as ``seal_frame`` builds it, around any
+    plaintext: the tag seals nothing, under the sender-direction nonce,
+    with the sender's name and the plaintext as associated data."""
+    nonce = nonce_from_counter(counter * 2 + (0 if sender < receiver else 1), 0x43)
+    aad = _length_prefix(sender.encode()) + sender.encode() + plaintext
+    return plaintext + key.seal(nonce, b"", aad=aad)
 
 
 def _pair() -> tuple[NodeChannels, NodeChannels]:
@@ -76,18 +94,31 @@ class TestFrameCrypto:
         with pytest.raises(VerificationError):
             b.open_frame("alpha", sealed.counter, tampered)
 
+    def test_frame_travels_as_plaintext_and_tag(self):
+        # Frames are authenticated, not encrypted: the box is the
+        # length-prefixed plaintext followed by a 16-byte tag, as long as an
+        # encrypted box would be.
+        a, b = _pair()
+        sealed = a.seal_frame("beta", [b"hello", b"world!"])
+        plaintext = _length_prefix(b"hello") + b"hello" + _length_prefix(b"world!") + b"world!"
+        assert sealed.box[:-TAG_SIZE] == plaintext
+        assert sealed.box == _authentic_box(
+            a._keys["beta"], "alpha", "beta", sealed.counter, plaintext
+        )
+
     @pytest.mark.parametrize("cut", [1, 5, 6])
     def test_truncated_frame_plaintext_rejected(self, cut):
-        # A frame's plaintext is each payload behind a 4-byte length. A
-        # single-message seal shares the frame's key, nonce stream and AAD,
-        # so it can carry an authentic box around a hand-cut frame.
+        # A frame's plaintext is each payload behind a 4-byte length. An
+        # authentic tag around a hand-cut plaintext must still fail to
+        # parse: the tag proves who sent the bytes, not that they are whole.
         a, b = _pair()
-        plaintext = (5).to_bytes(4, "big") + b"hello"
-        whole = a.seal("beta", plaintext)
-        assert b.open_frame("alpha", whole.counter, whole.box) == [b"hello"]
-        cut_box = a.seal("beta", plaintext[:-cut])
-        with pytest.raises(VerificationError):
-            b.open_frame("alpha", cut_box.counter, cut_box.box)
+        key = a._keys["beta"]
+        plaintext = _length_prefix(b"hello") + b"hello"
+        whole = _authentic_box(key, "alpha", "beta", 0, plaintext)
+        assert b.open_frame("alpha", 0, whole) == [b"hello"]
+        cut_box = _authentic_box(key, "alpha", "beta", 1, plaintext[:-cut])
+        with pytest.raises(VerificationError, match="malformed"):
+            b.open_frame("alpha", 1, cut_box)
 
     def test_seal_stats_amortization_visible(self):
         a, _b = _pair()
@@ -165,9 +196,56 @@ class TestFrameAssembler:
         assert RUNTIME_STATS.get("channel.frames.opened") == 1
 
 
+def _flip(box: bytes, index: int) -> bytes:
+    index %= len(box)
+    return box[:index] + bytes([box[index] ^ 0x01]) + box[index + 1 :]
+
+
+# Each way a host can alter an authenticated frame in flight, as
+# (claimed sender, box, receiving node) given the frame alpha sealed for beta.
+TAMPERS = {
+    # The last clear byte: still a well-formed frame, only the tag objects.
+    "flipped-clear-byte": lambda sealed: ("alpha", _flip(sealed.box, -TAG_SIZE - 1), "beta"),
+    "flipped-tag-byte": lambda sealed: ("alpha", _flip(sealed.box, -1), "beta"),
+    "shorter-than-tag": lambda sealed: ("alpha", sealed.box[-TAG_SIZE + 1 :], "beta"),
+    # Handed back to its sender, labelled as sent by its receiver.
+    "reflected": lambda sealed: ("beta", sealed.box, "alpha"),
+}
+
+
+def _segment(sender: str, counter: int, box: bytes) -> FrameSegment:
+    """Segment 0 of a one-message frame, as a host may hand it over."""
+    frame = PendingFrame()
+    frame.sender, frame.counter, frame.box, frame.count = sender, counter, box, 1
+    return FrameSegment(frame=frame, index=0)
+
+
 class TestRejectedFrames:
     """``FramedLink.accept`` drops a frame that fails to open and counts it
     as ``channel.frames.rejected``."""
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_altered_frame_rejected_and_its_entry_not_delivered(self, tamper):
+        a, b = _pair()
+        links = {"alpha": FramedLink(a, None, None), "beta": FramedLink(b, None, None)}
+        entry = LedgerEntry(
+            txid=TxID(2, 1), kind=EntryKind.USER, public_writes=WriteSet(),
+            private_blob=b"private-write-set-ciphertext",
+        )
+        append = AppendEntries(
+            view=2, leader_id="alpha", prev_txid=TxID(1, 0), entries=(entry,)
+        )
+        sealed = a.seal_frame("beta", [encode_message(append)])
+        sender, box, receiver = TAMPERS[tamper](sealed)
+        RUNTIME_STATS.reset()
+        assert links[receiver].accept(_segment(sender, sealed.counter, box)) is None
+        assert RUNTIME_STATS.get("channel.frames.rejected") == 1
+        assert RUNTIME_STATS.get("channel.frames.opened") == 0
+        # The frame as sealed still delivers its entry: only the alteration
+        # was refused, and it did not advance the replay watermark.
+        raw = links["beta"].accept(_segment("alpha", sealed.counter, sealed.box))
+        assert decode_message(raw).entries == (entry,)
+        assert RUNTIME_STATS.get("channel.frames.rejected") == 1
 
     def test_dropped_and_counted_but_an_unsealed_segment_is_not(self):
         a, b = _pair()
@@ -183,6 +261,11 @@ class TestRejectedFrames:
         assert RUNTIME_STATS.get("channel.frames.rejected") == 1
 
     def test_no_entry_is_applied_from_a_tampered_box(self):
+        for tamper in sorted(TAMPERS):
+            self._primary_alters_frames_to_one_backup(tamper)
+
+    @staticmethod
+    def _primary_alters_frames_to_one_backup(tamper: str) -> None:
         from repro.service.service import CCFService, ServiceSetup
 
         service = CCFService(ServiceSetup(n_nodes=3, seed=7))
@@ -190,15 +273,18 @@ class TestRejectedFrames:
         primary = service.primary_node()
         victim, bystander = service.backup_nodes()
         seal_frame = primary.channels.seal_frame
+        # In the service, "reflected" relabels the primary's frame as sent
+        # by the victim that receives it.
+        names = {"alpha": primary.node_id, "beta": victim.node_id}
 
-        def flip_a_bit(peer, payloads):
+        def alter(peer, payloads):
             sealed = seal_frame(peer, payloads)
             if peer != victim.node_id:
                 return sealed
-            box = bytes([sealed.box[0] ^ 0x01]) + sealed.box[1:]
-            return dataclasses.replace(sealed, box=box)
+            sender, box, _receiver = TAMPERS[tamper](sealed)
+            return dataclasses.replace(sealed, sender=names[sender], box=box)
 
-        primary.channels.seal_frame = flip_a_bit
+        primary.channels.seal_frame = alter
         RUNTIME_STATS.reset()
         held = primary.ledger.last_seqno  # all the victim can have been sent intact
         user = service.any_user_client()
@@ -206,12 +292,12 @@ class TestRejectedFrames:
             user.send(primary.node_id, "/app/write_message", {"id": i, "msg": f"m{i}"})
         # Shorter than the victim's election timeout, so it does not campaign.
         service.run(0.06)
-        assert RUNTIME_STATS.get("channel.frames.rejected") > 0
-        assert victim.ledger.last_seqno <= held
-        assert bystander.ledger.last_seqno > held
+        assert RUNTIME_STATS.get("channel.frames.rejected") > 0, tamper
+        assert victim.ledger.last_seqno <= held, tamper
+        assert bystander.ledger.last_seqno > held, tamper
         del primary.channels.seal_frame
         service.run(1.0)
-        assert victim.ledger.last_seqno > held
+        assert victim.ledger.last_seqno > held, tamper
 
 
 class TestChaosDifferential:

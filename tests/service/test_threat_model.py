@@ -61,11 +61,19 @@ class TestUntrustedHost:
         assert node.enclave.memory.get("ledger_secrets") is None
 
     def test_node_to_node_traffic_is_sealed(self, service):
-        """Nothing consensus-shaped travels in the clear: between nodes the
-        wire carries sealed frame segments plus the named handshake, join,
+        """Nothing consensus-shaped travels unauthenticated, and nothing
+        private travels in the clear. Between nodes the wire carries
+        authenticated frame segments plus the named handshake, join,
         forwarding and state-chunk messages, and never a bare
-        ``repro.consensus.messages`` object (``secure_channels`` is on)."""
+        ``repro.consensus.messages`` object (``secure_channels`` is on).
+
+        Frames are authenticated, not encrypted, so the host reads their
+        clear part: it decodes into consensus messages, and a private
+        write reaches it only inside an entry's ``private_blob``, sealed
+        under the ledger secret. The join response's per-message seal
+        stays encrypted: the ledger secrets it carries never show."""
         from repro.consensus import messages as consensus_messages
+        from repro.crypto.fastaead import TAG_SIZE
         from repro.net.channels import FrameSegment
         from repro.node import wire
 
@@ -78,9 +86,10 @@ class TestUntrustedHost:
 
         service.network.send = spying_send
         user = service.any_user_client()
-        secret_text = "node-to-node-secret-xyz"
-        user.call(service.primary_node().node_id, "/app/write_message",
-                  {"id": 1, "msg": secret_text})
+        primary = service.primary_node()
+        secret_text = "node-to-node-secret-xyz".encode()
+        user.call(primary.node_id, "/app/write_message",
+                  {"id": 1, "msg": secret_text.decode()})
         service.add_node()  # join handshake + catch-up on the same wire
         service.run(0.3)
 
@@ -93,15 +102,43 @@ class TestUntrustedHost:
             payload for src, dst, payload in captured
             if src in service.nodes and dst in service.nodes
         ]
-        segments = [p for p in between_nodes if isinstance(p, FrameSegment)]
-        assert segments, "expected sealed consensus traffic"
+        frames = {
+            id(p.frame): p.frame for p in between_nodes if isinstance(p, FrameSegment)
+        }.values()
+        assert frames, "expected authenticated consensus traffic"
+        join_boxes = []
         for payload in between_nodes:
             assert type(payload).__module__ != consensus_messages.__name__
-            if isinstance(payload, FrameSegment):
-                assert payload.frame.box is not None, "frame left unsealed on the wire"
-                assert secret_text.encode() not in payload.frame.box
-            else:
+            if isinstance(payload, wire.JoinResponse) and payload.sealed_secrets:
+                join_boxes.append(payload.sealed_secrets[2])
+            elif not isinstance(payload, FrameSegment):
                 assert isinstance(payload, named), type(payload)
+
+        secrets = primary.enclave.memory.get("ledger_secrets")
+        secret_keys = [
+            secrets.for_generation(g).key_bytes for g in secrets.generations()
+        ]
+        carriers = []
+        for frame in frames:
+            assert frame.box is not None, "frame left unsealed on the wire"
+            assert secret_text not in frame.box
+            assert not any(key in frame.box for key in secret_keys)
+            clear, offset = frame.box[:-TAG_SIZE], 0
+            for _ in range(frame.count):
+                length = int.from_bytes(clear[offset : offset + 4], "big")
+                raw = clear[offset + 4 : offset + 4 + length]
+                offset += 4 + length
+                message = consensus_messages.decode_message(raw)
+                for entry in getattr(message, "entries", ()):
+                    if secret_text in primary.ledger.decrypt_private(entry).encode():
+                        assert entry.private_blob
+                        carriers.append(entry)
+            assert offset == len(clear)
+        assert carriers, "the private write was never replicated"
+
+        assert join_boxes, "expected a join response carrying sealed secrets"
+        for box in join_boxes:
+            assert not any(key in box for key in secret_keys)
 
 
 class TestAttestationGate:
