@@ -30,7 +30,6 @@ def build_service(
     worker_threads: int = 10,
     seed: int = 42,
     snapshot_interval: int = 0,
-    secure_channels: bool = True,
     link_latency: float | None = None,
 ) -> CCFService:
     """Bootstrap a service matching the paper's experiment setup."""
@@ -41,7 +40,6 @@ def build_service(
         signature_interval=signature_interval,
         signature_flush_time=signature_flush_time,
         snapshot_interval=snapshot_interval,
-        secure_channels=secure_channels,
         # Virtual-mode deployments (section 6.4: development / replication
         # without confidentiality) accept unattested virtual quotes.
         accept_virtual_attestation=(platform == "virtual"),

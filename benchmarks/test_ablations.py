@@ -2,11 +2,10 @@
 
 - Forwarding vs writing directly to the primary (section 4.3 / 7).
 - Snapshot join vs full-replay join (section 4.4).
-- Secure node-to-node channels on vs off (section 7's DH channels).
 - Commit latency vs signature interval (the flip side of Figure 8 right).
 """
 
-from benchmarks.harness import MESSAGE, build_service, print_table, run_logging_workload
+from benchmarks.harness import MESSAGE, build_service, print_table
 from repro.ledger.entry import TxID
 from repro.service.client import ServiceClient
 
@@ -93,33 +92,6 @@ class TestJoinAblation:
         )
         assert results["snapshot"]["entries_replayed"] < \
             0.5 * results["replay"]["entries_replayed"]
-
-
-class TestChannelAblation:
-    def test_secure_channels_overhead(self, benchmark):
-        """Sealed node-to-node channels vs plaintext replication: the
-        confidentiality mechanism should not change throughput shape
-        (costs are charged in simulated time either way)."""
-
-        def run():
-            results = {}
-            for secure in (True, False):
-                service = build_service(n_nodes=3, seed=700 + secure,
-                                        secure_channels=secure)
-                result = run_logging_workload(
-                    service, read_ratio=0.0, concurrency=100,
-                    warmup=0.04, window=0.08,
-                )
-                results[secure] = result.writes_per_second
-            return results
-
-        results = benchmark.pedantic(run, rounds=1, iterations=1)
-        print_table(
-            "Ablation: secure channels on/off (writes/s)",
-            ["secure channels", "writes/s"],
-            [[str(flag), value] for flag, value in results.items()],
-        )
-        assert results[True] > 0.9 * results[False]
 
 
 class TestCommitLatencyAblation:

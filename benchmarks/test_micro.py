@@ -155,30 +155,6 @@ class TestCrypto:
         benchmark(lambda: public.verify(signature, b"merkle root"))
 
 
-class TestFrameSealing:
-    """Per-message AEAD seals vs one coalesced frame (PR 10)."""
-
-    def _pair(self):
-        from repro.crypto.x25519 import DHPrivateKey
-        from repro.net.channels import NodeChannels
-
-        a = NodeChannels("alpha", DHPrivateKey.generate(b"bench-frame-a"))
-        b = NodeChannels("beta", DHPrivateKey.generate(b"bench-frame-b"))
-        a.establish("beta", b.public)
-        b.establish("alpha", a.public)
-        return a, b
-
-    def test_seal_16_per_message(self, benchmark):
-        a, _b = self._pair()
-        payloads = [bytes([i]) * 64 for i in range(16)]
-        benchmark(lambda: [a.seal("beta", p) for p in payloads])
-
-    def test_seal_16_as_frame(self, benchmark):
-        a, _b = self._pair()
-        payloads = [bytes([i]) * 64 for i in range(16)]
-        benchmark(lambda: a.seal_frame("beta", payloads))
-
-
 def _cold_verify(public, signature, message):
     """One verification past an emptied memo: the real double-scalar cost."""
     clear_verify_memo()

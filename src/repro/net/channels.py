@@ -8,22 +8,23 @@ protections sharing one counter stream per peer:
 - Per-message seals (:meth:`NodeChannels.seal` / :meth:`NodeChannels.open`)
   *encrypt*: they carry the join secrets (ledger secrets and the service
   key), which must never be readable outside an attested enclave.
-- Per-frame seals (:meth:`NodeChannels.seal_frame` / :class:`FrameAssembler`)
-  *authenticate only*, as CCF sends consensus traffic: the frame travels
-  as ``plaintext || tag``, where the tag is an AEAD seal of the empty
-  string whose associated data binds the sender and the whole plaintext.
+- Per-frame seals (:meth:`NodeChannels.seal_frame` /
+  :meth:`NodeChannels.open_frame`) *authenticate only*, as CCF sends
+  consensus traffic: the frame travels as ``plaintext || tag``, where the
+  tag is an AEAD seal of the empty string whose associated data binds the
+  sender and the whole plaintext.
   Consensus messages need integrity and freshness, not secrecy: the
   private half of every replicated entry is already sealed under the
   ledger secret, and its public half is written to the host's disk anyway.
   Encrypting the frame as well would seal each private write set twice.
 
-A frame packs every consensus message a node produced for one peer during
-one scheduler event behind a single tag and a single counter increment.
-:class:`FramedLink` is one node's framed traffic in both directions: the
-sender half that fills and seals frames, and the assembler that opens them.
-Fast-path counters live in :data:`repro.obs.metrics.RUNTIME_STATS`
-(``channel.establish.*``, ``channel.seal.*``, ``channel.frames.*``), reset
-per run.
+A node seals each consensus message into its own frame when it sends it,
+and opens it when it arrives. A frame is replay-checked against a
+per-sender counter watermark kept apart from the one :meth:`open` keeps,
+so a join response delivered after newer consensus traffic is not taken
+for a replay. Fast-path counters live in
+:data:`repro.obs.metrics.RUNTIME_STATS` (``channel.establish.*``,
+``channel.seal.*``, ``channel.frames.*``), reset per run.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from repro.crypto.hkdf import hkdf
 from repro.crypto.x25519 import DHPrivateKey
 from repro.crypto.aead import nonce_from_counter
 from repro.errors import VerificationError
-from repro.net.network import Network
 from repro.obs.metrics import RUNTIME_STATS
-from repro.sim.scheduler import Scheduler
 
 _CHANNEL_DOMAIN = 0x43  # 'C'
 _LENGTH = struct.Struct(">I")  # a frame's plaintext: each payload behind its length
@@ -69,6 +68,7 @@ class NodeChannels:
         self._keys: dict[str, FastAEADKey] = {}
         self._send_counters: dict[str, int] = {}
         self._recv_counters: dict[str, int] = {}
+        self._frame_watermarks: dict[str, int] = {}
 
     @property
     def public(self) -> bytes:
@@ -120,9 +120,10 @@ class NodeChannels:
         return SealedMessage(sender=self.node_id, counter=counter, box=box)
 
     def seal_frame(self, peer_id: str, payloads: list[bytes]) -> SealedMessage:
-        """Authenticate a batch of payloads for ``peer_id`` as one frame.
+        """Authenticate ``payloads`` for ``peer_id`` as one frame (a node
+        sends one consensus message per frame).
 
-        One tag and one counter increment cover the whole batch. The
+        One tag and one counter increment cover the whole list. The
         plaintext is each payload behind its 4-byte length, concatenated,
         so the frame is self-describing and receivers recover the payloads
         in send order; it travels in the clear, followed by its tag (see
@@ -156,17 +157,19 @@ class NodeChannels:
         self._recv_counters[message.sender] = message.counter + 1
         return payload
 
-    def open_frame(self, sender: str, counter: int, box: bytes) -> list[bytes]:
-        """Authenticate and unpack one frame into its payload list; a box
-        shorter than the tag, a tag that does not verify, or a plaintext
-        that is not whole length-prefixed payloads, raises
-        :class:`VerificationError`. The tag is checked before a byte of the
-        plaintext is parsed.
+    def open_frame(self, sender: str, counter: int, box: bytes) -> list[bytes] | None:
+        """Authenticate and unpack one frame into its payload list, or
+        return None for a replay: a counter below ``sender``'s frame
+        watermark, counted as ``channel.frames.replay_dropped``.
 
-        Does *not* consult or advance the per-message replay watermark —
-        frame replay protection is segment-granular and lives in
-        :class:`FrameAssembler`, which tracks ``(counter, index)`` pairs.
+        A box shorter than the tag, a tag that does not verify, or a
+        plaintext that is not whole length-prefixed payloads, raises
+        :class:`VerificationError` and leaves the watermark where it was.
+        The tag is checked before a byte of the plaintext is parsed.
         """
+        if counter < self._frame_watermarks.get(sender, 0):
+            RUNTIME_STATS.inc("channel.frames.replay_dropped")
+            return None
         key = self._keys_for(sender)
         if len(box) < TAG_SIZE:
             raise VerificationError(f"frame from {sender} shorter than its tag")
@@ -183,6 +186,7 @@ class NodeChannels:
             payloads.append(plaintext[offset - length : offset])
         if offset != len(plaintext):
             raise VerificationError(f"malformed frame from {sender}")
+        self._frame_watermarks[sender] = counter + 1
         RUNTIME_STATS.inc("channel.frames.opened")
         return payloads
 
@@ -191,166 +195,3 @@ class NodeChannels:
             return self._keys[peer_id]
         except KeyError:
             raise VerificationError(f"no channel established with {peer_id}") from None
-
-
-class FrameAssembler:
-    """Receiver-side frame handling with per-segment replay protection.
-
-    Segments of one frame arrive as independent network messages (they take
-    independent latency draws, like the uncoalesced messages they replace),
-    so acceptance must be decided per segment. The watermark is the pair
-    ``(frame counter, segment index)`` compared lexicographically: a segment
-    is accepted iff its pair is >= the watermark, which then advances to
-    ``(counter, index + 1)``.
-
-    This is order-isomorphic to per-message counters: number the messages
-    of a one-seal-per-message run in send order and `(counter, index)`
-    enumerates exactly that sequence, so "accept iff not overtaken by a
-    later-accepted message" drops the same messages under any reordering,
-    duplication, or loss pattern — the property the frames-vs-per-message
-    differential chaos test pins down.
-    """
-
-    def __init__(self, channels: NodeChannels):
-        self._channels = channels
-        self._watermarks: dict[str, tuple[int, int]] = {}
-        # One opened frame per sender is all the cache ever needs: a
-        # segment of an older frame is below the watermark by construction.
-        self._opened: dict[str, tuple[int, list[bytes]]] = {}
-
-    def accept(
-        self, sender: str, counter: int, box: bytes, count: int, index: int
-    ) -> bytes | None:
-        """Return segment ``index``'s payload, or None if replay-dropped.
-
-        Raises :class:`VerificationError` on tamper (tag failure) or a
-        frame whose advertised segment count does not match its contents.
-        """
-        watermark = self._watermarks.get(sender, (0, 0))
-        if (counter, index) < watermark:
-            RUNTIME_STATS.inc("channel.frames.replay_dropped")
-            return None
-        cached = self._opened.get(sender)
-        if cached is not None and cached[0] == counter:
-            payloads = cached[1]
-        else:
-            payloads = self._channels.open_frame(sender, counter, box)
-            self._opened[sender] = (counter, payloads)
-        if len(payloads) != count or index >= len(payloads):
-            raise VerificationError(
-                f"frame from {sender} advertises {count} segments, "
-                f"carries {len(payloads)}"
-            )
-        self._watermarks[sender] = (counter, index + 1)
-        return payloads[index]
-
-
-class PendingFrame:
-    """A coalesced wire frame, mutable until sealed.
-
-    Created when a node produces its first consensus message for a peer
-    within one scheduler event; every further message for that peer in the
-    same event joins the frame. Segments referencing the frame are put on
-    the network *immediately* (keeping the event order and latency-draw
-    assignment of one send per message); the single AEAD seal happens in an
-    end-of-event microtask, which fills ``sender``/``counter``/``box``/
-    ``count`` in place. Simulated latency is strictly positive, so the seal
-    always lands before the first segment delivers.
-    """
-
-    __slots__ = ("sender", "counter", "box", "count", "payload_sizes")
-
-    def __init__(self) -> None:
-        self.sender = ""
-        self.counter = -1
-        self.box: bytes | None = None
-        self.count = 0
-        self.payload_sizes: list[int] = []
-
-
-@dataclass(frozen=True)
-class FrameSegment:
-    """One message's slot in a :class:`PendingFrame`, sent as an ordinary
-    network payload. The receiver opens the (shared) frame once and indexes
-    into it; replay protection is per segment (``(counter, index)`` pairs,
-    see :class:`FrameAssembler`)."""
-
-    frame: PendingFrame
-    index: int
-
-
-class FramedLink:
-    """One node's sealed-frame traffic: the sender half beside a
-    :class:`FrameAssembler` for what arrives."""
-
-    def __init__(
-        self,
-        channels: NodeChannels,
-        network: Network,
-        scheduler: Scheduler,
-    ):
-        self.node_id = channels.node_id
-        self._channels = channels
-        self._network = network
-        self._scheduler = scheduler
-        # Per-peer pending frame for the current scheduler event, plus the
-        # raw payloads awaiting the single end-of-event seal.
-        self._pending: dict[str, tuple[PendingFrame, list[bytes]]] = {}
-        self._assembler = FrameAssembler(channels)
-
-    def send(self, to: str, raw: bytes) -> None:
-        """Queue ``raw`` into this event's frame for ``to`` and put its
-        segment on the wire immediately.
-
-        The segment takes the exact network path (event, sequence number,
-        latency draw) a per-message seal would take — only the AEAD work
-        moves, into one end-of-event seal per peer. The seal microtask
-        draws no randomness and schedules nothing, so a traced run is
-        bit-identical to one that seals every message on its own
-        (``tests/oracles/per_message_seal.py``).
-        """
-        first_of_event = not self._pending
-        pending = self._pending.get(to)
-        if pending is None:
-            pending = (PendingFrame(), [])
-            self._pending[to] = pending
-        frame, payloads = pending
-        index = len(payloads)
-        payloads.append(raw)
-        frame.payload_sizes.append(len(raw))
-        if first_of_event:
-            # Arm before the send: for out-of-event sends (bootstrap) the
-            # hook runs synchronously, and it must run after the payload is
-            # queued but sealing-before-delivery still holds (latency > 0).
-            self._scheduler.at_event_end(self._seal_pending)
-        self._network.send(self.node_id, to, FrameSegment(frame=frame, index=index))
-
-    def _seal_pending(self) -> None:
-        """End-of-event microtask: one frame tag per (this node, peer)."""
-        pending = self._pending
-        self._pending = {}
-        for peer, (frame, payloads) in pending.items():
-            sealed = self._channels.seal_frame(peer, payloads)
-            frame.sender = sealed.sender
-            frame.counter = sealed.counter
-            frame.box = sealed.box
-            frame.count = len(payloads)
-            obs = self._scheduler.obs
-            if obs is not None:
-                obs.frame_sealed(self.node_id, len(payloads))
-
-    def accept(self, segment: FrameSegment) -> bytes | None:
-        """The payload ``segment`` carries, or None when it is dropped: its
-        sender crashed before the end-of-event seal ran, the segment is a
-        replay, or — counted as ``channel.frames.rejected`` — the peer is
-        unknown or the frame was tampered with or is malformed."""
-        frame = segment.frame
-        if frame.box is None:
-            return None
-        try:
-            return self._assembler.accept(
-                frame.sender, frame.counter, frame.box, frame.count, segment.index
-            )
-        except VerificationError:
-            RUNTIME_STATS.inc("channel.frames.rejected")
-            return None

@@ -60,7 +60,6 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_duplicated = 0
-        self.segments_sent = 0  # subset of messages_sent that are frame segments
 
     # ------------------------------------------------------------------
     # Topology
@@ -194,16 +193,12 @@ class Network:
         """Fire-and-forget message. Loss and partitions silently drop — the
         sender learns nothing, exactly like UDP/broken TCP in the field.
 
-        Frame coalescing changes nothing here by design: segments of a
-        coalesced frame are ordinary payloads taking ordinary latency/loss/
-        duplicate draws in the ordinary send order, which is the whole
-        argument for why coalescing cannot reorder a run. They are counted
-        (``segments_sent``) but never special-cased.
+        The network never looks inside ``payload``: a consensus message
+        arrives here already sealed (a
+        :class:`~repro.net.channels.SealedMessage`), and whatever the host
+        does to it in flight is for the receiver's channel to detect.
         """
         self.messages_sent += 1
-        frame = getattr(payload, "frame", None)
-        if frame is not None:
-            self.segments_sent += 1
         obs = self.scheduler.obs
         if obs is not None:
             obs.message_sent(src, dst, estimate_wire_size(payload))

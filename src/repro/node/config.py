@@ -26,7 +26,6 @@ class NodeConfig:
     snapshot_interval: int = 0  # committed txs between snapshots; 0 = off
     replication_interval: float = 0.002  # primary push cadence for new entries
     join_retry_interval: float = 1.0  # joiner re-sends until admitted + recorded
-    secure_channels: bool = True  # seal node-to-node traffic (X25519 + AEAD)
     accept_virtual_attestation: bool = False
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     cost_model: CostModel | None = None

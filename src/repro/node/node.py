@@ -24,13 +24,14 @@ from repro.consensus.state import NodeStatus
 from repro.crypto.certs import Certificate
 from repro.crypto.ecdsa import SigningKey
 from repro.crypto.x25519 import DHPrivateKey
+from repro.errors import VerificationError
 from repro.kv.store import KVStore
 from repro.kv.tx import WriteSet
 from repro.ledger.chunking import chunk_entries
 from repro.ledger.entry import EntryKind, LedgerEntry, TxID
 from repro.ledger.ledger import Ledger
 from repro.ledger.secrets import LedgerSecretStore
-from repro.net.channels import FramedLink, FrameSegment, NodeChannels
+from repro.net.channels import NodeChannels, SealedMessage
 from repro.net.network import Network
 from repro.node import maps, wire
 from repro.node.config import NodeConfig
@@ -39,6 +40,7 @@ from repro.node.indexer import Indexer
 from repro.node.join import Join
 from repro.node.membership import Membership
 from repro.node.snapshots import Snapshots
+from repro.obs.metrics import RUNTIME_STATS
 from repro.recovery.shares import perform_rekey, reprovision_recovery_shares
 from repro.sim.scheduler import Scheduler
 from repro.storage.host_storage import HostStorage
@@ -97,13 +99,12 @@ class CCFNode:
         self._claims_by_seqno: dict[int, dict] = {}
         self.stopped = False
 
-        self.frames = FramedLink(self.channels, network, scheduler)
         self.frontend = Frontend(self)
         self.join = Join(self)
         self.membership = Membership(self)
         self.snapshots = Snapshots(self)
         self._handlers: dict[type, Callable[[str, object], None]] = {
-            FrameSegment: self._on_frame_segment,
+            SealedMessage: self._on_sealed_message,
             wire.ClientRequest: self.frontend.admit,
             wire.ForwardedRequest: self.frontend.on_forwarded_request,
             wire.ForwardedResponse: self.frontend.on_forwarded_response,
@@ -192,10 +193,9 @@ class CCFNode:
     # ConsensusHost interface
 
     def send_consensus_message(self, to: str, message: object) -> None:
-        if not self.config.secure_channels:
-            self.network.send(self.node_id, to, message)
-        elif self.channels.has_channel(to):
-            self.frames.send(to, encode_message(message))
+        if self.channels.has_channel(to):
+            sealed = self.channels.seal_frame(to, [encode_message(message)])
+            self.network.send(self.node_id, to, sealed)
         # else: channel not yet established; retried by protocol
 
     def apply_replicated_entry(self, entry: LedgerEntry) -> frozenset[str] | None:
@@ -419,14 +419,22 @@ class CCFNode:
         handler = self._handlers.get(type(payload))
         if handler is not None:
             handler(src, payload)
-        elif self.consensus is not None:
-            # Plain consensus message (secure_channels disabled).
-            self.consensus.dispatch(payload)
 
-    def _on_frame_segment(self, _src: str, segment: FrameSegment) -> None:
-        raw = self.frames.accept(segment)
-        if raw is not None and self.consensus is not None:
-            self.consensus.dispatch(decode_message(raw))
+    def _on_sealed_message(self, _src: str, message: SealedMessage) -> None:
+        """Open a consensus frame and dispatch what it carries. A replay is
+        dropped; a frame from an unknown peer, or one altered, cut or
+        reflected in flight, is dropped and counted as
+        ``channel.frames.rejected``."""
+        try:
+            payloads = self.channels.open_frame(
+                message.sender, message.counter, message.box
+            )
+        except VerificationError:
+            RUNTIME_STATS.inc("channel.frames.rejected")
+            return
+        if payloads is not None and self.consensus is not None:
+            for raw in payloads:
+                self.consensus.dispatch(decode_message(raw))
 
     # ==================================================================
     # Historical queries (section 3.4)

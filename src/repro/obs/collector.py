@@ -43,19 +43,11 @@ from repro.obs.spans import Span, export_jsonl, sanitize_attrs
 def estimate_wire_size(payload: object) -> int:
     """A deterministic byte-size estimate for a simulated network message.
 
-    Sealed channel traffic (the common case) is measured exactly from its
-    ciphertext; plain payloads are walked structurally with a small per-field
-    overhead, mirroring what a length-prefixed codec would produce.
+    Sealed channel traffic (every consensus message) is measured exactly
+    from its box plus a 16-byte header for the sender and counter; plain
+    payloads are walked structurally with a small per-field overhead,
+    mirroring what a length-prefixed codec would produce.
     """
-    # Frame segments are sized before the frame is sealed (sealing happens
-    # at event end, after every segment is already in flight), so they are
-    # measured from the recorded plaintext size: the segment's payload plus
-    # the frame header (sender + counter + AEAD tag) amortized onto the
-    # first segment and a small per-segment index overhead after that.
-    frame = getattr(payload, "frame", None)
-    index = getattr(payload, "index", None)
-    if frame is not None and index is not None:
-        return frame.payload_sizes[index] + (37 if index == 0 else 5)
     box = getattr(payload, "box", None)
     if isinstance(box, bytes):
         return len(box) + 16  # header: sender + counter
@@ -410,13 +402,6 @@ class ObsCollector:
 
     def message_dropped(self, src: str, dst: str) -> None:
         self.registry.counter("net.messages_dropped", node=dst).inc()
-
-    def frame_sealed(self, node_id: str, messages: int) -> None:
-        """One coalesced frame sealed at event end: ``messages`` payloads
-        under a single AEAD seal."""
-        self.registry.counter("net.frames_sealed", node=node_id).inc()
-        self.registry.counter("net.frame_messages", node=node_id).inc(messages)
-        self.registry.histogram("net.frame_size").observe(float(messages))
 
     # ------------------------------------------------------------------
     # KV store hooks

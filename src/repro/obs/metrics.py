@@ -234,7 +234,7 @@ class RuntimeStats:
     """Process-global *host-side* counters for fast-path instrumentation.
 
     These count wall-clock work the host actually performed — cache hits,
-    AEAD seals, frames coalesced — never simulated-time quantities, and
+    AEAD seals, frames rejected — never simulated-time quantities, and
     nothing in the simulation may branch on them (they are observability
     only, so a run with different counter values is still the same run).
 

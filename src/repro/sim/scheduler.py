@@ -46,8 +46,6 @@ class Scheduler:
         self._queue: list[tuple[float, int, EventHandle]] = []
         self._sequence = 0
         self._events_processed = 0
-        self._end_hooks: list[Callable[[], None]] = []
-        self._in_event = False
 
     def attach_tracer(self, tracer) -> None:
         """Route every dispatched event and RNG draw through ``tracer`` (a
@@ -77,29 +75,6 @@ class Scheduler:
             raise CCFError(f"negative delay {delay}")
         return self.at(self.now + delay, callback)
 
-    def at_event_end(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` after the current event's callback returns, at the
-        same virtual instant, before any further event is dispatched.
-
-        This is a *microtask*, not a scheduled event: it takes no sequence
-        number and cannot be interleaved with queued events, so deferring
-        work into it (frame sealing) is invisible to the trace digest.
-        Hooks must not schedule events or draw randomness for that to hold;
-        they run in registration order, and hooks registered by a hook run
-        in the same drain. Outside an event the hook runs synchronously.
-        """
-        if not self._in_event:
-            hook()
-            return
-        self._end_hooks.append(hook)
-
-    def _drain_end_hooks(self) -> None:
-        while self._end_hooks:
-            hooks = self._end_hooks
-            self._end_hooks = []
-            for hook in hooks:
-                hook()
-
     def step(self) -> bool:
         """Run the next event. Returns False when the queue is empty."""
         while self._queue:
@@ -111,22 +86,13 @@ class Scheduler:
             self._events_processed += 1
             if self.obs is not None:
                 self.obs.scheduler_event(len(self._queue))
-            self._in_event = True
             if self.tracer is None:
-                try:
-                    callback()
-                    self._drain_end_hooks()
-                finally:
-                    self._in_event = False
-                    self._end_hooks.clear()  # only non-empty if callback raised
+                callback()
             else:
                 self.tracer.begin_event(time, seq, callback)
                 try:
                     callback()
-                    self._drain_end_hooks()
                 finally:
-                    self._in_event = False
-                    self._end_hooks.clear()  # only non-empty if callback raised
                     self.tracer.end_event()
             return True
         return False

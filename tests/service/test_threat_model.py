@@ -63,9 +63,9 @@ class TestUntrustedHost:
     def test_node_to_node_traffic_is_sealed(self, service):
         """Nothing consensus-shaped travels unauthenticated, and nothing
         private travels in the clear. Between nodes the wire carries
-        authenticated frame segments plus the named handshake, join,
-        forwarding and state-chunk messages, and never a bare
-        ``repro.consensus.messages`` object (``secure_channels`` is on).
+        authenticated consensus frames (``SealedMessage`` payloads) plus
+        the named handshake, join, forwarding and state-chunk messages,
+        and never a bare ``repro.consensus.messages`` object.
 
         Frames are authenticated, not encrypted, so the host reads their
         clear part: it decodes into consensus messages, and a private
@@ -74,7 +74,7 @@ class TestUntrustedHost:
         stays encrypted: the ledger secrets it carries never show."""
         from repro.consensus import messages as consensus_messages
         from repro.crypto.fastaead import TAG_SIZE
-        from repro.net.channels import FrameSegment
+        from repro.net.channels import SealedMessage
         from repro.node import wire
 
         captured = []
@@ -102,16 +102,14 @@ class TestUntrustedHost:
             payload for src, dst, payload in captured
             if src in service.nodes and dst in service.nodes
         ]
-        frames = {
-            id(p.frame): p.frame for p in between_nodes if isinstance(p, FrameSegment)
-        }.values()
-        assert frames, "expected authenticated consensus traffic"
+        boxes = [p.box for p in between_nodes if isinstance(p, SealedMessage)]
+        assert boxes, "expected authenticated consensus traffic"
         join_boxes = []
         for payload in between_nodes:
             assert type(payload).__module__ != consensus_messages.__name__
             if isinstance(payload, wire.JoinResponse) and payload.sealed_secrets:
                 join_boxes.append(payload.sealed_secrets[2])
-            elif not isinstance(payload, FrameSegment):
+            elif not isinstance(payload, SealedMessage):
                 assert isinstance(payload, named), type(payload)
 
         secrets = primary.enclave.memory.get("ledger_secrets")
@@ -119,12 +117,11 @@ class TestUntrustedHost:
             secrets.for_generation(g).key_bytes for g in secrets.generations()
         ]
         carriers = []
-        for frame in frames:
-            assert frame.box is not None, "frame left unsealed on the wire"
-            assert secret_text not in frame.box
-            assert not any(key in frame.box for key in secret_keys)
-            clear, offset = frame.box[:-TAG_SIZE], 0
-            for _ in range(frame.count):
+        for box in boxes:
+            assert secret_text not in box
+            assert not any(key in box for key in secret_keys)
+            clear, offset = box[:-TAG_SIZE], 0
+            while offset < len(clear):
                 length = int.from_bytes(clear[offset : offset + 4], "big")
                 raw = clear[offset + 4 : offset + 4 + length]
                 offset += 4 + length
@@ -139,6 +136,54 @@ class TestUntrustedHost:
         assert join_boxes, "expected a join response carrying sealed secrets"
         for box in join_boxes:
             assert not any(key in box for key in secret_keys)
+
+    def test_host_replay_and_misroute_of_a_frame_are_dropped(self, service):
+        """The host holds every consensus frame it carried and may hand one
+        over again or to the wrong node. A frame re-delivered to its
+        receiver is below that receiver's watermark; one delivered to a
+        third node fails the tag under that node's key. Each is dropped
+        and counted, and applies nothing."""
+        from repro.consensus.messages import AppendEntries, decode_message
+        from repro.crypto.fastaead import TAG_SIZE
+        from repro.net.channels import SealedMessage
+        from repro.obs.metrics import RUNTIME_STATS
+
+        primary = service.primary_node()
+        backup, bystander = service.backup_nodes()
+        appends, acks = [], []
+        original_send = service.network.send
+
+        def spying_send(src, dst, payload, extra_delay=0.0):
+            if isinstance(payload, SealedMessage):
+                if (src, dst) == (primary.node_id, backup.node_id):
+                    message = decode_message(payload.box[4:-TAG_SIZE])
+                    if isinstance(message, AppendEntries) and message.entries:
+                        appends.append(payload)
+                elif (src, dst) == (backup.node_id, primary.node_id):
+                    acks.append(payload)
+            original_send(src, dst, payload, extra_delay)
+
+        service.network.send = spying_send
+        user = service.any_user_client()
+        user.call(primary.node_id, "/app/write_message", {"id": 1, "msg": "m"})
+        service.run(0.3)
+        service.network.send = original_send
+        assert appends and acks
+        held = [entry.encode() for entry in backup.ledger.entries()]
+
+        RUNTIME_STATS.reset()
+        service.network.send(primary.node_id, backup.node_id, appends[-1])
+        service.run(0.01)
+        assert RUNTIME_STATS.get("channel.frames.replay_dropped") == 1
+        assert RUNTIME_STATS.get("channel.frames.rejected") == 0
+        assert [entry.encode() for entry in backup.ledger.entries()] == held
+
+        # The bystander has heard little from the backup, so the frame is
+        # not below its watermark: the tag is what refuses it.
+        service.network.send(backup.node_id, bystander.node_id, acks[-1])
+        service.run(0.01)
+        assert RUNTIME_STATS.get("channel.frames.rejected") == 1
+        assert RUNTIME_STATS.get("channel.frames.replay_dropped") == 1
 
 
 class TestAttestationGate:
