@@ -27,7 +27,6 @@ def build_service(
     platform: str = "sgx",
     signature_interval: int = 100,
     signature_flush_time: float = 0.05,
-    worker_threads: int = 10,
     seed: int = 42,
     snapshot_interval: int = 0,
     link_latency: float | None = None,
@@ -36,13 +35,9 @@ def build_service(
     config = NodeConfig(
         platform=platform,
         runtime=runtime,
-        worker_threads=worker_threads,
         signature_interval=signature_interval,
         signature_flush_time=signature_flush_time,
         snapshot_interval=snapshot_interval,
-        # Virtual-mode deployments (section 6.4: development / replication
-        # without confidentiality) accept unattested virtual quotes.
-        accept_virtual_attestation=(platform == "virtual"),
     )
     app_factory = build_js_app if runtime == "js" else build_logging_app
     setup = ServiceSetup(

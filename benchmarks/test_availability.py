@@ -15,7 +15,7 @@ write that never resumes fails the bound rather than the window.
 """
 
 from benchmarks.harness import MESSAGE, build_service, print_table
-from repro.consensus.raft import ConsensusConfig
+from repro.consensus import raft
 from repro.service.client import ClosedLoopClient, ServiceClient
 from repro.sim.metrics import ThroughputRecorder
 
@@ -26,7 +26,7 @@ RUN_AFTER_KILL = 3.0
 
 def _outage_bound(client: ClosedLoopClient) -> float:
     longest_deadline = client.max_retry_timeout * (1 + client.retry_jitter)
-    return ConsensusConfig().election_timeout_max + longest_deadline
+    return raft.ELECTION_TIMEOUT_MAX + longest_deadline
 
 
 def _measure_outage(seed: int) -> tuple[float, float]:

@@ -10,14 +10,14 @@ import random
 
 from repro.app.jsapp.interp import Interpreter
 from repro.app.jsapp.parser import parse
-from repro.crypto import ec, fastec
+from repro.crypto import fastec
 from repro.crypto.aead import AEADKey, nonce_from_counter
 from repro.crypto.ecdsa import SigningKey, clear_verify_memo
 from repro.crypto.fastaead import FastAEADKey
 from repro.crypto.merkle import MerkleTree
 from repro.kv.champ import ChampMap
 from repro.kv.tx import WriteSet
-from repro.perf.costmodel import CostModel
+from repro.perf import costmodel
 
 
 class TestMerkle:
@@ -162,7 +162,7 @@ def _cold_verify(public, signature, message):
 
 
 class TestFastPath:
-    """Reference ladder vs the fastec fast paths (comb, wNAF, verify memo).
+    """The fastec fast paths (comb, wNAF, verify memo).
 
     These report *host* wall-clock only; the simulated-time charge for the
     same operations is fixed by the CostModel and deliberately unaffected
@@ -171,19 +171,16 @@ class TestFastPath:
 
     SCALAR = 0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721
 
-    def test_reference_scalar_mult(self, benchmark):
-        benchmark(lambda: ec.scalar_mult(self.SCALAR, ec.GENERATOR))
-
     def test_comb_generator_mult(self, benchmark):
         benchmark(lambda: fastec.generator_mult(self.SCALAR))
 
     def test_wnaf_point_mult(self, benchmark):
-        point = ec.scalar_mult(7777, ec.GENERATOR)
+        point = fastec.generator_mult(7777)
         fastec.wnaf_mult(2, point)  # warm the per-point tables
         benchmark(lambda: fastec.wnaf_mult(self.SCALAR, point))
 
     def test_double_scalar_mult(self, benchmark):
-        point = ec.scalar_mult(7777, ec.GENERATOR)
+        point = fastec.generator_mult(7777)
         fastec.double_scalar_mult(2, 3, point)  # warm the per-point tables
         benchmark(lambda: fastec.double_scalar_mult(self.SCALAR, 12345, point))
 
@@ -213,7 +210,7 @@ class TestFastPath:
         simulated charge at all (no node is charged for one), so the host
         clock is the only clock this operation runs on.
         """
-        assert CostModel().signature_cost == 1.0e-3
+        assert costmodel.SIGNATURE_COST == 1.0e-3
 
         key = SigningKey.generate(b"bench-two-clocks")
         signature = key.sign(b"merkle root")

@@ -14,13 +14,12 @@ A Raft-inspired protocol adapted for trusted execution:
   then RETIRED (safe to shut down) (section 4.5).
 """
 
-from repro.consensus.raft import ConsensusNode, ConsensusConfig, Role
+from repro.consensus.raft import ConsensusNode, Role
 from repro.consensus.configurations import ActiveConfigurations, Configuration
 from repro.consensus.state import NodeStatus, ViewHistory
 
 __all__ = [
     "ConsensusNode",
-    "ConsensusConfig",
     "Role",
     "ActiveConfigurations",
     "Configuration",

@@ -20,7 +20,6 @@ Deviations from vanilla Raft, per the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol
 
 from repro.consensus.configurations import ActiveConfigurations
@@ -60,20 +59,17 @@ class ConsensusHost(Protocol):
     def on_lose_primacy(self) -> None: ...
 
 
-@dataclass(frozen=True)
-class ConsensusConfig:
-    """Timing and batching knobs (paper-scale defaults)."""
-
-    election_timeout_min: float = 0.15
-    election_timeout_max: float = 0.30
-    heartbeat_interval: float = 0.03
-    # Entries per append_entries: each replication trigger (heartbeat,
-    # replicate_now or ack) sends a lagging peer one window of at most
-    # this many, so a catch-up stream is one ordered message per round.
-    max_batch_entries: int = 800
-    # The primary steps down if fewer than a majority of backups acked
-    # within this window (section 4.2, last paragraph).
-    step_down_window: float = 0.45
+# Raft-style timings (section 4.2), in simulated seconds.
+ELECTION_TIMEOUT_MIN = 0.15
+ELECTION_TIMEOUT_MAX = 0.30
+HEARTBEAT_INTERVAL = 0.03
+# Entries per append_entries: each replication trigger (heartbeat,
+# replicate_now or ack) sends a lagging peer one window of at most this
+# many, so a catch-up stream is one ordered message per round.
+MAX_BATCH_ENTRIES = 800
+# The primary steps down if fewer than a majority of backups acked within
+# this window (section 4.2, last paragraph).
+STEP_DOWN_WINDOW = 0.45
 
 
 class ConsensusNode:
@@ -86,14 +82,12 @@ class ConsensusNode:
         scheduler: Scheduler,
         host: ConsensusHost,
         initial_nodes: set[str] | frozenset[str],
-        config: ConsensusConfig | None = None,
         config_base_seqno: int = 0,
     ):
         self.node_id = node_id
         self.ledger = ledger
         self.scheduler = scheduler
         self.host = host
-        self.config = config if config is not None else ConsensusConfig()
 
         self.view = 0
         self.role = Role.BACKUP
@@ -185,9 +179,7 @@ class ConsensusNode:
 
     def _reset_election_timer(self) -> None:
         self._cancel_timer("_election_timer")
-        timeout = self.scheduler.rng.uniform(
-            self.config.election_timeout_min, self.config.election_timeout_max
-        )
+        timeout = self.scheduler.rng.uniform(ELECTION_TIMEOUT_MIN, ELECTION_TIMEOUT_MAX)
         if self.timer_scale <= 0:
             raise ConsensusError(f"timer_scale must be positive, got {self.timer_scale}")
         self._election_timer = self.scheduler.after(
@@ -196,9 +188,7 @@ class ConsensusNode:
 
     def _arm_heartbeat(self) -> None:
         self._cancel_timer("_heartbeat_timer")
-        self._heartbeat_timer = self.scheduler.after(
-            self.config.heartbeat_interval, self._on_heartbeat
-        )
+        self._heartbeat_timer = self.scheduler.after(HEARTBEAT_INTERVAL, self._on_heartbeat)
 
     # ------------------------------------------------------------------
     # Elections (section 4.2)
@@ -396,7 +386,7 @@ class ConsensusNode:
     def _check_step_down(self) -> None:
         """Step down if a majority of each active configuration has gone
         quiet — a partitioned primary must not keep growing its ledger."""
-        window_start = self.scheduler.now - self.config.step_down_window
+        window_start = self.scheduler.now - STEP_DOWN_WINDOW
         reachable = {self.node_id}
         for peer, acked_at in self._last_ack.items():
             if acked_at >= window_start:
@@ -434,9 +424,7 @@ class ConsensusNode:
         message = shared.get(next_seqno) if shared is not None else None
         if message is None:
             prev_txid = self.ledger.txid_at(min(next_seqno - 1, self.ledger.last_seqno))
-            last = min(
-                self.ledger.last_seqno, next_seqno + self.config.max_batch_entries - 1
-            )
+            last = min(self.ledger.last_seqno, next_seqno + MAX_BATCH_ENTRIES - 1)
             entries = (
                 tuple(self.ledger.entries(next_seqno, last)) if last >= next_seqno else ()
             )

@@ -5,9 +5,9 @@ the real system). Points are represented in Jacobian coordinates internally
 for speed; the public API deals in affine ``(x, y)`` pairs and compressed
 33-byte encodings.
 
-The implementation is deliberately straightforward (double-and-add with a
-fixed window) rather than constant-time: the reproduction's threat model does
-not include timing side channels on the simulator host.
+Scalar multiplication lives in :mod:`repro.crypto.fastec`, built on the
+Jacobian formulas here. Nothing is constant-time: the reproduction's threat
+model does not include timing side channels on the simulator host.
 """
 
 from __future__ import annotations
@@ -126,32 +126,6 @@ def _jadd(jp: _JPoint, jq: _JPoint) -> _JPoint:
     ny = (r * (u1hsq - nx) - s1 * hcu) % P
     nz = (h * z1 * z2) % P
     return (nx, ny, nz)
-
-
-def scalar_mult(k: int, point: Point) -> Point:
-    """Compute ``k * point`` using double-and-add on Jacobian coordinates.
-
-    This is the *reference* ladder: :mod:`repro.crypto.fastec` provides the
-    fast paths (comb tables, interleaved wNAF) that production code uses,
-    and the differential tests hold them bit-identical to this function.
-    Keep it plain — it is the oracle.
-    """
-    k %= N
-    if k == 0 or point.is_infinity:
-        return INFINITY
-    result = _JINF
-    addend = _to_jacobian(point)
-    while k:
-        if k & 1:
-            result = _jadd(result, addend)
-        addend = _jdouble(addend)
-        k >>= 1
-    return _from_jacobian(result)
-
-
-def point_add(p: Point, q: Point) -> Point:
-    """Affine point addition (used by ECDSA verification)."""
-    return _from_jacobian(_jadd(_to_jacobian(p), _to_jacobian(q)))
 
 
 def is_on_curve(point: Point) -> bool:

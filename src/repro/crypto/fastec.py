@@ -1,11 +1,11 @@
 """Fast-path P-256 scalar multiplication: comb tables and interleaved wNAF.
 
-:mod:`repro.crypto.ec` implements ``k * P`` as plain double-and-add — ~256
-doublings plus ~128 additions per multiplication — and ECDSA verification
-pays for two of those ladders. Every protocol-visible artifact in the
-reproduction (signature transactions over Merkle roots, receipts, channel
-establishment, attestation quotes, member-signed governance) bottoms out in
-that ladder, and the span profiler attributes most host wall-clock to it.
+Plain double-and-add computes ``k * P`` with ~256 doublings plus ~128
+additions per multiplication, and ECDSA verification pays for two of those
+ladders. Every protocol-visible artifact in the reproduction (signature
+transactions over Merkle roots, receipts, channel establishment, attestation
+quotes, member-signed governance) bottoms out in scalar multiplication, so
+the ladder's cost would dominate host wall-clock.
 
 This module applies the standard fast-path techniques:
 
@@ -25,8 +25,8 @@ This module applies the standard fast-path techniques:
   primary's signature transactions, auditors replay one node's receipts.
 
 Fast-path discipline (DESIGN.md): the functions here are **bit-identical**
-to the reference ladder — same affine points, same encodings — and the
-reference stays in :mod:`repro.crypto.ec` as the differential-test oracle.
+to the reference double-and-add ladder — same affine points, same
+encodings — which lives with its differential tests in ``tests/oracles/ec.py``.
 Nothing here touches simulated time (`repro.perf.CostModel` charges are
 unchanged) or draws randomness; only host wall-clock improves.
 """
@@ -226,7 +226,7 @@ def _tables_for(point: Point) -> _PointTables:
 
 def wnaf_mult(k: int, point: Point) -> Point:
     """``k * point`` for an arbitrary point, via the cached wNAF/comb
-    tables. Bit-identical to :func:`repro.crypto.ec.scalar_mult`."""
+    tables. Bit-identical to the double-and-add ladder in ``tests/oracles/ec.py``."""
     STATS["fastec.wnaf_mults"] += 1
     k %= N
     if k == 0 or point.is_infinity:

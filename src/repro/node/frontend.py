@@ -37,6 +37,7 @@ from repro.node.wire import (
     ForwardedRequest,
     ForwardedResponse,
 )
+from repro.perf import costmodel
 
 # First match wins, so subclasses come before their bases.
 _STATUS_BY_ERROR: tuple[tuple[type[CCFError], int], ...] = (
@@ -87,7 +88,7 @@ class Frontend:
         self.node = node  # the hosting CCFNode
         self.node_id = node.node_id
         self.forwards = 0
-        self._workers = [0.0] * node.config.worker_threads
+        self._workers = [0.0] * costmodel.WORKER_THREADS
         self._pending_forwards: dict[int, Request] = {}
         self._sessions_forwarded: set[str] = set()
 
@@ -226,7 +227,7 @@ class Frontend:
             # The triggering request pays for the signature: its response
             # is delayed by the signing cost — Figure 8's periodic spike.
             node.scheduler.after(
-                node.cost.signature_cost, lambda: self.reply(request, response)
+                costmodel.SIGNATURE_COST, lambda: self.reply(request, response)
             )
         else:
             self.reply(request, response)
@@ -243,7 +244,7 @@ class Frontend:
         obs = node.scheduler.obs
         if obs is not None:
             obs.request_forwarded(
-                self.node_id, request.request_id, node.cost.forwarding_cost
+                self.node_id, request.request_id, costmodel.FORWARDING_COST
             )
         if request.session_id:
             self._sessions_forwarded.add(request.session_id)
@@ -252,7 +253,7 @@ class Frontend:
             self.node_id,
             leader,
             ForwardedRequest(request=request, origin_node=self.node_id),
-            extra_delay=node.cost.forwarding_cost,
+            extra_delay=costmodel.FORWARDING_COST,
         )
 
     def on_forwarded_request(self, _src: str, message: ForwardedRequest) -> None:
@@ -328,7 +329,7 @@ class Frontend:
             response = Response(request.request_id, body=body, txid=str(entry.txid))
             signed = node.sign_if_due()
             if signed:
-                self._workers[worker] += node.cost.signature_cost
+                self._workers[worker] += costmodel.SIGNATURE_COST
             return response, signed
         except CCFError as exc:
             return error_response(request, exc), False

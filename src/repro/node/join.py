@@ -32,6 +32,12 @@ from repro.node.wire import (
 )
 from repro.storage.host_storage import HostStorage
 
+# The joiner re-sends its request this often (simulated seconds) until it
+# is admitted and its record is committed.
+JOIN_RETRY_INTERVAL = 1.0
+# Chunk ids asked for per StateChunkRequest round of a chunked transfer.
+JOIN_CHUNK_BATCH = 16
+
 
 @dataclass
 class ChunkTransfer:
@@ -131,7 +137,6 @@ class Join:
                 return
             node = self.node
             consensus = node.consensus
-            interval = node.config.join_retry_interval
             row = (
                 node.store.get(maps.NODES_INFO, node.node_id)
                 if consensus is not None
@@ -142,7 +147,7 @@ class Join:
             orphaned = (
                 consensus is not None
                 and not consensus.is_primary
-                and node.scheduler.now - consensus.last_leader_contact > interval
+                and node.scheduler.now - consensus.last_leader_contact > JOIN_RETRY_INTERVAL
             )
             # ``orphaned`` covers a subtle failure: the admitting primary
             # registered us as a learner, then lost an election; the new
@@ -160,7 +165,7 @@ class Join:
                 # node died mid-stream).
                 if transfer.fetched > transfer.last_progress:
                     transfer.last_progress = transfer.fetched
-                    node.scheduler.after(interval, tick)
+                    node.scheduler.after(JOIN_RETRY_INTERVAL, tick)
                     return
                 self._transfer = None
             if consensus is None or row is None or orphaned:
@@ -174,9 +179,9 @@ class Join:
                 target = self._targets.pop(0)
                 self._targets.append(target)
                 self._send_request(target)
-            node.scheduler.after(interval, tick)
+            node.scheduler.after(JOIN_RETRY_INTERVAL, tick)
 
-        self.node.scheduler.after(self.node.config.join_retry_interval, tick)
+        self.node.scheduler.after(JOIN_RETRY_INTERVAL, tick)
 
     # -- The admitting node's answer ------------------------------------
 
@@ -306,7 +311,7 @@ class Join:
             StateChunkRequest(
                 node_id=node.node_id,
                 base_seqno=transfer.metadata["base_seqno"],
-                chunk_ids=tuple(transfer.missing[: node.config.join_chunk_batch]),
+                chunk_ids=tuple(transfer.missing[:JOIN_CHUNK_BATCH]),
             ),
         )
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.consensus import raft
 from repro.consensus.state import NodeStatus
 from repro.crypto.certs import issue
 from repro.crypto.ecdsa import VerifyingKey
@@ -16,6 +17,7 @@ from repro.kv.tx import WriteSet
 from repro.ledger.secrets import LedgerSecretStore
 from repro.node import maps
 from repro.node.wire import JoinRequest, JoinResponse
+from repro.perf.costmodel import state_transfer_cost
 from repro.tee.attestation import verify_quote
 
 
@@ -54,7 +56,9 @@ class Membership:
                 node.hardware.public_key,
                 allowed,
                 expected_report_data=message.node_public_key,
-                accept_virtual=node.config.accept_virtual_attestation,
+                # Only a virtual-mode service (section 6.4) admits an
+                # unattested virtual joiner.
+                accept_virtual=node.config.platform == "virtual",
             )
         except AttestationError as exc:
             node.network.send(
@@ -135,7 +139,7 @@ class Membership:
             node.node_id,
             message.node_id,
             response,
-            extra_delay=node.cost.state_transfer_cost(state_bytes),
+            extra_delay=state_transfer_cost(state_bytes),
         )
 
     # -- Retirement -----------------------------------------------------
@@ -157,7 +161,7 @@ class Membership:
             # Keep replicating briefly so the retired node itself learns
             # its retirement committed (it stays online until the operator
             # shuts it down, section 4.5), then stop.
-            grace = 2 * node.config.consensus.election_timeout_max
+            grace = 2 * raft.ELECTION_TIMEOUT_MAX
 
             def drop() -> None:
                 if not node.stopped and node.consensus is not None:

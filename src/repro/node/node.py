@@ -41,11 +41,15 @@ from repro.node.join import Join
 from repro.node.membership import Membership
 from repro.node.snapshots import Snapshots
 from repro.obs.metrics import RUNTIME_STATS
+from repro.perf import costmodel
 from repro.recovery.shares import perform_rekey, reprovision_recovery_shares
 from repro.sim.scheduler import Scheduler
 from repro.storage.host_storage import HostStorage
 from repro.tee.attestation import HardwareRoot
 from repro.tee.enclave import Enclave
+
+# The primary's push cadence for newly appended entries (simulated seconds).
+REPLICATION_INTERVAL = 0.002
 
 
 class CCFNode:
@@ -68,7 +72,7 @@ class CCFNode:
         self.config = config
         self.app = app
         self.governance_app = governance_app
-        self.cost = config.resolve_cost_model()
+        self.cost = costmodel.CostModel(config.runtime, config.platform)
 
         self.enclave = Enclave(config.platform, code_id, hardware)
         self.hardware = hardware
@@ -170,7 +174,6 @@ class CCFNode:
             scheduler=self.scheduler,
             host=self,
             initial_nodes=initial_nodes,
-            config=self.config.consensus,
             config_base_seqno=config_base_seqno,
         )
         return self.consensus
@@ -223,9 +226,7 @@ class CCFNode:
         self.unsigned_entries = 0
         obs = self.scheduler.obs
         if obs is not None:
-            obs.signature_tx(
-                self.node_id, view, entry.txid.seqno, self.cost.signature_cost
-            )
+            obs.signature_tx(self.node_id, view, entry.txid.seqno, costmodel.SIGNATURE_COST)
         return entry
 
     def on_commit(self, seqno: int) -> None:
@@ -408,7 +409,7 @@ class CCFNode:
                 return
             self.consensus.replicate_now()
 
-        self.scheduler.after(self.config.replication_interval, push)
+        self.scheduler.after(REPLICATION_INTERVAL, push)
 
     # ==================================================================
     # Network dispatch

@@ -15,6 +15,10 @@ from repro.ledger import statetransfer
 from repro.ledger.receipts import issue_receipt
 from repro.node import maps
 from repro.node.wire import StateChunkRequest, StateChunkResponse
+from repro.perf.costmodel import state_transfer_cost
+
+# A snapshot chunk holds about this many bytes of canonical rows.
+SNAPSHOT_CHUNK_BYTES = 16384
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ class Snapshots:
             commit_seqno,
             secret,
             metadata,
-            chunk_bytes=node.config.snapshot_chunk_bytes,
+            chunk_bytes=SNAPSHOT_CHUNK_BYTES,
             # The previous snapshot's map table + sealed chunks, so clean
             # maps reuse their chunks.
             baseline=self.latest.baseline if self.latest is not None else None,
@@ -177,5 +181,5 @@ class Snapshots:
                 chunks=tuple(found),
                 missing=tuple(missing),
             ),
-            extra_delay=node.cost.state_transfer_cost(payload_bytes),
+            extra_delay=state_transfer_cost(payload_bytes),
         )

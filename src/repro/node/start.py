@@ -21,16 +21,13 @@ from repro.node import maps
 def mint_service_identity(
     node,
     service_subject: str,
-    secret_seed: bytes | None,
     key_label: bytes,
     generation: int = 0,
 ) -> LedgerSecretStore:
     """Mint a service identity and a first ledger secret inside ``node``'s
     enclave and endorse the node's key with it. A brand-new service and a
     recovered one differ in ``key_label`` and the secret's ``generation``."""
-    seed = secret_seed if secret_seed is not None else (
-        node.node_id.encode() + node.scheduler.rng.getrandbits(128).to_bytes(16, "big")
-    )
+    seed = node.node_id.encode() + node.scheduler.rng.getrandbits(128).to_bytes(16, "big")
     service_key = SigningKey.generate(seed + key_label)
     secrets = LedgerSecretStore(
         LedgerSecret.generate(seed + b"|ledger-secret", generation=generation)
@@ -48,15 +45,12 @@ def start_new_service(
     node,
     service_subject: str,
     genesis: Callable[[RequestContext], None],
-    secret_seed: bytes | None = None,
 ) -> None:
     """Create a brand-new service on ``node``: mint the service identity
     and ledger secret inside the enclave, write the genesis transaction
     (what ``genesis`` puts — constitution, members, users, code ids — plus
     this node's row and the service's), and become the initial primary."""
-    secrets = mint_service_identity(
-        node, service_subject, secret_seed, b"|service-identity"
-    )
+    secrets = mint_service_identity(node, service_subject, b"|service-identity")
     node.install(KVStore(), Ledger(secrets), {node.node_id}).start_as_initial_primary()
     tx = node.store.begin()
     genesis(RequestContext(Request(path="/genesis"), tx, Caller("member", "genesis"), node=node))

@@ -51,34 +51,34 @@ _EXECUTION_COSTS: dict[tuple[str, str], ExecutionCosts] = {
 }
 
 
+# The paper's TEE-side thread pool size (Table 5).
+WORKER_THREADS = 10
+# Signing the Merkle root inside the enclave (Figure 8's ~1 ms bump).
+SIGNATURE_COST = 1.0e-3
+# Primary-side cost per entry per backup for building/sending
+# append_entries (Figure 7 left's decline with cluster size).
+REPLICATION_COST_PER_BACKUP = 3.0e-6
+# Forwarding a user request from a backup to the primary (section 4.3).
+FORWARDING_COST = 5.0e-6
+# Shipping sealed state to a joiner, per byte (manifest + chunk
+# responses). Makes join time scale with transferred state in simulated
+# time, so dedup savings are visible to the clock and not just to
+# counters.
+STATE_TRANSFER_COST_PER_BYTE = 2.0e-9
+
+
 @dataclass(frozen=True)
 class CostModel:
-    """All simulated-time costs for one node configuration."""
+    """The simulated-time execution costs of one runtime×platform cell."""
 
     runtime: str = "native"  # "native" (C++ analog) or "js"
     platform: str = "sgx"  # "sgx", "virtual", or "snp"
-    worker_threads: int = 10  # the paper's TEE-side thread pool size
-
-    # Signing the Merkle root inside the enclave (Figure 8's ~1 ms bump).
-    signature_cost: float = 1.0e-3
-    # Primary-side cost per entry per backup for building/sending
-    # append_entries (Figure 7 left's decline with cluster size).
-    replication_cost_per_backup: float = 3.0e-6
-    # Forwarding a user request from a backup to the primary (section 4.3).
-    forwarding_cost: float = 5.0e-6
-    # Shipping sealed state to a joiner, per byte (manifest + chunk
-    # responses). Makes join time scale with transferred state in simulated
-    # time, so dedup savings are visible to the clock and not just to
-    # counters.
-    state_transfer_cost_per_byte: float = 2.0e-9
 
     def __post_init__(self) -> None:
         if (self.runtime, self.platform) not in _EXECUTION_COSTS:
             raise ConfigurationError(
                 f"no calibration for runtime={self.runtime!r} platform={self.platform!r}"
             )
-        if self.worker_threads < 1:
-            raise ConfigurationError("need at least one worker thread")
 
     @property
     def execution(self) -> ExecutionCosts:
@@ -87,12 +87,13 @@ class CostModel:
     def write_cost(self, num_backups: int = 0) -> float:
         """Service time for one write request on the primary, including its
         share of replication work toward ``num_backups`` backups."""
-        return self.execution.write + num_backups * self.replication_cost_per_backup
+        return self.execution.write + num_backups * REPLICATION_COST_PER_BACKUP
 
     def read_cost(self) -> float:
         """Service time for one read request on any node."""
         return self.execution.read
 
-    def state_transfer_cost(self, num_bytes: int) -> float:
-        """Wire-time surcharge for shipping ``num_bytes`` of state."""
-        return num_bytes * self.state_transfer_cost_per_byte
+
+def state_transfer_cost(num_bytes: int) -> float:
+    """Wire-time surcharge for shipping ``num_bytes`` of state."""
+    return num_bytes * STATE_TRANSFER_COST_PER_BYTE

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.perf import costmodel
 from repro.perf.costmodel import CostModel
 
 
@@ -93,7 +94,7 @@ def predict_write_throughput(
         n_clients=n_clients,
         service_time=model.write_cost(num_backups),
         round_trip=round_trip,
-        workers=model.worker_threads,
+        workers=costmodel.WORKER_THREADS,
     )
 
 
@@ -106,7 +107,7 @@ def predict_read_throughput(
         n_clients=max(1, n_clients // n_nodes),
         service_time=model.read_cost(),
         round_trip=round_trip,
-        workers=model.worker_threads,
+        workers=costmodel.WORKER_THREADS,
     )
     return ClosedLoopPrediction(
         throughput=per_node.throughput * n_nodes,
@@ -123,5 +124,5 @@ def predict_signature_throughput_factor(
     after amortizing one signing operation per ``signature_interval``
     transactions across the worker pool."""
     write = model.execution.write
-    overhead_per_tx = model.signature_cost / signature_interval
+    overhead_per_tx = costmodel.SIGNATURE_COST / signature_interval
     return write / (write + overhead_per_tx)

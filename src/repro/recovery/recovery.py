@@ -249,7 +249,6 @@ def start_recovered_service(
     node,
     salvaged_storage: HostStorage,
     service_subject: str,
-    secret_seed: bytes | None = None,
 ) -> dict:
     """Start ``node`` (a fresh :class:`repro.node.node.CCFNode`) in
     recovery mode from salvaged ledger files.
@@ -274,7 +273,7 @@ def start_recovered_service(
     if isinstance(row, dict):
         previous_generation = row.get("generation", 0)
     replay.ledger.secrets = mint_service_identity(
-        node, service_subject, secret_seed, b"|recovered-service-identity",
+        node, service_subject, b"|recovered-service-identity",
         generation=previous_generation + 1,
     )
     consensus = node.install(

@@ -41,6 +41,11 @@ from repro.storage.host_storage import HostStorage
 from repro.tee.attestation import HardwareRoot
 from repro.tee.enclave import code_id_for
 
+# The application every node runs: its code id is ``code_id_for(APP_CODE_NAME, 1)``.
+APP_CODE_NAME = "ccf-app"
+# The subject of the service certificate a new service mints.
+SERVICE_SUBJECT = "ccf-service"
+
 
 @dataclass
 class MemberHandle:
@@ -82,9 +87,6 @@ class ServiceSetup:
     app_factory: Callable[[], Application] | None = None
     constitution: dict = field(default_factory=lambda: {"kind": "default"})
     recovery_threshold: int = 2
-    code_name: str = "ccf-app"
-    code_version: int = 1
-    service_subject: str = "ccf-service"
     link: LinkConfig = field(default_factory=LinkConfig)
     seed: int = 42
 
@@ -121,7 +123,7 @@ class CCFService:
         self.scheduler = Scheduler(seed=setup.seed)
         self.network = Network(self.scheduler, setup.link)
         self.hardware = HardwareRoot(seed=b"hw|%d" % setup.seed)
-        self.code_id = code_id_for(setup.code_name, setup.code_version)
+        self.code_id = code_id_for(APP_CODE_NAME, 1)
         self.nodes: dict[str, CCFNode] = {}
         self.members: list[MemberHandle] = []
         self.users: list[Identity] = []
@@ -198,7 +200,7 @@ class CCFService:
 
     def bootstrap(self, open_service: bool = True) -> None:
         """Run the full startup sequence to a service open for users."""
-        start_new_service(self.new_node(), self.setup.service_subject, self._genesis)
+        start_new_service(self.new_node(), SERVICE_SUBJECT, self._genesis)
 
         for member in self.members:
             member.client = ServiceClient(

@@ -9,7 +9,7 @@ full node minus the application layer.
 
 from __future__ import annotations
 
-from repro.consensus.raft import ConsensusConfig, ConsensusNode
+from repro.consensus.raft import ConsensusNode
 from repro.crypto.ecdsa import SigningKey
 from repro.errors import NotPrimaryError
 from repro.kv.store import KVStore
@@ -137,8 +137,7 @@ class MiniHost:
 class Cluster:
     """N MiniHost nodes wired through one simulated network."""
 
-    def __init__(self, n: int, seed: int = 1, config: ConsensusConfig | None = None,
-                 tracer=None, obs=None):
+    def __init__(self, n: int, seed: int = 1, tracer=None, obs=None):
         # A TraceRecorder and an ObsCollector observe from the first event.
         self.scheduler = Scheduler(seed=seed)
         if tracer is not None:
@@ -146,7 +145,6 @@ class Cluster:
         if obs is not None:
             obs.attach(self.scheduler)
         self.network = Network(self.scheduler, LinkConfig(base_latency=0.0005, jitter=0.0001))
-        self.config = config if config is not None else ConsensusConfig()
         self.node_ids = [f"n{i}" for i in range(n)]
         self.hosts: dict[str, MiniHost] = {}
         initial = frozenset(self.node_ids)
@@ -158,7 +156,6 @@ class Cluster:
                 scheduler=self.scheduler,
                 host=host,
                 initial_nodes=initial,
-                config=self.config,
             )
             host.consensus = consensus
             host.ledger.obs, host.ledger.obs_owner = obs, node_id

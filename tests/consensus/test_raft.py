@@ -7,8 +7,8 @@ unsigned suffixes, reconfiguration, and the Table 2 voting matrix.
 
 import pytest
 
+from repro.consensus import raft
 from repro.consensus.messages import RequestVote, RequestVoteResponse
-from repro.consensus.raft import ConsensusConfig
 from repro.consensus.state import Role
 from repro.ledger.entry import TxID
 from repro.verification.harness import Cluster
@@ -77,8 +77,9 @@ class TestReplicationAndCommit:
         converge(cluster, 0.5)
         assert primary.consensus.commit_seqno == primary.ledger.last_seqno
 
-    def test_no_commit_without_majority(self):
-        cluster = Cluster(5, config=ConsensusConfig(step_down_window=10.0))
+    def test_no_commit_without_majority(self, monkeypatch):
+        monkeypatch.setattr(raft, "STEP_DOWN_WINDOW", 10.0)
+        cluster = Cluster(5)
         cluster.start()
         converge(cluster, 0.2)
         committed_before = cluster.primary().consensus.commit_seqno
@@ -178,8 +179,9 @@ class TestElections:
         for host in cluster.alive_hosts():
             assert host.store.get("data", "unsigned-a") is None
 
-    def test_old_primary_steps_down_on_higher_view(self):
-        cluster = Cluster(3, config=ConsensusConfig(step_down_window=30.0))
+    def test_old_primary_steps_down_on_higher_view(self, monkeypatch):
+        monkeypatch.setattr(raft, "STEP_DOWN_WINDOW", 30.0)
+        cluster = Cluster(3)
         cluster.start()
         primary = cluster.primary()
         # Partition the primary away, let a new one emerge, then heal.
@@ -193,10 +195,11 @@ class TestElections:
         assert primary.consensus.role is not Role.PRIMARY
         assert primary.consensus.view >= new_primary.consensus.view
 
-    def test_partitioned_primary_steps_down_by_itself(self):
+    def test_partitioned_primary_steps_down_by_itself(self, monkeypatch):
         """Section 4.2: a primary that cannot reach a majority steps down
         cleanly instead of growing an uncommittable suffix."""
-        cluster = Cluster(3, config=ConsensusConfig(step_down_window=0.4))
+        monkeypatch.setattr(raft, "STEP_DOWN_WINDOW", 0.4)
+        cluster = Cluster(3)
         cluster.start()
         primary = cluster.primary()
         others = [n for n in cluster.node_ids if n != primary.node_id]
@@ -344,10 +347,11 @@ class TestReconfiguration:
             "public:ccf.gov.nodes.info", victim
         ) == {"status": "Retired"}
 
-    def test_quorum_spans_old_and_new_during_reconfig(self):
+    def test_quorum_spans_old_and_new_during_reconfig(self, monkeypatch):
         """While a reconfiguration is pending, commit needs majorities in
         both configurations."""
-        cluster = Cluster(5, config=ConsensusConfig(step_down_window=10.0))
+        monkeypatch.setattr(raft, "STEP_DOWN_WINDOW", 10.0)
+        cluster = Cluster(5)
         for node_id in cluster.node_ids:
             cluster.hosts[node_id].consensus.configurations = (
                 type(cluster.hosts[node_id].consensus.configurations)
@@ -456,14 +460,15 @@ class TestSafetyInvariants:
 
 
 class TestCatchUpCommitRounding:
-    def test_catching_up_backup_commits_only_at_signatures(self):
+    def test_catching_up_backup_commits_only_at_signatures(self, monkeypatch):
         """A backup fed one entry per append_entries must round the
         leader's commit index down to the last signature it holds — its
         commit point may never rest on a user transaction. Regression for
         a bug found by the chaos engine (repro.sim.chaos)."""
         from repro.verification.invariants import check_all_invariants
 
-        cluster = Cluster(3, seed=11, config=ConsensusConfig(max_batch_entries=1))
+        monkeypatch.setattr(raft, "MAX_BATCH_ENTRIES", 1)
+        cluster = Cluster(3, seed=11)
         cluster.start()
         converge(cluster, 0.2)
         primary = cluster.primary()

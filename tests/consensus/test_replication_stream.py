@@ -10,6 +10,7 @@ per round trip, each window sent once.
 import math
 
 from repro.app.logging_app import build_logging_app
+from repro.consensus import raft
 from repro.consensus.messages import AppendEntries
 from repro.node.config import NodeConfig
 from repro.service.client import ServiceClient
@@ -107,7 +108,7 @@ def test_a_lost_window_is_repaired_by_the_next_heartbeat():
 
     # The next heartbeat is an empty probe at the signature; the victim
     # does not hold it, and its failure ack rewinds next_index once.
-    cluster.run(2 * cluster.config.heartbeat_interval)
+    cluster.run(2 * raft.HEARTBEAT_INTERVAL)
     assert victim.ledger.last_txid() == signature.txid
     victim_acks = [ack.success for ack in acks if ack.sender == victim.node_id]
     assert victim_acks.count(False) == 1
@@ -145,6 +146,6 @@ def test_a_lagging_learner_is_caught_up_one_full_window_per_round_trip():
 
     assert learner.ledger.last_txid() == primary.ledger.last_txid()
     windows = [len(m.entries) for m in received if m.entries]
-    assert len(windows) == math.ceil(gap / cluster.config.max_batch_entries)
+    assert len(windows) == math.ceil(gap / raft.MAX_BATCH_ENTRIES)
     assert sum(windows) == gap
     assert all(ack.success for ack in acks if ack.sender == learner.node_id)

@@ -2,7 +2,7 @@
 
 The contract (DESIGN.md, "fast-path discipline"): every function in
 :mod:`repro.crypto.fastec` is bit-identical to the reference double-and-add
-ladder in :mod:`repro.crypto.ec`, which stays untouched as the oracle.
+ladder in :mod:`tests.oracles.ec`, which stays plain as the oracle.
 These tests hold the two against each other on seeded random scalars, the
 edge scalars around the group order, and NIST P-256 known-answer vectors.
 """
@@ -14,6 +14,7 @@ import pytest
 from repro.crypto import ec, fastec
 from repro.crypto.ec import GENERATOR, INFINITY, N, Point, decode_point
 from repro.errors import CryptoError
+from tests.oracles import ec as reference_ec
 
 # Scalars where window/wNAF implementations classically go wrong: zero, the
 # smallest values, the group order and its neighbours, and all-ones windows.
@@ -28,11 +29,11 @@ def _random_scalars(count: int, seed: int = 20260806) -> list[int]:
 class TestGeneratorComb:
     @pytest.mark.parametrize("k", EDGE_SCALARS)
     def test_edge_scalars_match_reference(self, k):
-        assert fastec.generator_mult(k) == ec.scalar_mult(k, GENERATOR)
+        assert fastec.generator_mult(k) == reference_ec.scalar_mult(k, GENERATOR)
 
     def test_random_scalars_match_reference(self):
         for k in _random_scalars(40):
-            assert fastec.generator_mult(k) == ec.scalar_mult(k, GENERATOR)
+            assert fastec.generator_mult(k) == reference_ec.scalar_mult(k, GENERATOR)
 
     def test_infinity_base(self):
         table = fastec.FixedBaseTable(INFINITY)
@@ -41,21 +42,21 @@ class TestGeneratorComb:
     def test_encodings_are_bit_identical(self):
         # Not just equal points: identical compressed encodings.
         for k in _random_scalars(10, seed=7):
-            assert fastec.generator_mult(k).encode() == ec.scalar_mult(k, GENERATOR).encode()
+            assert fastec.generator_mult(k).encode() == reference_ec.scalar_mult(k, GENERATOR).encode()
 
 
 class TestWnafMult:
     @pytest.fixture()
     def base(self):
-        return ec.scalar_mult(0xDEADBEEF, GENERATOR)
+        return reference_ec.scalar_mult(0xDEADBEEF, GENERATOR)
 
     @pytest.mark.parametrize("k", EDGE_SCALARS)
     def test_edge_scalars_match_reference(self, base, k):
-        assert fastec.wnaf_mult(k, base) == ec.scalar_mult(k, base)
+        assert fastec.wnaf_mult(k, base) == reference_ec.scalar_mult(k, base)
 
     def test_random_scalars_match_reference(self, base):
         for k in _random_scalars(40, seed=1):
-            assert fastec.wnaf_mult(k, base) == ec.scalar_mult(k, base)
+            assert fastec.wnaf_mult(k, base) == reference_ec.scalar_mult(k, base)
 
     def test_point_at_infinity(self):
         assert fastec.wnaf_mult(12345, INFINITY) == INFINITY
@@ -72,28 +73,28 @@ class TestWnafMult:
 class TestDoubleScalarMult:
     @pytest.fixture()
     def base(self):
-        return ec.scalar_mult(0xC0FFEE, GENERATOR)
+        return reference_ec.scalar_mult(0xC0FFEE, GENERATOR)
 
     def test_random_pairs_match_reference(self, base):
         rng = random.Random(3)
         for _ in range(25):
             u1 = rng.randrange(0, 2 * N)
             u2 = rng.randrange(0, 2 * N)
-            expected = ec.point_add(
-                ec.scalar_mult(u1, GENERATOR), ec.scalar_mult(u2, base)
+            expected = reference_ec.point_add(
+                reference_ec.scalar_mult(u1, GENERATOR), reference_ec.scalar_mult(u2, base)
             )
             assert fastec.double_scalar_mult(u1, u2, base) == expected
 
     @pytest.mark.parametrize("u1", [0, 1, N - 1, N])
     @pytest.mark.parametrize("u2", [0, 1, N - 1, N])
     def test_edge_pairs_match_reference(self, base, u1, u2):
-        expected = ec.point_add(
-            ec.scalar_mult(u1, GENERATOR), ec.scalar_mult(u2, base)
+        expected = reference_ec.point_add(
+            reference_ec.scalar_mult(u1, GENERATOR), reference_ec.scalar_mult(u2, base)
         )
         assert fastec.double_scalar_mult(u1, u2, base) == expected
 
     def test_infinity_point(self):
-        assert fastec.double_scalar_mult(5, 7, INFINITY) == ec.scalar_mult(5, GENERATOR)
+        assert fastec.double_scalar_mult(5, 7, INFINITY) == reference_ec.scalar_mult(5, GENERATOR)
 
     def test_cancellation_to_infinity(self):
         # u1*G + u2*(-G) with u1 == u2 must cancel exactly.
@@ -105,20 +106,20 @@ class TestPromotion:
     def test_promotion_keeps_results_identical(self):
         fastec.clear_point_cache()
         fastec.reset_stats()
-        base = ec.scalar_mult(0xABCDEF, GENERATOR)
+        base = reference_ec.scalar_mult(0xABCDEF, GENERATOR)
         scalars = _random_scalars(fastec.PROMOTE_AFTER + 5, seed=4)
         for k in scalars:
-            assert fastec.wnaf_mult(k, base) == ec.scalar_mult(k, base)
+            assert fastec.wnaf_mult(k, base) == reference_ec.scalar_mult(k, base)
         # The point was used often enough to earn its own comb table...
         assert fastec.STATS["fastec.comb_promotions"] >= 1
         # ...and post-promotion results still match the reference.
         for k in _random_scalars(5, seed=5):
-            assert fastec.wnaf_mult(k, base) == ec.scalar_mult(k, base)
+            assert fastec.wnaf_mult(k, base) == reference_ec.scalar_mult(k, base)
 
     def test_point_cache_bounded(self):
         fastec.clear_point_cache()
         for i in range(fastec.POINT_CACHE_MAX + 10):
-            fastec.wnaf_mult(3, ec.scalar_mult(1000 + i, GENERATOR))
+            fastec.wnaf_mult(3, reference_ec.scalar_mult(1000 + i, GENERATOR))
         assert len(fastec._POINT_TABLES) <= fastec.POINT_CACHE_MAX
 
 
@@ -162,7 +163,7 @@ class TestKnownAnswers:
 
 class TestDecodeMemo:
     def test_hits_counted_and_point_identical(self):
-        encoded = ec.scalar_mult(99991, GENERATOR).encode()
+        encoded = reference_ec.scalar_mult(99991, GENERATOR).encode()
         ec._DECODE_MEMO.clear()
         before = dict(ec.DECODE_STATS)
         first = decode_point(encoded)
@@ -184,7 +185,7 @@ class TestDecodeMemo:
         ec._DECODE_MEMO_MAX = 8
         try:
             for i in range(20):
-                decode_point(ec.scalar_mult(500 + i, GENERATOR).encode())
+                decode_point(reference_ec.scalar_mult(500 + i, GENERATOR).encode())
             assert len(ec._DECODE_MEMO) <= 8
         finally:
             ec._DECODE_MEMO_MAX = original_max

@@ -6,6 +6,8 @@ from repro.app.application import Application, Endpoint
 from repro.app.context import Caller, Request, RequestContext
 from repro.errors import AuthorizationError, ConfigurationError
 from repro.kv.store import KVStore
+from repro.node.config import NodeConfig
+from repro.perf import costmodel
 from repro.perf.costmodel import CostModel
 
 
@@ -112,10 +114,25 @@ class TestCostModel:
     def test_unknown_combination_rejected(self):
         with pytest.raises(ConfigurationError):
             CostModel(runtime="cobol", platform="sgx")
-        with pytest.raises(ConfigurationError):
-            CostModel(worker_threads=0)
 
     def test_signature_cost_matches_figure8(self):
         """Figure 8: the signing bump is ~1 ms."""
-        model = CostModel()
-        assert 0.0005 < model.signature_cost < 0.002
+        assert 0.0005 < costmodel.SIGNATURE_COST < 0.002
+
+
+class TestNodeConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("signature_interval", 0),
+            # A negative interval would make each snapshot's evidence
+            # commit trigger the next snapshot: the primary livelocks.
+            ("snapshot_interval", -1),
+            ("signature_flush_time", -0.01),
+            ("platform", "sgxx"),
+            ("runtime", "cobol"),
+        ],
+    )
+    def test_bad_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError):
+            NodeConfig(**{field: value})

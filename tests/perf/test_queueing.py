@@ -7,6 +7,7 @@ mean-value-analysis predictions within tolerance.
 
 import pytest
 
+from repro.perf import costmodel
 from repro.perf.costmodel import CostModel
 from repro.perf.queueing import (
     asymptotic_bounds,
@@ -93,7 +94,7 @@ class TestSimulatorAgreement:
         prediction = mva_closed_loop(
             n_clients=1, service_time=model.write_cost(0),
             round_trip=0.00106 + 0.00006,  # the fig8 calibrated link RTT
-            workers=model.worker_threads,
+            workers=costmodel.WORKER_THREADS,
         )
         total_latency = prediction.response_time + 0.00106
         # The measured fig8 baseline is ~1.31 ms.

@@ -72,16 +72,18 @@ def test_chaos_crashes_and_replacements(seed):
 
 
 @pytest.mark.parametrize("seed", [13, 29])
-def test_chaos_join_mid_load_via_chunked_snapshot(seed):
+def test_chaos_join_mid_load_via_chunked_snapshot(seed, monkeypatch):
     """Chaos with delta snapshots on: a node is killed and its replacement
     joins *mid-load* through the chunked-dedup state transfer, while the
     closed-loop client keeps writing. The replacement must come up from a
     snapshot (not full replay), and the surviving configuration must agree
     byte-for-byte on committed data afterwards."""
+    from repro.node import join, snapshots
     from repro.node.config import NodeConfig
 
-    config = NodeConfig(signature_interval=10, snapshot_interval=100,
-                        snapshot_chunk_bytes=1024, join_chunk_batch=4)
+    monkeypatch.setattr(snapshots, "SNAPSHOT_CHUNK_BYTES", 1024)
+    monkeypatch.setattr(join, "JOIN_CHUNK_BATCH", 4)
+    config = NodeConfig(signature_interval=10, snapshot_interval=100)
     service = make_service(n_nodes=3, seed=seed, node_config=config)
     rng = service.scheduler.rng
     operator = Operator(service)

@@ -5,21 +5,23 @@ import dataclasses
 
 import pytest
 
+from repro.node import join, snapshots
 from repro.node.config import NodeConfig
 from repro.node.node import CCFNode
 
 from tests.node.conftest import make_service
 
 
-def chunked_config(**overrides):
-    defaults = dict(
-        signature_interval=10,
-        snapshot_interval=20,
-        snapshot_chunk_bytes=512,
-        join_chunk_batch=2,
-    )
-    defaults.update(overrides)
-    return NodeConfig(**defaults)
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    """512-byte chunks fetched two per round, so a small store spans many
+    chunks and rounds."""
+    monkeypatch.setattr(snapshots, "SNAPSHOT_CHUNK_BYTES", 512)
+    monkeypatch.setattr(join, "JOIN_CHUNK_BATCH", 2)
+
+
+def chunked_config():
+    return NodeConfig(signature_interval=10, snapshot_interval=20)
 
 
 def fill(service, n, start=0):
@@ -92,10 +94,11 @@ class TestChunkedJoin:
         assert stats["fetched"] == 0
         assert stats["cached"] == stats["chunks"] > 1
 
-    def test_crash_mid_transfer_resumes_without_refetch(self):
+    def test_crash_mid_transfer_resumes_without_refetch(self, monkeypatch):
         """Streaming install is crash-consistent: chunks received before
         the crash are on disk and are not fetched again after re-join."""
-        service = make_service(n_nodes=3, node_config=chunked_config(join_chunk_batch=1))
+        monkeypatch.setattr(join, "JOIN_CHUNK_BATCH", 1)
+        service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         victim = make_joiner(service, "joiner-crash")
         service.run_until(

@@ -10,6 +10,7 @@ from repro.errors import AttestationError, IntegrityError, VerificationError
 from repro.ledger.receipts import Receipt
 from repro.node.node import CCFNode
 from repro.node.config import NodeConfig
+from repro.service.service import APP_CODE_NAME
 from repro.tee.attestation import HardwareRoot
 from repro.tee.enclave import code_id_for
 
@@ -239,7 +240,7 @@ class TestAttestationGate:
     def test_code_update_allows_new_version(self, service):
         """Live code update (section 5): governance approves a new code id,
         after which nodes built from it may join."""
-        new_code = code_id_for(service.setup.code_name, 2)
+        new_code = code_id_for(APP_CODE_NAME, 2)
         service.run_governance([{"name": "add_node_code", "args": {"code_id": new_code}}])
         upgraded = CCFNode(
             node_id="n-upgraded",

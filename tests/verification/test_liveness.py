@@ -54,10 +54,9 @@ class TestAvailabilityFloor:
 
 class TestEnginePredicates:
     def _cluster(self):
-        from repro.consensus.raft import ConsensusConfig
         from repro.verification.harness import Cluster
 
-        cluster = Cluster(3, seed=7, config=ConsensusConfig())
+        cluster = Cluster(3, seed=7)
         cluster.start()
         cluster.run(0.3)
         return cluster
