@@ -28,9 +28,12 @@ properties of :mod:`repro.verification.liveness` — primary re-election,
 commit resumption, a client-observed availability floor, and no
 permanently stuck reconfiguration.
 
-Every decision is drawn from the simulation's seeded RNG, so a schedule
-is fully determined by ``(seed, ChaosSpec)`` and any reported violation
-replays byte-identically:
+Every fault decision and magnitude is drawn from the schedule's own RNG,
+seeded from the schedule seed alone; the network's per-message draws
+(latency, loss, duplication, spikes) stay on the scheduler's RNG. A change
+to the message schedule therefore moves *when* things happen but not
+*which* faults a seed injects. A schedule is fully determined by
+``(seed, ChaosSpec)`` and any reported violation replays byte-identically:
 
     ChaosEngine(spec).run_schedule(seed)   # == the reported run
 
@@ -40,6 +43,7 @@ Run ``python -m repro.sim.chaos --schedules 5`` for the CI smoke mode.
 from __future__ import annotations
 
 import dataclasses
+import random
 import sys
 from dataclasses import dataclass, field
 
@@ -140,6 +144,8 @@ class ServiceCluster:
             ),
             tracer=tracer, obs=obs,
         )
+        # The fault plan's own stream: which faults, where, how large.
+        self.rng = random.Random(f"chaos-faults/{seed}")
         # (node_id -> (salvaged disk or None, last persisted seqno, corrupted?))
         self.crashed: dict[str, tuple[HostStorage | None, int, bool]] = {}
         self.client = self._start_load()
@@ -189,7 +195,7 @@ class ServiceCluster:
         complete chunk, or truncate trailing chunks. Returns a description,
         or None when the disk has nothing to corrupt."""
         salvaged, persisted, _ = self.crashed[node_id]
-        rng = self.service.scheduler.rng
+        rng = self.rng
         if salvaged is None:
             return None
         complete = [
@@ -258,7 +264,15 @@ class ServiceCluster:
                 f"liveness: replacement governance for {node_id} stuck: {exc}"
             )
             return
-        self.client.fallback_nodes.append(successor.node_id)
+        # The successor takes the dead node's place in the load's rotation:
+        # node ids are never reused, so a request sent to the old one only
+        # waits out a (by now backed-off) timeout.
+        client = self.client
+        if node_id in client.fallback_nodes:
+            client.fallback_nodes.remove(node_id)
+        client.fallback_nodes.append(successor.node_id)
+        if client.target_node == node_id:
+            client.target_node = successor.node_id
         report.fault_log.append(
             (service.scheduler.now,
              f"restarted {node_id} as {successor.node_id} "
@@ -318,7 +332,7 @@ class ChaosEngine(ScheduleEngine):
         self, cluster: ServiceCluster, report: ScheduleReport, state: dict
     ) -> None:
         spec, service = self.spec, cluster.service
-        rng, network = service.scheduler.rng, service.network
+        rng, network = cluster.rng, service.network
         now = service.scheduler.now
         note = lambda kind, text: (  # noqa: E731 - tiny local helper
             report.fault_kinds.add(kind),
