@@ -96,11 +96,12 @@ def cached_chunk(storage, cid: str) -> bytes | None:
     return None
 
 
-def manifest_digest(metadata: dict) -> Digest:
-    """The digest the snapshot receipt claims: canonical metadata bytes
-    (which include the per-map chunk-id listing, so every chunk is
-    transitively covered by the receipt)."""
-    return sha256(encode_value(metadata))
+def manifest_digest(manifest: bytes) -> Digest:
+    """The digest the snapshot receipt claims, over the manifest's
+    canonical encoding (``encode_value`` of the metadata, which includes
+    the per-map chunk-id listing, so every chunk is transitively covered
+    by the receipt)."""
+    return sha256(manifest)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from repro.crypto.certs import Certificate
 from repro.crypto.ct import ct_eq
 from repro.crypto.ecdsa import SigningKey
 from repro.errors import AttestationError, IntegrityError, KVError, VerificationError
-from repro.kv.serialization import decode_value
+from repro.kv.serialization import decode_value, encode_value
 from repro.kv.store import KVStore
 from repro.ledger import statetransfer
 from repro.ledger.audit import StorageValidation, validate_storage
@@ -256,7 +256,7 @@ class Join:
         metadata = message.snapshot_manifest
         receipt = Receipt.from_dict(message.snapshot_receipt)
         receipt.verify(node.service_certificate)
-        digest = bytes(statetransfer.manifest_digest(metadata))
+        digest = bytes(statetransfer.manifest_digest(encode_value(metadata)))
         claimed = (receipt.claims or {}).get("snapshot_digest")
         if not ct_eq(claimed, digest.hex()):
             raise VerificationError(

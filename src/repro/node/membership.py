@@ -134,7 +134,7 @@ class Membership:
         # Reply to the joiner itself — with forwarding, the sender may be
         # the relaying backup rather than the joining node. Shipping the
         # manifest costs wire time proportional to its size.
-        state_bytes = len(encode_value(manifest)) if manifest is not None else 0
+        state_bytes = len(snapshot.manifest) if snapshot is not None else 0
         node.network.send(
             node.node_id,
             message.node_id,

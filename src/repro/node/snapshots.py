@@ -28,6 +28,7 @@ class Snapshot:
     a joiner is served."""
 
     metadata: dict  # the manifest
+    manifest: bytes  # its canonical encoding: digested, stored, and sized for a join
     chunks: dict[str, bytes]  # sealed, by content address
     # Next delta builds against this snapshot's table + chunks.
     baseline: statetransfer.SnapshotBaseline
@@ -86,7 +87,8 @@ class Snapshots:
             # maps reuse their chunks.
             baseline=self.latest.baseline if self.latest is not None else None,
         )
-        digest = bytes(statetransfer.manifest_digest(built.metadata))
+        manifest = encode_value(built.metadata)
+        digest = bytes(statetransfer.manifest_digest(manifest))
         obs = node.scheduler.obs
         if obs is not None:
             obs.snapshot_produced(node.node_id, commit_seqno, built.stats)
@@ -101,6 +103,7 @@ class Snapshots:
         entry = node.append_local_entry(write_set, claims=claims)
         self._pending = Snapshot(
             metadata=built.metadata,
+            manifest=manifest,
             chunks=built.chunks,
             baseline=built.baseline(node.store.map_table_at(commit_seqno)),
             evidence_seqno=entry.txid.seqno,
@@ -137,7 +140,7 @@ class Snapshots:
             storage.delete(name, sync=False)
         storage.write(
             f"manifest_{pending.metadata['base_seqno']}.bin",
-            encode_value(pending.metadata),
+            pending.manifest,
             sync=True,
         )
         self._pending = None

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.merkle import MerkleTree
 from repro.errors import KVError, VerificationError
+from repro.kv.serialization import encode_value
 from repro.kv.store import KVStore
 from repro.kv.tx import WriteSet
 from repro.ledger import statetransfer
@@ -162,13 +163,13 @@ class TestManifest:
     def test_manifest_digest_covers_chunk_listing(self, secret):
         store, version = make_store()
         built = build(store, version, secret)
-        original = statetransfer.manifest_digest(built.metadata)
+        original = statetransfer.manifest_digest(encode_value(built.metadata))
         mutated = dict(built.metadata)
         name, ids = mutated["chunk_maps"][0]
         mutated["chunk_maps"] = [[name, ["00" * 32] + list(ids)[1:]]] + [
             list(row) for row in mutated["chunk_maps"][1:]
         ]
-        assert bytes(statetransfer.manifest_digest(mutated)) != bytes(original)
+        assert bytes(statetransfer.manifest_digest(encode_value(mutated))) != bytes(original)
 
     def test_manifest_chunk_ids_ordered_and_deduped(self, secret):
         store, version = make_store()
