@@ -63,9 +63,9 @@ class ConsensusHost(Protocol):
 ELECTION_TIMEOUT_MIN = 0.15
 ELECTION_TIMEOUT_MAX = 0.30
 HEARTBEAT_INTERVAL = 0.03
-# Entries per append_entries: each replication trigger (heartbeat,
-# replicate_now or ack) sends a lagging peer one window of at most this
-# many, so a catch-up stream is one ordered message per round.
+# Entries per append_entries. Each replication trigger (heartbeat,
+# replicate_now or a success ack) sends a lagging peer every window of at
+# most this many that it is missing, back to back.
 MAX_BATCH_ENTRIES = 800
 # The primary steps down if fewer than a majority of backups acked within
 # this window (section 4.2, last paragraph).
@@ -397,16 +397,29 @@ class ConsensusNode:
     def _send_append_entries(
         self, peer: str, shared: dict[int, AppendEntries] | None = None
     ) -> None:
-        """Send ``peer`` one append_entries window starting at its
-        ``next_index``, and advance ``next_index`` past the window.
+        """Send ``peer`` every window it is missing, back to back: windows
+        of at most ``MAX_BATCH_ENTRIES`` from its ``next_index`` up to the
+        last entry, or one empty probe when it has been sent everything.
 
         ``next_index`` is optimistic: it points past the last entry *sent*,
-        not the last acknowledged, so each entry goes to each peer once. A
-        window that never arrives is found by the next append to that peer
-        (a write or a heartbeat), whose ``prev_txid`` the peer does not
-        hold; the failure ack then rewinds ``next_index`` to the peer's
-        ``match_hint``.
+        not the last acknowledged, so each entry goes to each peer once.
+        Consensus frames to one peer arrive in the order they were sent
+        (:mod:`repro.net.network`), so a whole catch-up burst needs one
+        round trip. A window that never arrives is found by the next
+        append to that peer, whose ``prev_txid`` the peer does not hold;
+        the failure ack then rewinds ``next_index`` to the peer's
+        ``match_hint`` and re-sends one window
+        (:meth:`on_append_entries_response`).
         """
+        while self._send_window(peer, shared).entries:
+            if self._next_index[peer] > self.ledger.last_seqno:
+                return
+
+    def _send_window(
+        self, peer: str, shared: dict[int, AppendEntries] | None = None
+    ) -> AppendEntries:
+        """Send ``peer`` one append_entries window starting at its
+        ``next_index``, advance ``next_index`` past it, and return it."""
         next_seqno = self._next_index.get(peer, self.ledger.last_seqno + 1)
         # A snapshot-based ledger does not hold entries at or below its
         # base; a peer lagging below it cannot be caught up by replication
@@ -443,6 +456,7 @@ class ConsensusNode:
         self.host.send_consensus_message(peer, message)
         if message.entries:
             self._next_index[peer] = message.entries[-1].txid.seqno + 1
+        return message
 
     def replicate_now(self) -> None:
         """Push new entries to peers immediately (called after the host
@@ -564,12 +578,17 @@ class ConsensusNode:
             if advanced:
                 self._try_advance_commit()
             if self._next_index[peer] <= self.ledger.last_seqno:
-                # Keep catching the peer up, one window per round trip.
+                # Entries appended since, or a burst cut short by a
+                # rewind: send the rest of what the peer is missing.
                 self._send_append_entries(peer)
         else:
             current = self._next_index.get(peer, self.ledger.last_seqno + 1)
             self._next_index[peer] = max(1, min(current - 1, message.match_hint + 1))
-            self._send_append_entries(peer)
+            # One window, not a burst: after a lost window every later
+            # frame of its burst is rejected too, and each rejection must
+            # cost one window. The success ack for this window resumes
+            # the burst.
+            self._send_window(peer)
 
     # ------------------------------------------------------------------
     # Commit (sections 4.1 & 4.4)

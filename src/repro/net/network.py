@@ -11,6 +11,15 @@ availability experiments (Figure 9) and the chaos engine
 - per-node slowdown — a *gray failure*: the node is alive and correct but
   every message it handles or emits is served at inflated latency.
 
+A message sent ``ordered`` travels on its directed link's stream, the way
+CCF's node-to-node frames travel on a TCP connection the host keeps open:
+it is delivered no earlier than the previous ordered message on the same
+``(src, dst)``, so two frames sent back to back arrive in send order. A
+delay spike is added after that ordering and does not hold the stream
+back, so the host can still make a later frame overtake a spiked one;
+and a duplicate is delivered after its original. Unordered messages keep
+independent latencies and may arrive in any order.
+
 All randomness comes from the scheduler's seeded RNG, and the extra draws
 only happen while the corresponding fault is armed, so runs without faults
 consume the RNG exactly as before and every faulty run is replayable from
@@ -57,6 +66,8 @@ class Network:
         self._duplicate_probability = 0.0
         self._spike_probability = 0.0
         self._spike_magnitude = 0.0
+        # Per directed link: the delivery time of the last ordered message.
+        self._stream_tails: dict[tuple[str, str], float] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_duplicated = 0
@@ -181,17 +192,37 @@ class Network:
     # ------------------------------------------------------------------
     # Delivery
 
-    def _sample_latency(self, src: str, dst: str, extra_delay: float) -> float:
+    def _delivery_time(self, src: str, dst: str, extra_delay: float, ordered: bool) -> float:
         rng = self.scheduler.rng
         latency = self.link.sample(rng) + extra_delay
         latency += self._slowdowns.get(src, 0.0) + self._slowdowns.get(dst, 0.0)
+        spike = 0.0
         if self._spike_probability and rng.random() < self._spike_probability:
-            latency += rng.uniform(0, self._spike_magnitude)
-        return latency
+            spike = rng.uniform(0, self._spike_magnitude)
+        if not ordered:
+            return self.scheduler.now + (latency + spike)
+        # The stream's tail is where this message would arrive unspiked; a
+        # spike delays this message alone.
+        link = (src, dst)
+        at = max(self.scheduler.now + latency, self._stream_tails.get(link, 0.0))
+        self._stream_tails[link] = at
+        return at + spike
 
-    def send(self, src: str, dst: str, payload: Any, extra_delay: float = 0.0) -> None:
+    def send(
+        self,
+        src: str,
+        dst: str,
+        payload: Any,
+        extra_delay: float = 0.0,
+        ordered: bool = False,
+    ) -> None:
         """Fire-and-forget message. Loss and partitions silently drop — the
         sender learns nothing, exactly like UDP/broken TCP in the field.
+
+        With ``ordered``, the message is delivered no earlier than the
+        previous ordered message from ``src`` to ``dst`` (see the module
+        docstring); the latency drawn for it, and every other RNG draw, is
+        the same either way.
 
         The network never looks inside ``payload``: a consensus message
         arrives here already sealed (a
@@ -204,16 +235,18 @@ class Network:
             obs.message_sent(src, dst, estimate_wire_size(payload))
         if src in self._down:
             return  # a crashed node sends nothing
-        self._schedule_delivery(src, dst, payload, extra_delay)
+        self._schedule_delivery(src, dst, payload, extra_delay, ordered)
         if (
             self._duplicate_probability
             and self.scheduler.rng.random() < self._duplicate_probability
         ):
             self.messages_duplicated += 1
-            self._schedule_delivery(src, dst, payload, extra_delay)
+            self._schedule_delivery(src, dst, payload, extra_delay, ordered)
 
-    def _schedule_delivery(self, src: str, dst: str, payload: Any, extra_delay: float) -> None:
-        latency = self._sample_latency(src, dst, extra_delay)
+    def _schedule_delivery(
+        self, src: str, dst: str, payload: Any, extra_delay: float, ordered: bool
+    ) -> None:
+        at = self._delivery_time(src, dst, extra_delay, ordered)
         blocked_now = frozenset((src, dst)) in self._partitions
 
         def deliver() -> None:
@@ -233,4 +266,4 @@ class Network:
                 obs.message_delivered(src, dst)
             handler(src, payload)
 
-        self.scheduler.at(self.scheduler.now + latency, deliver)
+        self.scheduler.at(at, deliver)

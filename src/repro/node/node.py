@@ -198,7 +198,9 @@ class CCFNode:
     def send_consensus_message(self, to: str, message: object) -> None:
         if self.channels.has_channel(to):
             sealed = self.channels.seal_frame(to, [encode_message(message)])
-            self.network.send(self.node_id, to, sealed)
+            # Frames to one peer travel on one ordered stream, as over
+            # the TCP connection a CCF host keeps open between two nodes.
+            self.network.send(self.node_id, to, sealed, ordered=True)
         # else: channel not yet established; retried by protocol
 
     def apply_replicated_entry(self, entry: LedgerEntry) -> frozenset[str] | None:

@@ -81,9 +81,9 @@ class TestUntrustedHost:
         captured = []
         original_send = service.network.send
 
-        def spying_send(src, dst, payload, extra_delay=0.0):
+        def spying_send(src, dst, payload, extra_delay=0.0, ordered=False):
             captured.append((src, dst, payload))
-            original_send(src, dst, payload, extra_delay)
+            original_send(src, dst, payload, extra_delay, ordered)
 
         service.network.send = spying_send
         user = service.any_user_client()
@@ -154,7 +154,7 @@ class TestUntrustedHost:
         appends, acks = [], []
         original_send = service.network.send
 
-        def spying_send(src, dst, payload, extra_delay=0.0):
+        def spying_send(src, dst, payload, extra_delay=0.0, ordered=False):
             if isinstance(payload, SealedMessage):
                 if (src, dst) == (primary.node_id, backup.node_id):
                     message = decode_message(payload.box[4:-TAG_SIZE])
@@ -162,7 +162,7 @@ class TestUntrustedHost:
                         appends.append(payload)
                 elif (src, dst) == (backup.node_id, primary.node_id):
                     acks.append(payload)
-            original_send(src, dst, payload, extra_delay)
+            original_send(src, dst, payload, extra_delay, ordered)
 
         service.network.send = spying_send
         user = service.any_user_client()
