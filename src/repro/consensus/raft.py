@@ -98,6 +98,10 @@ class ConsensusNode:
             config_base_seqno, initial_nodes
         )
         self.view_history = ViewHistory()
+        # A ledger joined from a snapshot or replayed in recovery already
+        # spans views: start from the views it holds.
+        for start in ledger.view_starts():
+            self.view_history.note_append(start)
         # Clock-skew factor applied to this node's election timeouts: a
         # skewed-fast clock (< 1) fires elections early, a skewed-slow one
         # (> 1) fires them late. Chaos schedules perturb this; safety must

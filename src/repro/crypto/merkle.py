@@ -16,6 +16,12 @@ Design notes:
 - ``retract_to`` supports consensus rollback after an election (section 4.2):
   truncating to a previous size must yield the exact tree a node that never
   saw the discarded entries would have.
+- A tree can start from the *frontier* of another — the peaks of its
+  mountain range at some size, ``popcount(size)`` digests — instead of
+  every leaf below that size. This is how a node joining from a snapshot
+  (section 4.4) continues the service's tree: roots, appends, proofs and
+  retracts at or above the frontier work as on the full tree, because
+  every RFC 6962 subtree they touch below it is one of those peaks.
 """
 
 from __future__ import annotations
@@ -46,6 +52,18 @@ def _largest_power_of_two_below(n: int) -> int:
         raise IntegrityError(f"cannot split a subtree of size {n}")
     k = 1 << (n.bit_length() - 1)
     return k // 2 if k == n else k
+
+
+def _peak_ranges(size: int) -> list[tuple[int, int]]:
+    """``(start, width)`` of each peak of a tree of ``size`` leaves, largest
+    first: one aligned perfect subtree per set bit of ``size``."""
+    ranges = []
+    start = 0
+    while start < size:
+        width = 1 << ((size - start).bit_length() - 1)
+        ranges.append((start, width))
+        start += width
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -112,6 +130,10 @@ class MerkleTree:
     """Incremental Merkle tree over an append-only sequence of leaves."""
 
     def __init__(self) -> None:
+        # Leaves below ``_base`` are not held: a tree built by
+        # ``from_frontier`` knows them only through their peaks, which
+        # seed ``_subtree_cache``. ``_leaves[i]`` is leaf ``_base + i``.
+        self._base = 0
         self._leaves: list[Digest] = []
         # Peaks of perfect subtrees, largest first; peak i covers 2**height[i] leaves.
         self._peaks: list[Digest] = []
@@ -124,12 +146,39 @@ class MerkleTree:
         # retract discards leaves under them.
         self._spine_cache: dict[tuple[int, int], Digest] = {}
 
+    @classmethod
+    def from_frontier(cls, size: int, peaks: list[bytes]) -> "MerkleTree":
+        """A tree of ``size`` leaves known only by its frontier (the digests
+        ``frontier(size)`` returned). Leaves and proofs below ``size`` are
+        unavailable; everything at or above it works as on the full tree."""
+        ranges = _peak_ranges(size)
+        if len(peaks) != len(ranges):
+            raise IntegrityError(
+                f"a tree of size {size} has {len(ranges)} peaks, not {len(peaks)}"
+            )
+        tree = cls()
+        tree._base = size
+        for (start, width), peak in zip(ranges, peaks):
+            digest = Digest(peak)
+            tree._subtree_cache[(start, width)] = digest
+            tree._peaks.append(digest)
+            tree._peak_sizes.append(width)
+        return tree
+
+    def frontier(self, size: int) -> list[Digest]:
+        """The peaks of the tree as it was at ``size`` leaves, largest
+        first: ``popcount(size)`` digests from which ``from_frontier``
+        continues the tree."""
+        if not self._base <= size <= self.size:
+            raise IntegrityError(f"no frontier for size {size}")
+        return [self._range_hash(start, width) for start, width in _peak_ranges(size)]
+
     def __len__(self) -> int:
-        return len(self._leaves)
+        return self._base + len(self._leaves)
 
     @property
     def size(self) -> int:
-        return len(self._leaves)
+        return self._base + len(self._leaves)
 
     def append(self, data: bytes) -> Digest:
         """Append a leaf; returns its leaf hash."""
@@ -149,7 +198,7 @@ class MerkleTree:
             size = self._peak_sizes.pop()
             self._peak_sizes.pop()
             merged = node_hash(left, right)
-            start = len(self._leaves) - 2 * size
+            start = self.size - 2 * size
             self._subtree_cache[(start, 2 * size)] = merged
             self._peaks.append(merged)
             self._peak_sizes.append(2 * size)
@@ -161,6 +210,7 @@ class MerkleTree:
         peaks, same subtree cache entries — but runs the hash/merge loop
         over local variables, so per-leaf Python overhead is paid once per
         batch instead of once per leaf."""
+        base = self._base
         leaves = self._leaves
         peaks = self._peaks
         peak_sizes = self._peak_sizes
@@ -176,7 +226,7 @@ class MerkleTree:
                 size = peak_sizes.pop()
                 peak_sizes.pop()
                 merged = node_hash(left, right)
-                cache[(len(leaves) - 2 * size, 2 * size)] = merged
+                cache[(base + len(leaves) - 2 * size, 2 * size)] = merged
                 peaks.append(merged)
                 peak_sizes.append(2 * size)
 
@@ -192,15 +242,17 @@ class MerkleTree:
 
     def leaf(self, index: int) -> Digest:
         """The stored leaf hash at ``index``."""
-        return self._leaves[index]
+        if not self._base <= index < self.size:
+            raise IntegrityError(f"no leaf {index} (held: {self._base}..{self.size - 1})")
+        return self._leaves[index - self._base]
 
     def retract_to(self, size: int) -> None:
         """Discard all leaves at index >= ``size`` (consensus rollback)."""
-        if size < 0 or size > len(self._leaves):
+        if size < self._base or size > self.size:
             raise IntegrityError(f"cannot retract to size {size}")
-        if size == len(self._leaves):
+        if size == self.size:
             return
-        del self._leaves[size:]
+        del self._leaves[size - self._base:]
         self._subtree_cache = {
             key: value for key, value in self._subtree_cache.items() if key[0] + key[1] <= size
         }
@@ -210,24 +262,19 @@ class MerkleTree:
         self._rebuild_peaks()
 
     def _rebuild_peaks(self) -> None:
-        self._peaks = []
-        self._peak_sizes = []
-        remaining = len(self._leaves)
-        start = 0
-        while remaining:
-            size = 1 << (remaining.bit_length() - 1)
-            self._peaks.append(self._range_hash(start, size))
-            self._peak_sizes.append(size)
-            start += size
-            remaining -= size
+        ranges = _peak_ranges(self.size)
+        self._peaks = [self._range_hash(start, width) for start, width in ranges]
+        self._peak_sizes = [width for _, width in ranges]
 
     def _range_hash(self, start: int, size: int) -> Digest:
         """Hash of the subtree covering leaves [start, start+size)."""
-        if size == 1:
-            return self._leaves[start]
+        if size == 1 and start >= self._base:
+            return self._leaves[start - self._base]
         cached = self._subtree_cache.get((start, size))
         if cached is not None:
             return cached
+        if start + size <= self._base:
+            raise IntegrityError(f"subtree ({start}, {size}) lies below the frontier")
         k = _largest_power_of_two_below(size)
         digest = node_hash(self._range_hash(start, k), self._range_hash(start + k, size - k))
         # Only memoize aligned perfect subtrees; ragged right edges change
@@ -238,15 +285,13 @@ class MerkleTree:
 
     def root_at(self, size: int) -> Digest:
         """The root the tree had when it contained exactly ``size`` leaves."""
-        if size < 0 or size > len(self._leaves):
+        if size < self._base or size > self.size:
             raise IntegrityError(f"no root for size {size}")
         if size == 0:
             return EMPTY_ROOT
         return self._subrange_root(0, size)
 
     def _subrange_root(self, start: int, size: int) -> Digest:
-        if size == 1:
-            return self._leaves[start]
         # Perfect aligned subtrees live in _subtree_cache (filled at merge
         # time); everything else is a ragged right spine whose value is
         # frozen once its leaves exist, so memoize it too. This is what
@@ -272,7 +317,7 @@ class MerkleTree:
         size, not necessarily the current one.
         """
         size = self.size if tree_size is None else tree_size
-        if not 0 <= leaf_index < size <= self.size:
+        if not self._base <= leaf_index < size <= self.size:
             raise IntegrityError(
                 f"invalid proof request: leaf {leaf_index} of size {size} "
                 f"(tree has {self.size})"

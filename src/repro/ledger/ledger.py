@@ -74,15 +74,19 @@ class Ledger:
     leaf for seqno ``s`` is at tree index ``s - 1``.
 
     A ledger may be *based* at a snapshot (section 4.4): entries at or below
-    ``base_seqno`` are unavailable (the node joined from a snapshot), but
-    their leaf hashes and transaction IDs are retained so the Merkle tree,
-    prefix checks, and receipts for later entries all still work.
+    ``base_seqno`` are unavailable (the node joined from a snapshot). The
+    Merkle tree keeps only its frontier at the base, and the prefix's
+    transaction IDs follow from the first seqno of each view, so roots,
+    prefix checks, and receipts for later entries all still work while
+    the snapshot's manifest stays O(log n + views).
     """
 
     def __init__(self, secrets: LedgerSecretStore | None = None):
         self._entries: list[LedgerEntry] = []  # entries after base_seqno
         self.base_seqno = 0
-        self._txids: list[TxID] = []  # txids for ALL seqnos from 1
+        # The txid of the first entry of each view, for ALL seqnos from 1:
+        # below the base it is the only record of the prefix's txids.
+        self._view_starts: list[TxID] = []
         self._sig_seqnos: list[int] = []  # signature seqnos after base
         self._base_last_sig = TxID(0, 0)
         self._tree = MerkleTree()
@@ -103,36 +107,61 @@ class Ledger:
         cls,
         secrets: LedgerSecretStore,
         base_seqno: int,
-        txids: list[TxID],
-        leaf_hashes: list[bytes],
+        view_starts: list[list[int]],
+        merkle_frontier: list[bytes],
         last_signature_txid: TxID,
     ) -> "Ledger":
         """Bootstrap a ledger from snapshot metadata: the node has the KV
-        state at ``base_seqno`` but not the entries themselves."""
-        if len(txids) != base_seqno or len(leaf_hashes) != base_seqno:
-            raise LedgerError("snapshot metadata does not cover the base prefix")
+        state at ``base_seqno`` but not the entries themselves.
+
+        ``view_starts`` is ``[view, first_seqno]`` for every view with an
+        entry at or below the base, and ``merkle_frontier`` the tree's
+        peaks at the base. Metadata that cannot describe a ledger — a
+        frontier of the wrong length, view starts that do not strictly
+        increase from seqno 1 or pass the base, a last signature whose view
+        they contradict — raises :class:`LedgerError`."""
+        starts = [TxID(view, seqno) for view, seqno in view_starts]
+        if base_seqno and (not starts or starts[0].seqno != 1):
+            raise LedgerError("snapshot view starts do not begin at seqno 1")
+        for earlier, later in zip(starts, starts[1:]):
+            if not (earlier.view < later.view and earlier.seqno < later.seqno):
+                raise LedgerError("snapshot view starts do not strictly increase")
+        if starts and starts[-1].seqno > base_seqno:
+            raise LedgerError("snapshot view starts run past the base")
+        peaks = bin(base_seqno).count("1")
+        if len(merkle_frontier) != peaks:
+            raise LedgerError(
+                f"a frontier at base {base_seqno} has {peaks} peaks, "
+                f"not {len(merkle_frontier)}"
+            )
         ledger = cls(secrets)
         ledger.base_seqno = base_seqno
-        ledger._txids = list(txids)
-        for leaf in leaf_hashes:
-            ledger._tree.append_leaf_hash(Digest(leaf))
+        ledger._view_starts = starts
+        ledger._tree = MerkleTree.from_frontier(base_seqno, merkle_frontier)
+        if ledger.txid_at(last_signature_txid.seqno) != last_signature_txid:
+            raise LedgerError(
+                f"last signature {last_signature_txid} contradicts the view starts"
+            )
         ledger._base_last_sig = last_signature_txid
         return ledger
 
     def snapshot_metadata(self, seqno: int) -> dict:
-        """The Merkle/txid metadata a snapshot at ``seqno`` must carry."""
+        """The Merkle/txid metadata a snapshot at ``seqno`` must carry:
+        O(log seqno + views), whatever the ledger's length."""
         if seqno > self.last_seqno or seqno < self.base_seqno:
             raise LedgerError(f"no metadata for seqno {seqno}")
-        last_sig = self._base_last_sig
-        for sig_seqno in self._sig_seqnos:
-            if sig_seqno <= seqno:
-                last_sig = self.txid_at(sig_seqno)
+        sig_seqno = self.prev_signature_seqno(seqno)
+        last_sig = self._base_last_sig if sig_seqno is None else self.txid_at(sig_seqno)
         return {
             "base_seqno": seqno,
-            "txids": [[t.view, t.seqno] for t in self._txids[:seqno]],
-            "leaf_hashes": [bytes(self._tree.leaf(i)) for i in range(seqno)],
+            "view_starts": [[t.view, t.seqno] for t in self._view_starts if t.seqno <= seqno],
+            "merkle_frontier": [bytes(peak) for peak in self._tree.frontier(seqno)],
             "last_signature_txid": [last_sig.view, last_sig.seqno],
         }
+
+    def view_starts(self) -> list[TxID]:
+        """The txid of the first entry of each view in this ledger."""
+        return list(self._view_starts)
 
     # ------------------------------------------------------------------
     # Shape queries
@@ -142,9 +171,7 @@ class Ledger:
         return self.base_seqno + len(self._entries)
 
     def last_txid(self) -> TxID:
-        if not self._txids:
-            return TxID(view=0, seqno=0)
-        return self._txids[-1]
+        return self.txid_at(self.last_seqno)
 
     def entry_at(self, seqno: int) -> LedgerEntry:
         if not self.base_seqno < seqno <= self.last_seqno:
@@ -156,7 +183,10 @@ class Ledger:
             return TxID(view=0, seqno=0)
         if not 1 <= seqno <= self.last_seqno:
             raise LedgerError(f"no txid at seqno {seqno}")
-        return self._txids[seqno - 1]
+        if seqno > self.base_seqno:
+            return self._entries[seqno - self.base_seqno - 1].txid
+        index = bisect.bisect_right(self._view_starts, seqno, key=lambda t: t.seqno)
+        return TxID(view=self._view_starts[index - 1].view, seqno=seqno)
 
     def has_txid(self, txid: TxID) -> bool:
         """True if this exact (view, seqno) is present in the ledger."""
@@ -164,7 +194,7 @@ class Ledger:
             return True  # genesis
         if txid.seqno > self.last_seqno:
             return False
-        return self._txids[txid.seqno - 1] == txid
+        return self.txid_at(txid.seqno) == txid
 
     def entries(self, start: int = 1, end: int | None = None) -> Iterator[LedgerEntry]:
         """Iterate entries with seqno in [start, end] inclusive."""
@@ -192,10 +222,12 @@ class Ledger:
             raise LedgerError(
                 f"entry seqno {entry.txid.seqno} != expected {expected_seqno}"
             )
-        if self._txids and entry.txid.view < self._txids[-1].view:
+        last_view = self._view_starts[-1].view if self._view_starts else -1
+        if entry.txid.view < last_view:
             raise LedgerError("entry view regresses")
+        if entry.txid.view > last_view:
+            self._view_starts.append(entry.txid)
         self._entries.append(entry)
-        self._txids.append(entry.txid)
         if entry.is_signature:
             self._sig_seqnos.append(entry.txid.seqno)
         self._tree.append(entry.leaf_data())
@@ -216,7 +248,8 @@ class Ledger:
                 self.append(entry)
             return
         expected = self.last_seqno + 1
-        last_view = self._txids[-1].view if self._txids else 0
+        last_view = self._view_starts[-1].view if self._view_starts else -1
+        view_starts: list[TxID] = []
         for entry in entries:
             if entry.txid.seqno != expected:
                 raise LedgerError(
@@ -224,10 +257,12 @@ class Ledger:
                 )
             if entry.txid.view < last_view:
                 raise LedgerError("entry view regresses")
+            if entry.txid.view > last_view:
+                view_starts.append(entry.txid)
             last_view = entry.txid.view
             expected += 1
         self._entries.extend(entries)
-        self._txids.extend(entry.txid for entry in entries)
+        self._view_starts.extend(view_starts)
         self._sig_seqnos.extend(
             entry.txid.seqno for entry in entries if entry.is_signature
         )
@@ -368,7 +403,9 @@ class Ledger:
         if seqno < self.base_seqno or seqno > self.last_seqno:
             raise LedgerError(f"cannot truncate to {seqno} (base {self.base_seqno})")
         del self._entries[seqno - self.base_seqno:]
-        del self._txids[seqno:]
+        del self._view_starts[
+            bisect.bisect_right(self._view_starts, seqno, key=lambda t: t.seqno):
+        ]
         del self._sig_seqnos[bisect.bisect_right(self._sig_seqnos, seqno):]
         for stale in [s for s in self._opened if s > seqno]:
             del self._opened[stale]
@@ -381,9 +418,9 @@ class Ledger:
 
     def proof(self, seqno: int, signature_seqno: int) -> MerkleProof:
         """Merkle proof that entry ``seqno`` is covered by the root signed at
-        ``signature_seqno``. Works for any seqno — even below a snapshot
-        base — because leaf hashes for the whole prefix are retained."""
-        if not 1 <= seqno < signature_seqno <= self.last_seqno:
+        ``signature_seqno``. Only for seqnos above the snapshot base: below
+        it the tree holds just its frontier, not the leaves."""
+        if not self.base_seqno < seqno < signature_seqno <= self.last_seqno:
             raise LedgerError(
                 f"cannot prove seqno {seqno} under signature at {signature_seqno}"
             )

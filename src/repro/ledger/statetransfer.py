@@ -19,10 +19,12 @@ state shipping:
   chunk id, which is what lets a joiner skip chunks it already holds.
 - **Manifest binding**: which chunk belongs to which map, in which order,
   is recorded in the snapshot metadata ("the manifest"); its digest is the
-  receipt claim. The chunk's position is deliberately *not* in the AAD —
-  binding an index would destroy dedup (and risk nonce reuse across
-  differing plaintexts); the signed manifest provides the position binding
-  instead.
+  receipt claim. Beside the chunk listing the manifest carries the ledger
+  prefix in O(log n + views): the Merkle frontier at the base and the
+  first seqno of each view (``Ledger.snapshot_metadata``). The chunk's
+  position is deliberately *not* in the AAD — binding an index would
+  destroy dedup (and risk nonce reuse across differing plaintexts); the
+  signed manifest provides the position binding instead.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from repro.kv.serialization import decode_value, encode_value
 from repro.kv.store import KVStore
 from repro.ledger.secrets import LedgerSecret, LedgerSecretStore
 
-CHUNK_FORMAT = "chunked-v1"
+# v2: the ledger prefix travels as a Merkle frontier plus view starts,
+# not as every leaf hash and txid (v1).
+CHUNK_FORMAT = "chunked-v2"
 _CONTENT_DIGEST_SIZE = 32
 
 
@@ -221,10 +225,18 @@ def build_chunked_snapshot(
     )
 
 
+def _check_format(metadata: dict) -> None:
+    """Reject metadata that is not a manifest of this format, an older
+    one included, with :class:`KVError`."""
+    if metadata.get("format") != CHUNK_FORMAT:
+        raise KVError(
+            f"not a {CHUNK_FORMAT} snapshot manifest (format {metadata.get('format')!r})"
+        )
+
+
 def manifest_chunk_ids(metadata: dict) -> list[str]:
     """All chunk ids a manifest references, in manifest order, deduplicated."""
-    if metadata.get("format") != CHUNK_FORMAT:
-        raise KVError("not a chunked snapshot manifest")
+    _check_format(metadata)
     seen: list[str] = []
     have = set()
     for _, ids in metadata["chunk_maps"]:
@@ -252,8 +264,7 @@ def assemble_store(
     manifest places it in (the plaintext self-describes its map; a swapped
     chunk fails here even though its seal is valid).
     """
-    if metadata.get("format") != CHUNK_FORMAT:
-        raise KVError("not a chunked snapshot manifest")
+    _check_format(metadata)
     secret = secrets.for_generation(metadata.get("secret_generation", 0))
     maps: dict[str, list[list[Any]]] = {}
     for name, ids in metadata["chunk_maps"]:

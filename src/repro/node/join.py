@@ -7,7 +7,7 @@ if one is offered, start consensus. The admitting half is
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.consensus.state import NodeStatus
 from repro.crypto.certs import Certificate
@@ -35,7 +35,9 @@ from repro.storage.host_storage import HostStorage
 # The joiner re-sends its request this often (simulated seconds) until it
 # is admitted and its record is committed.
 JOIN_RETRY_INTERVAL = 1.0
-# Chunk ids asked for per StateChunkRequest round of a chunked transfer.
+# Chunks per StateChunkResponse. A joiner asks for every chunk it lacks in
+# one StateChunkRequest; the serving node answers with back-to-back
+# responses of this many chunks each.
 JOIN_CHUNK_BATCH = 16
 
 
@@ -45,11 +47,13 @@ class ChunkTransfer:
 
     digest: bytes  # of the manifest, as the receipt claims it
     metadata: dict
+    ledger: Ledger  # the ledger prefix the manifest describes
     message: JoinResponse
     source: str  # the node serving the chunks
     have: dict[str, bytes]
     missing: list[str]
     cached: int  # chunks found in the local content-addressed cache
+    in_flight: set[str] = field(default_factory=set)  # requested, not yet received
     fetched: int = 0
     last_progress: int = -1  # ``fetched`` as of the retry timer's last tick
 
@@ -265,13 +269,24 @@ class Join:
         transfer = self._transfer
         if transfer is not None and ct_eq(transfer.digest, digest):
             # Retried join response for the same snapshot mid-transfer: a
-            # chunk round may have been lost — re-kick, don't restart.
+            # response may have been lost — re-request whatever is still
+            # missing, don't restart.
+            transfer.in_flight.clear()
             self._request_missing()
             return
+        # A manifest of another format, or with a malformed ledger prefix,
+        # is rejected here, before any chunk is fetched.
+        needed = statetransfer.manifest_chunk_ids(metadata)
+        ledger = Ledger.from_snapshot_metadata(
+            node.enclave.memory.get("ledger_secrets"),
+            base_seqno=metadata["base_seqno"],
+            view_starts=metadata["view_starts"],
+            merkle_frontier=metadata["merkle_frontier"],
+            last_signature_txid=TxID(*metadata["last_signature_txid"]),
+        )
         # (Re)plan the transfer. Seed from the local content-addressed
         # cache: chunks from a prior partial join or an older snapshot are
         # skipped if their bytes still match their address.
-        needed = statetransfer.manifest_chunk_ids(metadata)
         have: dict[str, bytes] = {}
         for chunk_id in needed:
             blob = statetransfer.cached_chunk(node.storage, chunk_id)
@@ -280,6 +295,7 @@ class Join:
         self._transfer = ChunkTransfer(
             digest=digest,
             metadata=metadata,
+            ledger=ledger,
             message=message,
             source=src,
             have=have,
@@ -304,6 +320,12 @@ class Join:
         if not transfer.missing:
             self._complete_install()
             return
+        # One request for every chunk neither held nor already on its way;
+        # the answer streams back as one burst of responses.
+        wanted = tuple(cid for cid in transfer.missing if cid not in transfer.in_flight)
+        if not wanted:
+            return
+        transfer.in_flight.update(wanted)
         node = self.node
         node.network.send(
             node.node_id,
@@ -311,7 +333,7 @@ class Join:
             StateChunkRequest(
                 node_id=node.node_id,
                 base_seqno=transfer.metadata["base_seqno"],
-                chunk_ids=tuple(transfer.missing[:JOIN_CHUNK_BATCH]),
+                chunk_ids=wanted,
             ),
         )
 
@@ -339,8 +361,9 @@ class Join:
         verified = 0
         still_missing = set(transfer.missing)
         for chunk_id, blob in message.chunks:
+            transfer.in_flight.discard(chunk_id)
             if chunk_id not in still_missing:
-                continue  # duplicate round (retried request): already held
+                continue  # duplicate (retried request): already held
             wanted += 1
             try:
                 statetransfer.verify_chunk_blob(chunk_id, blob)
@@ -361,6 +384,8 @@ class Join:
             raise VerificationError(
                 "state chunks do not match their content addresses"
             )
+        # A chunk that failed its address is missing and no longer in
+        # flight, so it is asked for again.
         transfer.missing = [cid for cid in transfer.missing if cid not in transfer.have]
         self._request_missing()
 
@@ -378,13 +403,6 @@ class Join:
             self._transfer = None
             raise
         base_seqno = metadata["base_seqno"]
-        ledger = Ledger.from_snapshot_metadata(
-            secrets,
-            base_seqno=base_seqno,
-            txids=[TxID(v, s) for v, s in metadata["txids"]],
-            leaf_hashes=list(metadata["leaf_hashes"]),
-            last_signature_txid=TxID(*metadata["last_signature_txid"]),
-        )
         obs = node.scheduler.obs
         if obs is not None:
             obs.state_chunks_progress(node.node_id, transfer.fetched, transfer.cached)
@@ -396,4 +414,4 @@ class Join:
                 cached=transfer.cached,
             )
         self._transfer = None
-        self._start_consensus(transfer.message, store, ledger, base_seqno)
+        self._start_consensus(transfer.message, store, transfer.ledger, base_seqno)

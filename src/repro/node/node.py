@@ -427,7 +427,9 @@ class CCFNode:
         """Open a consensus frame and dispatch what it carries. A replay is
         dropped; a frame from an unknown peer, or one altered, cut or
         reflected in flight, is dropped and counted as
-        ``channel.frames.rejected``."""
+        ``channel.frames.rejected``. A joiner still fetching its snapshot
+        has no consensus to give a frame to: it drops the frame and counts
+        it as ``consensus.frames_before_install``."""
         try:
             payloads = self.channels.open_frame(
                 message.sender, message.counter, message.box
@@ -435,9 +437,13 @@ class CCFNode:
         except VerificationError:
             RUNTIME_STATS.inc("channel.frames.rejected")
             return
-        if payloads is not None and self.consensus is not None:
-            for raw in payloads:
-                self.consensus.dispatch(decode_message(raw))
+        if payloads is None:
+            return
+        if self.consensus is None:
+            RUNTIME_STATS.inc("consensus.frames_before_install")
+            return
+        for raw in payloads:
+            self.consensus.dispatch(decode_message(raw))
 
     # ==================================================================
     # Historical queries (section 3.4)

@@ -13,7 +13,7 @@ from repro.kv.serialization import encode_value
 from repro.kv.tx import WriteSet
 from repro.ledger import statetransfer
 from repro.ledger.receipts import issue_receipt
-from repro.node import maps
+from repro.node import join, maps
 from repro.node.wire import StateChunkRequest, StateChunkResponse
 from repro.perf.costmodel import state_transfer_cost
 
@@ -147,12 +147,14 @@ class Snapshots:
 
     def on_state_chunk_request(self, _src: str, message: StateChunkRequest) -> None:
         """Serve sealed state chunks by content address. Replies go to the
-        joining node named in the request.
+        joining node named in the request, as back-to-back responses of
+        ``JOIN_CHUNK_BATCH`` chunks.
 
         Chunks come from the live snapshot package or the on-disk cache
         (older-but-still-referenced chunks a resuming joiner may ask for).
-        Ids this node cannot produce are reported back as ``missing`` so the
-        joiner can fall back instead of stalling."""
+        Ids this node cannot produce are reported back as ``missing``, in
+        the first response, so the joiner can fall back instead of
+        stalling."""
         node = self.node
         available = self.latest.chunks if self.latest is not None else {}
         found: list[tuple[str, bytes]] = []
@@ -176,13 +178,21 @@ class Snapshots:
                 missing=len(missing),
                 bytes=payload_bytes,
             )
-        node.network.send(
-            node.node_id,
-            message.node_id,
-            StateChunkResponse(
-                base_seqno=message.base_seqno,
-                chunks=tuple(found),
-                missing=tuple(missing),
-            ),
-            extra_delay=state_transfer_cost(payload_bytes),
-        )
+        # The responses share one link: the k-th is charged the bytes of
+        # responses 1..k, so the last arrives when one response carrying
+        # every chunk would.
+        batch = join.JOIN_CHUNK_BATCH
+        sent_bytes = 0
+        for start in range(0, max(len(found), 1), batch):
+            chunks = tuple(found[start:start + batch])
+            sent_bytes += sum(len(blob) for _, blob in chunks)
+            node.network.send(
+                node.node_id,
+                message.node_id,
+                StateChunkResponse(
+                    base_seqno=message.base_seqno,
+                    chunks=chunks,
+                    missing=tuple(missing) if start == 0 else (),
+                ),
+                extra_delay=state_transfer_cost(sent_bytes),
+            )

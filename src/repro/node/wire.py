@@ -79,10 +79,11 @@ class JoinResponse:
     sealed_secrets: tuple = ()
     # State transfer: when the primary holds a snapshot it ships the signed
     # *manifest* (format, base seqno, secret generation, per-map chunk-id
-    # listing, ledger metadata), covered by ``snapshot_receipt`` via its
-    # canonical digest; the joiner then pulls only the sealed chunks it
-    # doesn't already hold with StateChunkRequest — private maps never
-    # transit (or rest on) the host unsealed. With no manifest the joiner
+    # listing, and the ledger prefix as a Merkle frontier plus view
+    # starts), covered by ``snapshot_receipt`` via its canonical digest;
+    # the joiner then pulls only the sealed chunks it doesn't already hold
+    # with one StateChunkRequest — private maps never transit (or rest on)
+    # the host unsealed. With no manifest the joiner
     # starts from an empty store and replays the ledger.
     snapshot_manifest: dict | None = None
     snapshot_receipt: dict | None = None
@@ -94,8 +95,10 @@ class JoinResponse:
 @dataclass(frozen=True)
 class StateChunkRequest:
     """Joiner → admitting primary: fetch sealed state chunks by content
-    address. Sent in batches after the manifest verified; chunks the joiner
-    already holds (prior partial join, local snapshot cache) are skipped."""
+    address. Sent once after the manifest verified, naming every chunk the
+    joiner lacks (a prior partial join or the local snapshot cache supplies
+    the rest); sent again only for chunks a lost or rejected response
+    carried."""
 
     node_id: str
     base_seqno: int  # manifest base the ids were taken from
@@ -104,9 +107,11 @@ class StateChunkRequest:
 
 @dataclass(frozen=True)
 class StateChunkResponse:
-    """Primary → joiner: the requested sealed chunks (id, bytes) pairs.
-    Ids the serving node no longer holds come back in ``missing`` — the
-    joiner falls back to a fresh join (full transfer) rather than stalling."""
+    """Primary → joiner: some of the requested sealed chunks, as (id, bytes)
+    pairs. One request is answered by back-to-back responses of
+    ``JOIN_CHUNK_BATCH`` chunks. Ids the serving node no longer holds come
+    back in ``missing`` on the first — the joiner falls back to a fresh
+    join (full transfer) rather than stalling."""
 
     base_seqno: int
     chunks: tuple = ()  # ((chunk_id, sealed_bytes), ...)

@@ -284,9 +284,6 @@ def start_recovered_service(
         config_base_seqno=replay.verified_seqno,
         persisted_seqno=replay.verified_seqno,
     )
-    # Seed consensus bookkeeping with the replayed history.
-    for seqno in range(1, replay.verified_seqno + 1):
-        consensus.view_history.note_append(replay.ledger.txid_at(seqno))
     consensus.commit_seqno = replay.verified_seqno
     consensus.view = replay.last_view  # bumped just below
     consensus.start_as_recovery_primary(replay.last_view + 1)

@@ -235,3 +235,74 @@ class TestSpineCache:
         # Appends never disturb frozen subrange roots.
         for size, expected in enumerate(seen, start=1):
             assert tree.root_at(size) == expected
+
+
+class TestFrontier:
+    """A tree seeded from another's frontier (the snapshot join path)."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 6, 7, 8, 13, 64, 100])
+    def test_frontier_has_one_peak_per_set_bit(self, size):
+        tree = _build(size + 5)
+        assert len(tree.frontier(size)) == bin(size).count("1")
+        assert MerkleTree.from_frontier(size, tree.frontier(size)).root() == tree.root_at(size)
+
+    def test_frontier_of_the_current_size_is_the_mountain_range(self):
+        tree = _build(13)
+        assert tree.frontier(13) == tree._peaks
+
+    def test_below_the_frontier_is_unavailable(self):
+        seeded = MerkleTree.from_frontier(6, _build(6).frontier(6))
+        seeded.append(b"tx-6")
+        seeded.append(b"tx-7")
+        assert seeded.size == 8
+        assert seeded.leaf(6) == leaf_hash(b"tx-6")
+        for call in (
+            lambda: seeded.leaf(5),
+            lambda: seeded.proof(5),
+            lambda: seeded.root_at(5),
+            lambda: seeded.retract_to(5),
+            lambda: seeded.frontier(5),
+        ):
+            with pytest.raises(IntegrityError):
+                call()
+
+    def test_a_frontier_of_the_wrong_length_is_rejected(self):
+        peaks = _build(6).frontier(6)
+        with pytest.raises(IntegrityError):
+            MerkleTree.from_frontier(7, peaks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=80),
+        st.integers(min_value=0, max_value=50),
+        st.booleans(),
+        st.data(),
+    )
+    def test_property_seeded_tree_equals_the_full_tree(self, base, k, batched, data):
+        """``from_frontier(base)`` plus k appends answers every root, proof
+        and retract at or above the base as the full tree does."""
+        full = _build(base + k)
+        seeded = MerkleTree.from_frontier(base, _build(base).frontier(base))
+        suffix = [f"tx-{i}".encode() for i in range(base, base + k)]
+        if batched:
+            seeded.extend(suffix)
+        else:
+            for leaf in suffix:
+                seeded.append(leaf)
+        assert seeded.size == full.size
+        assert seeded.root() == full.root()
+        for size in range(base, base + k + 1):
+            assert seeded.root_at(size) == full.root_at(size)
+            assert seeded.frontier(size) == full.frontier(size)
+            for index in range(base, size):
+                proof = seeded.proof(index, size)
+                assert proof == full.proof(index, size)
+                proof.verify(f"tx-{index}".encode(), full.root_at(size))
+        retract = data.draw(st.integers(min_value=base, max_value=base + k))
+        seeded.retract_to(retract)
+        full.retract_to(retract)
+        assert seeded.root() == full.root()
+        seeded.append(b"other")
+        full.append(b"other")
+        assert seeded.root() == full.root()
+        assert seeded.proof(retract) == full.proof(retract)

@@ -6,10 +6,13 @@ and to a trivial reference model (a Python list). Every observable must
 agree, and roots must be reproducible from scratch.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.ecdsa import SigningKey
+from repro.errors import LedgerError
+from repro.kv.serialization import encode_value
 from repro.kv.tx import WriteSet
 from repro.ledger.entry import TxID
 from repro.ledger.ledger import Ledger
@@ -113,11 +116,109 @@ class TestLedgerModel:
         restored = Ledger.from_snapshot_metadata(
             ledger.secrets,
             base_seqno=metadata["base_seqno"],
-            txids=[TxID(v, s) for v, s in metadata["txids"]],
-            leaf_hashes=list(metadata["leaf_hashes"]),
+            view_starts=metadata["view_starts"],
+            merkle_frontier=metadata["merkle_frontier"],
             last_signature_txid=TxID(*metadata["last_signature_txid"]),
         )
         assert restored.root() == ledger.root()
         assert restored.last_signature_txid() == ledger.last_signature_txid()
         for seqno in range(1, base + 1):
             assert restored.txid_at(seqno) == ledger.txid_at(seqno)
+
+
+def _restore(ledger: Ledger, metadata: dict) -> Ledger:
+    return Ledger.from_snapshot_metadata(
+        ledger.secrets,
+        base_seqno=metadata["base_seqno"],
+        view_starts=metadata["view_starts"],
+        merkle_frontier=metadata["merkle_frontier"],
+        last_signature_txid=TxID(*metadata["last_signature_txid"]),
+    )
+
+
+def _multi_view_ledger(segments) -> Ledger:
+    """One run of entries per ``(view gap, length)`` segment, a signature
+    closing every third entry."""
+    ledger = _fresh_ledger()
+    model: list = []
+    view = 0
+    for gap, length in segments:
+        view += gap
+        for i in range(length):
+            _apply(ledger, model, ("sig",) if i % 3 == 2 else ("user",), view)
+    return ledger
+
+
+# At least two views, each with at least one entry.
+_segments = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=8)),
+    min_size=2,
+    max_size=6,
+)
+
+
+class TestSnapshotManifest:
+    """The ledger prefix a snapshot carries: a Merkle frontier and the
+    first seqno of each view, O(log n + views) whatever the length."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_segments, st.data())
+    def test_based_ledger_answers_every_txid_like_the_original(self, segments, data):
+        ledger = _multi_view_ledger(segments)
+        base = data.draw(st.integers(min_value=1, max_value=ledger.last_seqno))
+        restored = _restore(ledger, ledger.snapshot_metadata(base))
+        for entry in ledger.entries(base + 1):
+            restored.append(entry)
+        assert restored.root() == ledger.root()
+        assert restored.last_txid() == ledger.last_txid()
+        assert restored.view_starts() == ledger.view_starts()
+        views = {start.view for start in ledger.view_starts()}
+        for seqno in range(0, ledger.last_seqno + 2):
+            if seqno <= ledger.last_seqno:
+                assert restored.txid_at(seqno) == ledger.txid_at(seqno)
+            for view in views | {0, max(views) + 1}:
+                txid = TxID(view, seqno)
+                assert restored.has_txid(txid) == ledger.has_txid(txid), txid
+        # A rollback to the base and a new view on top still agree.
+        for copy in (restored, ledger):
+            copy.truncate(base)
+            _apply(copy, [], ("user",), max(views) + 1)
+        assert restored.root() == ledger.root()
+        assert restored.txid_at(base + 1) == ledger.txid_at(base + 1)
+
+    def test_manifest_grows_by_under_a_kilobyte_when_the_ledger_doubles(self):
+        """Scaling pin: one leaf hash and txid per entry (55 bytes) would
+        add tens of kilobytes here."""
+        ledger = _multi_view_ledger([(1, 300), (1, 300), (2, 600)])
+        half = ledger.snapshot_metadata(600)
+        full = ledger.snapshot_metadata(1200)
+        growth = len(encode_value(full)) - len(encode_value(half))
+        assert growth < 1024, growth
+        assert len(full["view_starts"]) == 3
+        assert len(full["merkle_frontier"]) == bin(1200).count("1")
+
+    def _metadata(self):
+        ledger = _multi_view_ledger([(1, 5), (2, 6)])  # views 1 and 3; base 11
+        return ledger, ledger.snapshot_metadata(11)
+
+    def test_a_frontier_of_the_wrong_length_is_rejected(self):
+        ledger, metadata = self._metadata()
+        metadata["merkle_frontier"] = metadata["merkle_frontier"][:-1]
+        with pytest.raises(LedgerError, match="peaks"):
+            _restore(ledger, metadata)
+
+    def test_view_starts_that_do_not_strictly_increase_are_rejected(self):
+        ledger, metadata = self._metadata()
+        assert metadata["view_starts"] == [[1, 1], [3, 6]]
+        for starts in ([[1, 1], [1, 6]], [[1, 1], [3, 1]], [[3, 1], [1, 6]]):
+            metadata["view_starts"] = starts
+            with pytest.raises(LedgerError, match="view starts"):
+                _restore(ledger, metadata)
+
+    def test_a_last_signature_the_view_starts_contradict_is_rejected(self):
+        ledger, metadata = self._metadata()
+        view, seqno = metadata["last_signature_txid"]
+        assert (view, seqno) == (3, 11)
+        metadata["last_signature_txid"] = [1, seqno]
+        with pytest.raises(LedgerError, match="last signature"):
+            _restore(ledger, metadata)

@@ -5,9 +5,13 @@ import dataclasses
 
 import pytest
 
-from repro.node import join, snapshots
+from repro.errors import KVError
+from repro.ledger import statetransfer
+from repro.node import join, snapshots, wire
 from repro.node.config import NodeConfig
 from repro.node.node import CCFNode
+from repro.obs.metrics import RUNTIME_STATS
+from repro.perf.costmodel import state_transfer_cost
 
 from tests.node.conftest import make_service
 
@@ -143,6 +147,143 @@ class TestChunkedJoin:
         service.run_until(lambda: joiner.consensus is not None, timeout=10.0)
         service.run(0.5)
         assert joiner.store.get("records", 30) == "m30"
+
+
+def spy_chunk_traffic(service, drop=lambda payload, sent: False):
+    """Record every StateChunkRequest/Response with its extra delay; a
+    message for which ``drop(payload, sent)`` holds is recorded but lost."""
+    sent = []
+    original_send = service.network.send
+
+    def spying_send(src, dst, payload, extra_delay=0.0, ordered=False):
+        if isinstance(payload, (wire.StateChunkRequest, wire.StateChunkResponse)):
+            sent.append((payload, extra_delay))
+            if drop(payload, sent):
+                return
+        original_send(src, dst, payload, extra_delay, ordered)
+
+    service.network.send = spying_send
+    return sent
+
+
+def requests_in(sent):
+    return [p for p, _ in sent if isinstance(p, wire.StateChunkRequest)]
+
+
+def responses_in(sent):
+    return [(p, delay) for p, delay in sent if isinstance(p, wire.StateChunkResponse)]
+
+
+def catch_up(service, joiner):
+    primary = service.primary_node()
+    service.run_until(
+        lambda: joiner.consensus is not None
+        and joiner.ledger.last_seqno == primary.ledger.last_seqno,
+        timeout=5.0,
+    )
+    assert joiner.ledger.root() == primary.ledger.root()
+    version = primary.ledger.last_seqno
+    assert joiner.store.serialize_at(version) == primary.store.serialize_at(version)
+
+
+class TestChunkBurst:
+    def test_a_cold_join_asks_for_every_chunk_in_one_request(self):
+        """One request; the answer is back-to-back responses of
+        JOIN_CHUNK_BATCH chunks, the k-th charged the bytes of 1..k."""
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        sent = spy_chunk_traffic(service)
+        needed = statetransfer.manifest_chunk_ids(
+            service.primary_node().snapshots.latest.metadata
+        )
+        joiner = make_joiner(service, "joiner-burst")
+        service.run_until(lambda: joiner.consensus is not None, timeout=5.0)
+        (request,) = requests_in(sent)
+        assert list(request.chunk_ids) == needed
+        responses = responses_in(sent)
+        assert len(responses) == -(-len(needed) // join.JOIN_CHUNK_BATCH) > 1
+        shipped = 0
+        for response, delay in responses:
+            assert 0 < len(response.chunks) <= join.JOIN_CHUNK_BATCH
+            shipped += sum(len(blob) for _, blob in response.chunks)
+            assert delay == state_transfer_cost(shipped)
+        assert [cid for r, _ in responses for cid, _ in r.chunks] == needed
+        catch_up(service, joiner)
+
+    def test_a_lost_response_is_fetched_again_alone(self):
+        """Chunks held or still in flight are never asked for twice; the
+        retry timer re-requests exactly what a lost response carried."""
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        lost = []
+
+        def drop_second_response(payload, sent):
+            if isinstance(payload, wire.StateChunkResponse) and len(responses_in(sent)) == 2:
+                lost.extend(cid for cid, _ in payload.chunks)
+                return True
+            return False
+
+        sent = spy_chunk_traffic(service, drop_second_response)
+        joiner = make_joiner(service, "joiner-lossy")
+        service.run_until(lambda: joiner.consensus is not None, timeout=5.0)
+        first, *later = requests_in(sent)
+        assert lost and set(lost) < set(first.chunk_ids)
+        assert [list(r.chunk_ids) for r in later] == [lost]
+        catch_up(service, joiner)
+
+    def test_an_old_format_manifest_is_rejected(self, monkeypatch):
+        """A manifest that lists every leaf hash and txid (the previous
+        format) is refused with a typed error, before any chunk moves."""
+        build = statetransfer.build_chunked_snapshot
+
+        def build_v1(store, version, secret, ledger_metadata, **kwargs):
+            built = build(store, version, secret, ledger_metadata, **kwargs)
+            metadata = dict(built.metadata, format="chunked-v1", txids=[], leaf_hashes=[])
+            del metadata["view_starts"], metadata["merkle_frontier"]
+            return dataclasses.replace(built, metadata=metadata)
+
+        monkeypatch.setattr(statetransfer, "build_chunked_snapshot", build_v1)
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        assert service.primary_node().snapshots.latest.metadata["format"] == "chunked-v1"
+        sent = spy_chunk_traffic(service)
+        make_joiner(service, "joiner-v1")
+        with pytest.raises(KVError, match="chunked-v2"):
+            service.run(0.5)
+        assert not requests_in(sent)
+
+
+class TestJoinerConsensusState:
+    def test_joiner_view_history_matches_the_primary(self):
+        """After two elections, a snapshot and a join, the joiner reports
+        the views of the whole ledger, not just those after its base."""
+        service = make_service(n_nodes=5, node_config=chunked_config())
+        fill(service, 5)
+        for _ in range(2):
+            service.kill_node(service.primary_node().node_id)
+            service.run_until(lambda: service.primary_node() is not None, timeout=10.0)
+            fill(service, 30)
+        primary = service.primary_node()
+        assert primary.snapshots.latest is not None
+        joiner = make_joiner(service, "joiner-views")
+        catch_up(service, joiner)
+        assert joiner.ledger.base_seqno > 0
+        starts = primary.consensus.view_history.starts()
+        assert len(starts) >= 3
+        assert joiner.consensus.view_history.starts() == starts
+
+    def test_frames_before_install_are_counted_and_the_joiner_converges(self, monkeypatch):
+        """Chunks slow enough that the primary's first push to the learner
+        lands before install: the joiner drops those frames, counts them,
+        and still catches up."""
+        monkeypatch.setattr(snapshots, "state_transfer_cost", lambda n: n * 1e-6)
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        RUNTIME_STATS.reset()
+        joiner = make_joiner(service, "joiner-late")
+        service.run_until(lambda: joiner.consensus is not None, timeout=5.0)
+        assert RUNTIME_STATS.get("consensus.frames_before_install") > 0
+        catch_up(service, joiner)
 
 
 def _joined_run(seed, mode):

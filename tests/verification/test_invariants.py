@@ -69,8 +69,8 @@ class TestInvariantsOnHealthyCluster:
         joined = Ledger.from_snapshot_metadata(
             source.secrets,
             base_seqno=base,
-            txids=[TxID(v, s) for v, s in metadata["txids"]],
-            leaf_hashes=metadata["leaf_hashes"],
+            view_starts=metadata["view_starts"],
+            merkle_frontier=metadata["merkle_frontier"],
             last_signature_txid=TxID(*metadata["last_signature_txid"]),
         )
         for entry in source.entries(base + 1):
