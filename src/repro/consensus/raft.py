@@ -469,8 +469,18 @@ class ConsensusNode:
             return
         shared: dict[int, AppendEntries] = {}
         for peer in self._replication_targets():
-            if self._next_index.get(peer, 1) <= self.ledger.last_seqno:
-                self._send_append_entries(peer, shared)
+            self.replicate_to(peer, shared)
+
+    def replicate_to(
+        self, peer: str, shared: dict[int, AppendEntries] | None = None
+    ) -> None:
+        """Send ``peer`` every window from its ``next_index`` on, if it is
+        missing any. ``next_index`` is not rewound, so a second call sends
+        only what was appended since the first."""
+        if self.role is not Role.PRIMARY:
+            return
+        if self._next_index.get(peer, 1) <= self.ledger.last_seqno:
+            self._send_append_entries(peer, shared)
 
     def on_append_entries(self, message: AppendEntries) -> None:
         if self._stopped:

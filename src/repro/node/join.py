@@ -7,8 +7,10 @@ if one is offered, start consensus. The admitting half is
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro.consensus.messages import decode_message
 from repro.consensus.state import NodeStatus
 from repro.crypto.certs import Certificate
 from repro.crypto.ct import ct_eq
@@ -54,12 +56,25 @@ class ChunkTransfer:
     missing: list[str]
     cached: int  # chunks found in the local content-addressed cache
     in_flight: set[str] = field(default_factory=set)  # requested, not yet received
+    # Consensus payloads that arrived before install, in arrival order;
+    # they live and die with the transfer.
+    held: list[bytes] = field(default_factory=list)
     fetched: int = 0
     last_progress: int = -1  # ``fetched`` as of the retry timer's last tick
 
 
 class Join:
-    """The joiner's side of the join protocol and its chunk transfer."""
+    """The joiner's side of the join protocol and its chunk transfer.
+
+    While the chunks are in flight the primary already streams the ledger
+    suffix on the ordered consensus stream. The joiner has no
+    consensus engine yet, so it holds those payloads, authenticated and
+    replay-checked, on the transfer (:meth:`hold`) and dispatches them
+    right after install: the joiner is level with the primary when it
+    starts. An abandoned transfer takes its held payloads with it; the
+    retried join re-registers the learner at its base, so the suffix is
+    sent again.
+    """
 
     def __init__(self, node) -> None:
         self.node = node  # the hosting CCFNode
@@ -240,10 +255,22 @@ class Join:
             return
         self._start_consensus(message, KVStore(), Ledger(secrets), 0)
 
+    def hold(self, payloads: list[bytes]) -> None:
+        """Keep consensus payloads that reached this node before install,
+        for dispatch right after it. Only a chunk transfer in flight holds
+        them; with none they are dropped."""
+        if self._transfer is not None:
+            self._transfer.held.extend(payloads)
+
     def _start_consensus(
-        self, message: JoinResponse, store: KVStore, ledger: Ledger, base_seqno: int
+        self,
+        message: JoinResponse,
+        store: KVStore,
+        ledger: Ledger,
+        base_seqno: int,
+        held: Sequence[bytes] = (),
     ) -> None:
-        self.node.install(
+        consensus = self.node.install(
             store,
             ledger,
             set(message.current_nodes),
@@ -251,7 +278,10 @@ class Join:
             # A join without a snapshot has base_seqno 0 and replays the
             # configuration history itself.
             config_base_seqno=min(message.config_base_seqno, base_seqno),
-        ).start()
+        )
+        consensus.start()
+        for raw in held:
+            consensus.dispatch(decode_message(raw))
 
     # -- Chunked state transfer -----------------------------------------
 
@@ -414,4 +444,6 @@ class Join:
                 cached=transfer.cached,
             )
         self._transfer = None
-        self._start_consensus(transfer.message, store, transfer.ledger, base_seqno)
+        self._start_consensus(
+            transfer.message, store, transfer.ledger, base_seqno, transfer.held
+        )

@@ -427,9 +427,12 @@ class CCFNode:
         """Open a consensus frame and dispatch what it carries. A replay is
         dropped; a frame from an unknown peer, or one altered, cut or
         reflected in flight, is dropped and counted as
-        ``channel.frames.rejected``. A joiner still fetching its snapshot
-        has no consensus to give a frame to: it drops the frame and counts
-        it as ``consensus.frames_before_install``."""
+        ``channel.frames.rejected``. A joiner has no consensus to give a
+        frame to until it installs its snapshot: while the chunk transfer
+        is in flight it holds the frame's payloads, authenticated as any
+        frame, for dispatch at install (:meth:`Join.hold`); with no
+        transfer in flight it drops them. Either way the frame counts as
+        ``consensus.frames_before_install``."""
         try:
             payloads = self.channels.open_frame(
                 message.sender, message.counter, message.box
@@ -441,6 +444,7 @@ class CCFNode:
             return
         if self.consensus is None:
             RUNTIME_STATS.inc("consensus.frames_before_install")
+            self.join.hold(payloads)
             return
         for raw in payloads:
             self.consensus.dispatch(decode_message(raw))

@@ -154,7 +154,15 @@ class Snapshots:
         (older-but-still-referenced chunks a resuming joiner may ask for).
         Ids this node cannot produce are reported back as ``missing``, in
         the first response, so the joiner can fall back instead of
-        stalling."""
+        stalling.
+
+        When it can serve every chunk, a primary then sends the requesting
+        learner its ledger suffix at once, on the ordered consensus stream,
+        so the suffix is in flight with the chunks instead of waiting for
+        the next replication push; the joiner holds those frames until it
+        installs (:class:`repro.node.join.Join`). The learner's
+        ``next_index`` is not rewound, so a retried or forged request
+        re-sends nothing."""
         node = self.node
         available = self.latest.chunks if self.latest is not None else {}
         found: list[tuple[str, bytes]] = []
@@ -196,3 +204,6 @@ class Snapshots:
                 ),
                 extra_delay=state_transfer_cost(sent_bytes),
             )
+        consensus = node.consensus
+        if not missing and consensus is not None and message.node_id in consensus.learners:
+            consensus.replicate_to(message.node_id)

@@ -5,13 +5,17 @@ import dataclasses
 
 import pytest
 
+from repro.consensus.messages import AppendEntries, AppendEntriesResponse
 from repro.errors import KVError
 from repro.ledger import statetransfer
+from repro.net.channels import SealedMessage
 from repro.node import join, snapshots, wire
 from repro.node.config import NodeConfig
 from repro.node.node import CCFNode
 from repro.obs.metrics import RUNTIME_STATS
 from repro.perf.costmodel import state_transfer_cost
+from repro.service.service import ServiceSetup, bootstrap_service
+from repro.sim.trace import TraceRecorder
 
 from tests.node.conftest import make_service
 
@@ -273,17 +277,221 @@ class TestJoinerConsensusState:
         assert joiner.consensus.view_history.starts() == starts
 
     def test_frames_before_install_are_counted_and_the_joiner_converges(self, monkeypatch):
-        """Chunks slow enough that the primary's first push to the learner
-        lands before install: the joiner drops those frames, counts them,
-        and still catches up."""
+        """Chunks slow enough (1 µs per byte) that the suffix the primary
+        streams at the chunk request lands long before install: the joiner
+        counts those frames, holds them, and applies them at install, so it
+        is level with the primary within one round trip of installing."""
         monkeypatch.setattr(snapshots, "state_transfer_cost", lambda n: n * 1e-6)
         service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         RUNTIME_STATS.reset()
         joiner = make_joiner(service, "joiner-late")
         service.run_until(lambda: joiner.consensus is not None, timeout=5.0)
-        assert RUNTIME_STATS.get("consensus.frames_before_install") > 0
+        assert 0 < RUNTIME_STATS.get("consensus.frames_before_install") <= 2
+        link = service.setup.link
+        round_trip = 2 * (link.base_latency + link.jitter)
+        primary = service.primary_node()
+        service.run_until(
+            lambda: joiner.ledger.last_seqno == primary.ledger.last_seqno,
+            timeout=round_trip,
+        )
         catch_up(service, joiner)
+
+
+def spy_appends(primary, joiner):
+    """Record the entry count of every AppendEntries ``primary`` sends to
+    ``joiner``, with whether the joiner had installed by then."""
+    sent = []
+    original = primary.send_consensus_message
+
+    def spying(to, message):
+        if to == joiner.node_id and isinstance(message, AppendEntries):
+            sent.append((len(message.entries), joiner.consensus is not None))
+        original(to, message)
+
+    primary.send_consensus_message = spying
+    return sent
+
+
+def spy_failure_acks(joiner):
+    failures = []
+    original = joiner.send_consensus_message
+
+    def spying(to, message):
+        if isinstance(message, AppendEntriesResponse) and not message.success:
+            failures.append(message)
+        original(to, message)
+
+    joiner.send_consensus_message = spying
+    return failures
+
+
+def spy_held_at_install(joiner):
+    """Record the held payloads each install dispatches."""
+    installs = []
+    original = joiner.join._start_consensus
+
+    def wrapper(message, store, ledger, base_seqno, held=()):
+        installs.append(list(held))
+        original(message, store, ledger, base_seqno, held)
+
+    joiner.join._start_consensus = wrapper
+    return installs
+
+
+class TestSuffixBehindChunks:
+    """The primary streams a learner's ledger suffix at its chunk request;
+    the joiner holds it until install."""
+
+    @pytest.mark.parametrize("duplicate_request", [False, True])
+    def test_the_suffix_is_sent_once(self, duplicate_request):
+        """Every suffix entry reaches the joiner in exactly one
+        AppendEntries, before install, and none is rejected. A duplicated
+        StateChunkRequest (a retry after a lost response) is served again
+        but sends no second burst: ``next_index`` is not rewound."""
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        primary = service.primary_node()
+        sent = spy_chunk_traffic(service)
+        if duplicate_request:
+            original_send = service.network.send
+
+            def duplicating_send(src, dst, payload, extra_delay=0.0, ordered=False):
+                original_send(src, dst, payload, extra_delay, ordered)
+                if isinstance(payload, wire.StateChunkRequest):
+                    original_send(src, dst, payload, extra_delay, ordered)
+
+            service.network.send = duplicating_send
+        joiner = make_joiner(service, "joiner-once")
+        appends = spy_appends(primary, joiner)
+        failures = spy_failure_acks(joiner)
+        catch_up(service, joiner)
+        service.run(0.1)  # heartbeats, and any late duplicate
+        base = joiner.ledger.base_seqno
+        assert sum(n for n, _ in appends) == primary.ledger.last_seqno - base
+        # The suffix went out before install, not at the next push.
+        assert sum(n for n, installed in appends if not installed) > 0
+        assert not failures
+        served = [r for r, _ in responses_in(sent)]
+        expected = -(-len(requests_in(sent)[0].chunk_ids) // join.JOIN_CHUNK_BATCH)
+        assert len(served) == (2 if duplicate_request else 1) * expected
+
+    def test_a_frame_is_authenticated_before_it_is_held(self, monkeypatch):
+        """Mid-transfer, a frame with a flipped byte is rejected and a
+        replay of a held frame is dropped; neither is held or dispatched at
+        install."""
+        monkeypatch.setattr(snapshots, "state_transfer_cost", lambda n: n * 1e-6)
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        frames = []
+        original_send = service.network.send
+        joiner = make_joiner(service, "joiner-forged")
+
+        def spying_send(src, dst, payload, extra_delay=0.0, ordered=False):
+            if dst == joiner.node_id and isinstance(payload, SealedMessage):
+                frames.append(payload)
+            original_send(src, dst, payload, extra_delay, ordered)
+
+        service.network.send = spying_send
+        held_calls = []
+        original_hold = joiner.join.hold
+
+        def recording_hold(payloads):
+            held_calls.append(list(payloads))
+            original_hold(payloads)
+
+        joiner.join.hold = recording_hold
+        installs = spy_held_at_install(joiner)
+        service.run_until(
+            lambda: joiner.join._transfer is not None and joiner.join._transfer.held,
+            timeout=1.0,
+        )
+        transfer = joiner.join._transfer
+        held = list(transfer.held)
+        first = frames[0]
+        counts = {
+            name: RUNTIME_STATS.get(name)
+            for name in (
+                "channel.frames.rejected",
+                "channel.frames.replay_dropped",
+                "consensus.frames_before_install",
+            )
+        }
+        # A flipped byte, under a counter the joiner has not seen yet (so
+        # the tag is what rejects it), and a re-delivery of a held frame.
+        flipped = bytes([first.box[0] ^ 1]) + first.box[1:]
+        joiner._on_network_message(
+            first.sender,
+            SealedMessage(first.sender, frames[-1].counter + 1, flipped),
+        )
+        joiner._on_network_message(first.sender, first)
+        assert RUNTIME_STATS.get("channel.frames.rejected") == counts["channel.frames.rejected"] + 1
+        assert (
+            RUNTIME_STATS.get("channel.frames.replay_dropped")
+            == counts["channel.frames.replay_dropped"] + 1
+        )
+        assert (
+            RUNTIME_STATS.get("consensus.frames_before_install")
+            == counts["consensus.frames_before_install"]
+        )
+        assert transfer.held == held
+        catch_up(service, joiner)
+        # Install dispatched exactly what authentic frames handed to hold.
+        assert installs == [[p for call in held_calls for p in call]]
+
+    def test_a_stalled_transfer_drops_what_it_held_and_the_retry_converges(self):
+        """The retry timer abandons a transfer whose chunks stopped
+        coming; the frames it held go with it, nothing from them is
+        dispatched at the retried join's install, and that join converges."""
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        stalled = [True]
+        spy_chunk_traffic(
+            service,
+            drop=lambda payload, _sent: (
+                stalled[0] and isinstance(payload, wire.StateChunkResponse)
+            ),
+        )
+        joiner = make_joiner(service, "joiner-stalled")
+        installs = spy_held_at_install(joiner)
+        service.run_until(
+            lambda: joiner.join._transfer is not None and joiner.join._transfer.held,
+            timeout=1.0,
+        )
+        abandoned = joiner.join._transfer
+        service.run_until(lambda: joiner.join._transfer is not abandoned, timeout=3.0)
+        assert joiner.join._transfer is None
+        assert joiner.consensus is None
+        stalled[0] = False
+        catch_up(service, joiner)
+        (dispatched,) = installs
+        assert dispatched
+        assert not any(raw is old for raw in dispatched for old in abandoned.held)
+
+
+def _traced_join(seed):
+    """One snapshot join under the trace recorder: its digest, its event
+    count, and how many frames reached the joiner before install."""
+    tracer = TraceRecorder()
+    service = bootstrap_service(
+        ServiceSetup(n_nodes=3, node_config=chunked_config(), seed=seed), tracer=tracer
+    )
+    fill(service, 60)
+    RUNTIME_STATS.reset()
+    joiner = make_joiner(service, "joiner-traced")
+    catch_up(service, joiner)
+    service.run(0.1)
+    return tracer.digest, tracer.event_count, RUNTIME_STATS.get(
+        "consensus.frames_before_install"
+    )
+
+
+def test_a_snapshot_join_replays_to_the_same_trace_digest():
+    """A snapshot join, held frames included, is deterministic: two runs
+    of one seed fold the same events and RNG draws."""
+    first = _traced_join(7)
+    assert first[2] > 0  # the suffix reached the joiner before install
+    assert _traced_join(7) == first
 
 
 def _joined_run(seed, mode):
