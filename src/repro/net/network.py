@@ -18,7 +18,10 @@ it is delivered no earlier than the previous ordered message on the same
 delay spike is added after that ordering and does not hold the stream
 back, so the host can still make a later frame overtake a spiked one;
 and a duplicate is delivered after its original. Unordered messages keep
-independent latencies and may arrive in any order.
+independent latencies and may arrive in any order. Nodes send their
+consensus frames ordered, and a primary its answer to a join (the
+response, then the snapshot chunks it pushes behind it); client traffic,
+forwarding and join requests travel unordered.
 
 All randomness comes from the scheduler's seeded RNG, and the extra draws
 only happen while the corresponding fault is armed, so runs without faults

@@ -1,7 +1,7 @@
 """Attested join, the joining side (sections 4.4, 6.2): request admission,
-verify the answer, open the sealed key material, fetch the snapshot's chunks
-if one is offered, start consensus. The admitting half is
-:mod:`repro.node.membership`.
+verify the answer, open the sealed key material, take the snapshot's chunks
+the primary pushes behind it if one is offered, start consensus. The
+admitting half is :mod:`repro.node.membership`.
 """
 
 from __future__ import annotations
@@ -26,20 +26,14 @@ from repro.ledger.receipts import Receipt
 from repro.ledger.secrets import LedgerSecret, LedgerSecretStore
 from repro.net.channels import SealedMessage
 from repro.node import maps
-from repro.node.wire import (
-    JoinRequest,
-    JoinResponse,
-    StateChunkRequest,
-    StateChunkResponse,
-)
+from repro.node.wire import JoinRequest, JoinResponse, StateChunkResponse
 from repro.storage.host_storage import HostStorage
 
 # The joiner re-sends its request this often (simulated seconds) until it
 # is admitted and its record is committed.
 JOIN_RETRY_INTERVAL = 1.0
-# Chunks per StateChunkResponse. A joiner asks for every chunk it lacks in
-# one StateChunkRequest; the serving node answers with back-to-back
-# responses of this many chunks each.
+# Chunks per StateChunkResponse. The admitting primary pushes every chunk a
+# joiner lacks as back-to-back responses of this many chunks each.
 JOIN_CHUNK_BATCH = 16
 
 
@@ -55,7 +49,6 @@ class ChunkTransfer:
     have: dict[str, bytes]
     missing: list[str]
     cached: int  # chunks found in the local content-addressed cache
-    in_flight: set[str] = field(default_factory=set)  # requested, not yet received
     # Consensus payloads that arrived before install, in arrival order;
     # they live and die with the transfer.
     held: list[bytes] = field(default_factory=list)
@@ -66,14 +59,15 @@ class ChunkTransfer:
 class Join:
     """The joiner's side of the join protocol and its chunk transfer.
 
-    While the chunks are in flight the primary already streams the ledger
-    suffix on the ordered consensus stream. The joiner has no
-    consensus engine yet, so it holds those payloads, authenticated and
-    replay-checked, on the transfer (:meth:`hold`) and dispatches them
-    right after install: the joiner is level with the primary when it
-    starts. An abandoned transfer takes its held payloads with it; the
-    retried join re-registers the learner at its base, so the suffix is
-    sent again.
+    The admitting primary sends the JoinResponse, the chunks the joiner
+    lacks and then the ledger suffix on one ordered stream, so the suffix
+    normally arrives after install. A suffix frame that overtakes a chunk
+    (a delay spike on the chunk) reaches a joiner with no consensus engine
+    yet: it holds those payloads, authenticated and replay-checked, on the
+    transfer (:meth:`hold`) and dispatches them right after install, so
+    the joiner is level with the primary when it starts. An abandoned
+    transfer takes its held payloads with it; the retried join
+    re-registers the learner at its base, so the suffix is sent again.
     """
 
     def __init__(self, node) -> None:
@@ -132,6 +126,7 @@ class Join:
     def _send_request(self, via_node: str) -> None:
         node = self.node
         public_key = node.node_key.public_key.encode()
+        storage = node.storage
         node.network.send(
             node.node_id,
             via_node,
@@ -140,6 +135,12 @@ class Join:
                 quote=node.enclave.attest(public_key),
                 node_public_key=public_key,
                 dh_public=node.dh_key.public,
+                # So the primary pushes only what this cache lacks.
+                held_chunks=tuple(
+                    cid
+                    for cid in storage.state_chunk_ids()
+                    if statetransfer.cached_chunk(storage, cid) is not None
+                ),
             ),
         )
 
@@ -177,11 +178,13 @@ class Join:
             transfer = self._transfer
             if transfer is not None:
                 # A chunked transfer is in flight. Re-sending the join
-                # request now would race a duplicate (slow, byte-costed)
-                # JoinResponse against the chunk stream and trip the
-                # channel replay guard — so only interfere if the transfer
-                # has made no progress since the last tick (its serving
-                # node died mid-stream).
+                # request now would have the primary push again every
+                # chunk not yet cached, duplicating the burst still on its
+                # way — so only interfere if the transfer has made no
+                # progress since the last tick (a response was lost, or
+                # its serving node died mid-stream). The retried request
+                # lists what is cached by then, so only the rest is
+                # pushed again.
                 if transfer.fetched > transfer.last_progress:
                     transfer.last_progress = transfer.fetched
                     node.scheduler.after(JOIN_RETRY_INTERVAL, tick)
@@ -232,11 +235,11 @@ class Join:
                 SealedMessage(sender=sender, counter=counter, box=box)
             )
         except VerificationError:
-            # A retried join request can draw a second response; the
-            # duplicate is byte-costed (slow) and may arrive after newer
-            # channel traffic, failing the replay counter. Drop it like
-            # any replayed sealed message — the in-flight join continues
-            # (and the retry timer covers the nothing-in-flight case).
+            # A duplicated response, or an older one that a newer
+            # response overtook (a delay spike), fails the replay counter.
+            # Drop it like any replayed sealed message — the in-flight join
+            # continues (and the retry timer covers the nothing-in-flight
+            # case).
             return
         secret_material = decode_value(payload)
         secrets = LedgerSecretStore()
@@ -248,9 +251,9 @@ class Join:
         node.adopt_identity(service_certificate, node_certificate, service_key, secrets)
 
         if message.snapshot_manifest is not None:
-            # Verify the manifest against its receipt, then pull only the
-            # chunks we don't already hold. Joining completes
-            # asynchronously in _complete_install.
+            # Verify the manifest against its receipt; the chunks we lack
+            # follow on the stream. Joining completes asynchronously in
+            # _complete_install.
             self._begin_transfer(src, message)
             return
         self._start_consensus(message, KVStore(), Ledger(secrets), 0)
@@ -298,14 +301,11 @@ class Join:
             )
         transfer = self._transfer
         if transfer is not None and ct_eq(transfer.digest, digest):
-            # Retried join response for the same snapshot mid-transfer: a
-            # response may have been lost — re-request whatever is still
-            # missing, don't restart.
-            transfer.in_flight.clear()
-            self._request_missing()
+            # Response to a re-sent request for the same snapshot
+            # mid-transfer: what is still missing follows it. Don't restart.
             return
         # A manifest of another format, or with a malformed ledger prefix,
-        # is rejected here, before any chunk is fetched.
+        # is rejected here, before any chunk is stored or installed.
         needed = statetransfer.manifest_chunk_ids(metadata)
         ledger = Ledger.from_snapshot_metadata(
             node.enclave.memory.get("ledger_secrets"),
@@ -341,31 +341,8 @@ class Join:
                 chunks=len(needed),
                 cached=len(have),
             )
-        self._request_missing()
-
-    def _request_missing(self) -> None:
-        transfer = self._transfer
-        if transfer is None:
-            return
-        if not transfer.missing:
+        if not self._transfer.missing:
             self._complete_install()
-            return
-        # One request for every chunk neither held nor already on its way;
-        # the answer streams back as one burst of responses.
-        wanted = tuple(cid for cid in transfer.missing if cid not in transfer.in_flight)
-        if not wanted:
-            return
-        transfer.in_flight.update(wanted)
-        node = self.node
-        node.network.send(
-            node.node_id,
-            transfer.source,
-            StateChunkRequest(
-                node_id=node.node_id,
-                base_seqno=transfer.metadata["base_seqno"],
-                chunk_ids=wanted,
-            ),
-        )
 
     def on_state_chunk_response(self, _src: str, message: StateChunkResponse) -> None:
         node = self.node
@@ -391,9 +368,8 @@ class Join:
         verified = 0
         still_missing = set(transfer.missing)
         for chunk_id, blob in message.chunks:
-            transfer.in_flight.discard(chunk_id)
             if chunk_id not in still_missing:
-                continue  # duplicate (retried request): already held
+                continue  # duplicate (re-sent request): already held
             wanted += 1
             try:
                 statetransfer.verify_chunk_blob(chunk_id, blob)
@@ -409,15 +385,18 @@ class Join:
         if wanted and not verified:
             # Every chunk we still needed from this round failed its content
             # address: the serving host is substituting state, not merely
-            # re-sending a stale round. Re-requesting would loop forever.
+            # re-sending a stale round. Asking again would loop forever.
             self._transfer = None
             raise VerificationError(
                 "state chunks do not match their content addresses"
             )
-        # A chunk that failed its address is missing and no longer in
-        # flight, so it is asked for again.
         transfer.missing = [cid for cid in transfer.missing if cid not in transfer.have]
-        self._request_missing()
+        if not transfer.missing:
+            self._complete_install()
+        elif verified < wanted:
+            # A chunk failed its address: ask again, listing what is cached
+            # now, so the primary pushes only what is still missing.
+            self._send_request(transfer.source)
 
     def _complete_install(self) -> None:
         node = self.node

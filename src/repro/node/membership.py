@@ -95,8 +95,8 @@ class Membership:
             for node_id, info in node.store.items(maps.NODES_INFO)
             if info.get("dh_public")
         }
-        # A snapshot ships its manifest only; the joiner pulls the chunks
-        # it is missing afterwards. Without one the joiner starts empty and
+        # A snapshot ships its manifest here and the chunks the joiner
+        # lacks right behind it. Without one the joiner starts empty and
         # replays the whole ledger.
         snapshot = node.snapshots.latest
         manifest = snapshot.metadata if snapshot is not None else None
@@ -133,14 +133,27 @@ class Membership:
             consensus.add_learner(message.node_id, next_seqno)
         # Reply to the joiner itself — with forwarding, the sender may be
         # the relaying backup rather than the joining node. Shipping the
-        # manifest costs wire time proportional to its size.
+        # manifest costs wire time proportional to its size. With a
+        # snapshot, the chunks the joiner lacks and then its ledger suffix
+        # follow on the same ordered stream, so the joiner installs and is
+        # level with this node one round trip after asking; it holds
+        # suffix frames that overtake a chunk until it installs
+        # (:class:`repro.node.join.Join`). The suffix is not sent when the
+        # joiner will abandon the transfer for ``missing`` chunks.
         state_bytes = len(snapshot.manifest) if snapshot is not None else 0
         node.network.send(
             node.node_id,
             message.node_id,
             response,
             extra_delay=state_transfer_cost(state_bytes),
+            ordered=True,
         )
+        if (
+            snapshot is not None
+            and node.snapshots.push(message.node_id, message.held_chunks)
+            and message.node_id in consensus.learners
+        ):
+            consensus.replicate_to(message.node_id)
 
     # -- Retirement -----------------------------------------------------
 

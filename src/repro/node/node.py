@@ -114,7 +114,6 @@ class CCFNode:
             wire.ForwardedResponse: self.frontend.on_forwarded_response,
             wire.JoinRequest: self.membership.on_join_request,
             wire.JoinResponse: self.join.on_join_response,
-            wire.StateChunkRequest: self.snapshots.on_state_chunk_request,
             wire.StateChunkResponse: self.join.on_state_chunk_response,
         }
         network.register(node_id, self._on_network_message)

@@ -1,12 +1,13 @@
 """Snapshots on the primary (section 4.4): produce one every
 ``snapshot_interval`` commits, wait for its evidence transaction to commit
 under a signature, then serve it — manifest and receipt in the join
-response, sealed chunks by content address.
+response, the sealed chunks the joiner lacks pushed right behind it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.kv.serialization import encode_value
@@ -14,7 +15,7 @@ from repro.kv.tx import WriteSet
 from repro.ledger import statetransfer
 from repro.ledger.receipts import issue_receipt
 from repro.node import join, maps
-from repro.node.wire import StateChunkRequest, StateChunkResponse
+from repro.node.wire import StateChunkResponse
 from repro.perf.costmodel import state_transfer_cost
 
 # A snapshot chunk holds about this many bytes of canonical rows.
@@ -145,65 +146,62 @@ class Snapshots:
         )
         self._pending = None
 
-    def on_state_chunk_request(self, _src: str, message: StateChunkRequest) -> None:
-        """Serve sealed state chunks by content address. Replies go to the
-        joining node named in the request, as back-to-back responses of
-        ``JOIN_CHUNK_BATCH`` chunks.
+    def push(self, joiner: str, held_chunks: Collection[str]) -> bool:
+        """Push an admitted ``joiner`` every chunk of the latest snapshot
+        that ``held_chunks`` does not list, as back-to-back responses of
+        ``JOIN_CHUNK_BATCH`` chunks on the ordered stream right behind its
+        JoinResponse. The response and the chunks share that link: the
+        k-th chunk response is charged the manifest's bytes plus those of
+        responses 1..k, so the last arrives when one message carrying
+        everything would. ``held_chunks`` is the joiner's untrusted claim:
+        it decides what is sent, never what is accepted, since the joiner
+        checks every chunk against its content address and the manifest.
 
-        Chunks come from the live snapshot package or the on-disk cache
-        (older-but-still-referenced chunks a resuming joiner may ask for).
-        Ids this node cannot produce are reported back as ``missing``, in
-        the first response, so the joiner can fall back instead of
-        stalling.
-
-        When it can serve every chunk, a primary then sends the requesting
-        learner its ledger suffix at once, on the ordered consensus stream,
-        so the suffix is in flight with the chunks instead of waiting for
-        the next replication push; the joiner holds those frames until it
-        installs (:class:`repro.node.join.Join`). The learner's
-        ``next_index`` is not rewound, so a retried or forged request
-        re-sends nothing."""
+        Manifest ids this node cannot produce are reported as ``missing``
+        in the first response, so the joiner falls back instead of
+        stalling. Returns whether every chunk was available."""
         node = self.node
-        available = self.latest.chunks if self.latest is not None else {}
+        snapshot = self.latest
+        held = set(held_chunks)
         found: list[tuple[str, bytes]] = []
         missing: list[str] = []
-        for chunk_id in message.chunk_ids:
-            blob = available.get(chunk_id)
-            if blob is None:
-                blob = statetransfer.cached_chunk(node.storage, chunk_id)
+        # This node's own manifest, in manifest order; its format is the
+        # joiner's to check, before it stores any chunk.
+        listed = (cid for _, ids in snapshot.metadata["chunk_maps"] for cid in ids)
+        for chunk_id in dict.fromkeys(listed):
+            if chunk_id in held:
+                continue
+            blob = snapshot.chunks.get(chunk_id)
             if blob is None:
                 missing.append(chunk_id)
             else:
                 found.append((chunk_id, blob))
-        payload_bytes = sum(len(blob) for _, blob in found)
         obs = node.scheduler.obs
         if obs is not None:
             obs.state_transfer_event(
                 node.node_id,
                 "chunks_served",
-                joiner=message.node_id,
+                joiner=joiner,
                 served=len(found),
                 missing=len(missing),
-                bytes=payload_bytes,
+                bytes=sum(len(blob) for _, blob in found),
             )
-        # The responses share one link: the k-th is charged the bytes of
-        # responses 1..k, so the last arrives when one response carrying
-        # every chunk would.
         batch = join.JOIN_CHUNK_BATCH
-        sent_bytes = 0
-        for start in range(0, max(len(found), 1), batch):
-            chunks = tuple(found[start:start + batch])
+        responses = [tuple(found[i:i + batch]) for i in range(0, len(found), batch)]
+        if missing and not responses:
+            responses.append(())
+        sent_bytes = len(snapshot.manifest)
+        for k, chunks in enumerate(responses):
             sent_bytes += sum(len(blob) for _, blob in chunks)
             node.network.send(
                 node.node_id,
-                message.node_id,
+                joiner,
                 StateChunkResponse(
-                    base_seqno=message.base_seqno,
+                    base_seqno=snapshot.metadata["base_seqno"],
                     chunks=chunks,
-                    missing=tuple(missing) if start == 0 else (),
+                    missing=tuple(missing) if k == 0 else (),
                 ),
                 extra_delay=state_transfer_cost(sent_bytes),
+                ordered=True,
             )
-        consensus = node.consensus
-        if not missing and consensus is not None and message.node_id in consensus.learners:
-            consensus.replicate_to(message.node_id)
+        return not missing

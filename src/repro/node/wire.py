@@ -3,7 +3,9 @@
 These travel over the simulated network between clients, hosts, and nodes.
 Consensus traffic is sealed separately (:mod:`repro.net.channels`); client
 traffic rides the (simulated) TLS session to the node, so objects here are
-delivered as-is.
+delivered as-is. A primary's JoinResponse and the chunks it pushes behind
+it travel on the ordered stream to the joiner, like consensus frames;
+client and forwarding messages, and join requests, travel unordered.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ class JoinRequest:
     quote: AttestationQuote
     node_public_key: bytes  # encoded ECDSA verifying key (in quote report data)
     dh_public: bytes
+    # Ids of the chunks in the joiner's content-addressed cache whose bytes
+    # still match their address. Host-visible and untrusted: it decides
+    # which snapshot chunks the primary pushes, never which the joiner
+    # accepts.
+    held_chunks: tuple = ()
     forwarded: bool = False  # relayed once by a backup toward its leader
 
 
@@ -80,11 +87,11 @@ class JoinResponse:
     # State transfer: when the primary holds a snapshot it ships the signed
     # *manifest* (format, base seqno, secret generation, per-map chunk-id
     # listing, and the ledger prefix as a Merkle frontier plus view
-    # starts), covered by ``snapshot_receipt`` via its canonical digest;
-    # the joiner then pulls only the sealed chunks it doesn't already hold
-    # with one StateChunkRequest — private maps never transit (or rest on)
-    # the host unsealed. With no manifest the joiner
-    # starts from an empty store and replays the ledger.
+    # starts), covered by ``snapshot_receipt`` via its canonical digest,
+    # and pushes the sealed chunks the request did not list as held right
+    # behind it — private maps never transit (or rest on) the host
+    # unsealed. With no manifest the joiner starts from an empty store and
+    # replays the ledger.
     snapshot_manifest: dict | None = None
     snapshot_receipt: dict | None = None
     current_nodes: tuple = ()  # ids of the current configuration
@@ -93,23 +100,11 @@ class JoinResponse:
 
 
 @dataclass(frozen=True)
-class StateChunkRequest:
-    """Joiner → admitting primary: fetch sealed state chunks by content
-    address. Sent once after the manifest verified, naming every chunk the
-    joiner lacks (a prior partial join or the local snapshot cache supplies
-    the rest); sent again only for chunks a lost or rejected response
-    carried."""
-
-    node_id: str
-    base_seqno: int  # manifest base the ids were taken from
-    chunk_ids: tuple = ()
-
-
-@dataclass(frozen=True)
 class StateChunkResponse:
-    """Primary → joiner: some of the requested sealed chunks, as (id, bytes)
-    pairs. One request is answered by back-to-back responses of
-    ``JOIN_CHUNK_BATCH`` chunks. Ids the serving node no longer holds come
+    """Primary → joiner: sealed snapshot chunks as (id, bytes) pairs. The
+    primary admitting a joiner pushes every chunk it lacks as back-to-back
+    responses of ``JOIN_CHUNK_BATCH`` chunks, on the ordered stream right
+    behind the JoinResponse. Manifest ids the primary cannot produce come
     back in ``missing`` on the first — the joiner falls back to a fresh
     join (full transfer) rather than stalling."""
 

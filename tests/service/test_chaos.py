@@ -71,13 +71,67 @@ def test_chaos_crashes_and_replacements(seed):
         assert dict(node.store.items("records")) == reference
 
 
-@pytest.mark.parametrize("seed", [13, 29])
-def test_chaos_join_mid_load_via_chunked_snapshot(seed, monkeypatch):
+def fault_transfer_links(service, existing):
+    """Until a node not in ``existing`` installs its snapshot, every
+    message between it and the primary may be duplicated, delayed by a
+    spike (which lets later messages on the stream overtake it) or lost.
+    Returns how many messages, and how many join requests, were exposed to
+    the faults, and whether the node installed."""
+    from repro.node.wire import JoinRequest
+
+    network = service.network
+    original_send = network.send
+    faulted = {"messages": 0, "requests": 0, "installed": False}
+
+    def faulty_send(src, dst, payload, extra_delay=0.0, ordered=False):
+        primary = service.primary_node()
+        ends = {src, dst}
+        joiners = [service.nodes[name] for name in ends - existing if name in service.nodes]
+        if primary is None or primary.node_id not in ends or not joiners:
+            original_send(src, dst, payload, extra_delay, ordered)
+            return
+        joiner = joiners[0].node_id
+        if joiners[0].consensus is not None:
+            faulted["installed"] = True
+            network.set_link_loss(primary.node_id, joiner, 0.0)
+            network.set_link_loss(joiner, primary.node_id, 0.0)
+            original_send(src, dst, payload, extra_delay, ordered)
+            return
+        faulted["messages"] += 1
+        faulted["requests"] += isinstance(payload, JoinRequest)
+        network.set_link_loss(primary.node_id, joiner, 0.2)
+        network.set_link_loss(joiner, primary.node_id, 0.2)
+        network.set_duplicate_probability(0.3)
+        network.set_delay_spike(0.3, 0.005)
+        try:
+            original_send(src, dst, payload, extra_delay, ordered)
+        finally:
+            network.set_duplicate_probability(0.0)
+            network.set_delay_spike(0.0, 0.0)
+
+    network.send = faulty_send
+    return faulted
+
+
+@pytest.mark.parametrize(
+    "seed,faults",
+    [
+        pytest.param(13, False, id="13"),
+        pytest.param(29, False, id="29"),
+        pytest.param(13, True, id="13-faults"),
+        pytest.param(29, True, id="29-faults"),
+    ],
+)
+def test_chaos_join_mid_load_via_chunked_snapshot(seed, faults, monkeypatch):
     """Chaos with delta snapshots on: a node is killed and its replacement
     joins *mid-load* through the chunked-dedup state transfer, while the
     closed-loop client keeps writing. The replacement must come up from a
     snapshot (not full replay), and the surviving configuration must agree
-    byte-for-byte on committed data afterwards."""
+    byte-for-byte on committed data afterwards.
+
+    With ``faults``, the links between the primary and the replacement
+    duplicate, spike and lose messages until it installs, so the push,
+    the retry timer, held suffix frames and chunk repair run together."""
     from repro.node import join, snapshots
     from repro.node.config import NodeConfig
 
@@ -109,10 +163,17 @@ def test_chaos_join_mid_load_via_chunked_snapshot(seed, monkeypatch):
     victim = rng.choice([n for n in service.backup_nodes() if not n.stopped])
     service.kill_node(victim.node_id)
     service.run_until(lambda: service.primary_node() is not None, timeout=10.0)
+    if faults:
+        # Retry often, so that the repairs fit in the test's load window.
+        monkeypatch.setattr(join, "JOIN_RETRY_INTERVAL", 0.1)
+        faulted = fault_transfer_links(service, set(service.nodes))
     replacement, _timeline = operator.replace_node(victim.node_id)
     service.run(0.2)
     client.stop()
     service.run(0.5)
+    if faults:
+        # The faults cost at least one retried request.
+        assert faulted["installed"] and faulted["requests"] > 1
 
     # The replacement installed a chunked snapshot, not a from-genesis replay.
     assert replacement.ledger.base_seqno > 0

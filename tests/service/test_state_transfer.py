@@ -2,6 +2,7 @@
 the chunked-vs-full-replay differential across seeds."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -16,14 +17,15 @@ from repro.obs.metrics import RUNTIME_STATS
 from repro.perf.costmodel import state_transfer_cost
 from repro.service.service import ServiceSetup, bootstrap_service
 from repro.sim.trace import TraceRecorder
+from repro.storage.host_storage import HostStorage
 
 from tests.node.conftest import make_service
 
 
 @pytest.fixture(autouse=True)
 def small_chunks(monkeypatch):
-    """512-byte chunks fetched two per round, so a small store spans many
-    chunks and rounds."""
+    """512-byte chunks pushed two per response, so a small store spans many
+    chunks and responses."""
     monkeypatch.setattr(snapshots, "SNAPSHOT_CHUNK_BYTES", 512)
     monkeypatch.setattr(join, "JOIN_CHUNK_BATCH", 2)
 
@@ -96,11 +98,16 @@ class TestChunkedJoin:
         # No new snapshot since: the manifest is unchanged, and joiner-a's
         # streaming install left every chunk in its content-addressed cache.
         stats = {}
+        sent = spy_chunk_traffic(service)
         second = make_joiner(service, "joiner-b", storage=first.storage.clone())
         spy_install(second, stats)
         service.run_until(lambda: second.consensus is not None, timeout=5.0)
         assert stats["fetched"] == 0
         assert stats["cached"] == stats["chunks"] > 1
+        # Its request listed every chunk, so the primary pushed none.
+        (request,) = requests_in(sent)
+        assert len(request.held_chunks) == stats["chunks"]
+        assert not responses_in(sent)
 
     def test_crash_mid_transfer_resumes_without_refetch(self, monkeypatch):
         """Streaming install is crash-consistent: chunks received before
@@ -120,11 +127,18 @@ class TestChunkedJoin:
         victim.crash()
         # The salvaged disk (chunk cache included) goes into a fresh node.
         stats = {}
+        sent = spy_chunk_traffic(service)
         retry = make_joiner(service, "joiner-resume", storage=victim.storage.clone())
         spy_install(retry, stats)
         service.run_until(lambda: retry.consensus is not None, timeout=5.0)
         assert stats["cached"] >= fetched_before_crash
         assert stats["fetched"] == stats["chunks"] - stats["cached"]
+        # Its request listed the cache, and the push left the cache out.
+        (request,) = requests_in(sent)
+        assert len(request.held_chunks) == stats["cached"]
+        pushed = [cid for r, _ in responses_in(sent) for cid, _ in r.chunks]
+        assert len(pushed) == stats["fetched"]
+        assert not set(pushed) & set(request.held_chunks)
         service.run(0.5)
         assert retry.store.get("records", 10) == "m10"
 
@@ -153,14 +167,20 @@ class TestChunkedJoin:
         assert joiner.store.get("records", 30) == "m30"
 
 
+JOIN_TRAFFIC = (wire.JoinRequest, wire.JoinResponse, wire.StateChunkResponse)
+
+
 def spy_chunk_traffic(service, drop=lambda payload, sent: False):
-    """Record every StateChunkRequest/Response with its extra delay; a
-    message for which ``drop(payload, sent)`` holds is recorded but lost."""
+    """Record every join message (request, response, chunk response) with
+    its extra delay, and check that the primary's answers travel ordered;
+    a message for which ``drop(payload, sent)`` holds is recorded but
+    lost."""
     sent = []
     original_send = service.network.send
 
     def spying_send(src, dst, payload, extra_delay=0.0, ordered=False):
-        if isinstance(payload, (wire.StateChunkRequest, wire.StateChunkResponse)):
+        if isinstance(payload, JOIN_TRAFFIC):
+            assert ordered == (not isinstance(payload, wire.JoinRequest))
             sent.append((payload, extra_delay))
             if drop(payload, sent):
                 return
@@ -171,11 +191,34 @@ def spy_chunk_traffic(service, drop=lambda payload, sent: False):
 
 
 def requests_in(sent):
-    return [p for p, _ in sent if isinstance(p, wire.StateChunkRequest)]
+    return [p for p, _ in sent if isinstance(p, wire.JoinRequest)]
 
 
 def responses_in(sent):
     return [(p, delay) for p, delay in sent if isinstance(p, wire.StateChunkResponse)]
+
+
+def spike_first_chunk(service, joiner_id, spike=0.005):
+    """Hold the first chunk response to ``joiner_id`` back by ``spike``
+    after the stream's ordering, as a chaos delay spike does, so the rest
+    of the push and the ledger suffix overtake it."""
+    network = service.network
+    original_send = network.send
+    original_time = network._delivery_time
+    spiked = []
+
+    def spiking_send(src, dst, payload, extra_delay=0.0, ordered=False):
+        if dst == joiner_id and isinstance(payload, wire.StateChunkResponse) and not spiked:
+            spiked.append(payload)
+            network._delivery_time = lambda *args: original_time(*args) + spike
+            try:
+                original_send(src, dst, payload, extra_delay, ordered)
+            finally:
+                del network._delivery_time
+            return
+        original_send(src, dst, payload, extra_delay, ordered)
+
+    network.send = spiking_send
 
 
 def catch_up(service, joiner):
@@ -191,22 +234,26 @@ def catch_up(service, joiner):
 
 
 class TestChunkBurst:
-    def test_a_cold_join_asks_for_every_chunk_in_one_request(self):
-        """One request; the answer is back-to-back responses of
-        JOIN_CHUNK_BATCH chunks, the k-th charged the bytes of 1..k."""
+    def test_a_cold_join_gets_every_chunk_in_one_burst(self):
+        """One request listing no chunk; the answer is the JoinResponse
+        charged the manifest's bytes, then back-to-back responses of
+        JOIN_CHUNK_BATCH chunks, the k-th charged the manifest's bytes plus
+        those of 1..k: one link."""
         service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         sent = spy_chunk_traffic(service)
-        needed = statetransfer.manifest_chunk_ids(
-            service.primary_node().snapshots.latest.metadata
-        )
+        snapshot = service.primary_node().snapshots.latest
+        needed = statetransfer.manifest_chunk_ids(snapshot.metadata)
         joiner = make_joiner(service, "joiner-burst")
         service.run_until(lambda: joiner.consensus is not None, timeout=5.0)
         (request,) = requests_in(sent)
-        assert list(request.chunk_ids) == needed
+        assert request.held_chunks == ()
+        assert isinstance(sent[1][0], wire.JoinResponse)
+        shipped = len(snapshot.manifest)
+        assert sent[1][1] == state_transfer_cost(shipped)
         responses = responses_in(sent)
+        assert [p for p, _ in sent[2:]] == [p for p, _ in responses]
         assert len(responses) == -(-len(needed) // join.JOIN_CHUNK_BATCH) > 1
-        shipped = 0
         for response, delay in responses:
             assert 0 < len(response.chunks) <= join.JOIN_CHUNK_BATCH
             shipped += sum(len(blob) for _, blob in response.chunks)
@@ -215,8 +262,9 @@ class TestChunkBurst:
         catch_up(service, joiner)
 
     def test_a_lost_response_is_fetched_again_alone(self):
-        """Chunks held or still in flight are never asked for twice; the
-        retry timer re-requests exactly what a lost response carried."""
+        """No chunk is pushed twice: the retry timer re-sends the join
+        request listing every chunk cached by then, and the primary pushes
+        again exactly what the lost response carried."""
         service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         lost = []
@@ -228,16 +276,28 @@ class TestChunkBurst:
             return False
 
         sent = spy_chunk_traffic(service, drop_second_response)
+        needed = statetransfer.manifest_chunk_ids(
+            service.primary_node().snapshots.latest.metadata
+        )
         joiner = make_joiner(service, "joiner-lossy")
         service.run_until(lambda: joiner.consensus is not None, timeout=5.0)
-        first, *later = requests_in(sent)
-        assert lost and set(lost) < set(first.chunk_ids)
-        assert [list(r.chunk_ids) for r in later] == [lost]
+        first, retry = requests_in(sent)
+        assert first.held_chunks == ()
+        assert lost and set(retry.held_chunks) == set(needed) - set(lost)
+        index = next(i for i, (p, _) in enumerate(sent) if p is retry)
+        repushed = [
+            cid
+            for p, _ in sent[index:]
+            if isinstance(p, wire.StateChunkResponse)
+            for cid, _ in p.chunks
+        ]
+        assert repushed == lost
         catch_up(service, joiner)
 
     def test_an_old_format_manifest_is_rejected(self, monkeypatch):
         """A manifest that lists every leaf hash and txid (the previous
-        format) is refused with a typed error, before any chunk moves."""
+        format) is refused with a typed error, before any chunk is stored
+        or installed: the chunks pushed behind it are dropped."""
         build = statetransfer.build_chunked_snapshot
 
         def build_v1(store, version, secret, ledger_metadata, **kwargs):
@@ -251,10 +311,14 @@ class TestChunkBurst:
         fill(service, 60)
         assert service.primary_node().snapshots.latest.metadata["format"] == "chunked-v1"
         sent = spy_chunk_traffic(service)
-        make_joiner(service, "joiner-v1")
+        joiner = make_joiner(service, "joiner-v1")
         with pytest.raises(KVError, match="chunked-v2"):
             service.run(0.5)
-        assert not requests_in(sent)
+        service.run(0.1)  # deliver the chunks pushed behind the response
+        assert responses_in(sent)
+        assert joiner.join._transfer is None
+        assert not joiner.storage.state_chunk_ids()
+        assert joiner.consensus is None
 
 
 class TestJoinerConsensusState:
@@ -276,18 +340,22 @@ class TestJoinerConsensusState:
         assert len(starts) >= 3
         assert joiner.consensus.view_history.starts() == starts
 
-    def test_frames_before_install_are_counted_and_the_joiner_converges(self, monkeypatch):
-        """Chunks slow enough (1 µs per byte) that the suffix the primary
-        streams at the chunk request lands long before install: the joiner
-        counts those frames, holds them, and applies them at install, so it
-        is level with the primary within one round trip of installing."""
-        monkeypatch.setattr(snapshots, "state_transfer_cost", lambda n: n * 1e-6)
+    def test_frames_before_install_are_counted_and_the_joiner_converges(self):
+        """A delay spike on the first chunk lets the rest of the push and
+        the ledger suffix overtake it, so suffix frames land before
+        install: the joiner counts those frames, holds them, and applies
+        them at install, so it is level with the primary within one round
+        trip of installing."""
         service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         RUNTIME_STATS.reset()
         joiner = make_joiner(service, "joiner-late")
+        spike_first_chunk(service, joiner.node_id)
+        installs = spy_held_at_install(joiner)
         service.run_until(lambda: joiner.consensus is not None, timeout=5.0)
         assert 0 < RUNTIME_STATS.get("consensus.frames_before_install") <= 2
+        (dispatched,) = installs
+        assert dispatched
         link = service.setup.link
         round_trip = 2 * (link.base_latency + link.jitter)
         primary = service.primary_node()
@@ -299,18 +367,32 @@ class TestJoinerConsensusState:
 
 
 def spy_appends(primary, joiner):
-    """Record the entry count of every AppendEntries ``primary`` sends to
+    """Record the entry seqnos of every AppendEntries ``primary`` sends to
     ``joiner``, with whether the joiner had installed by then."""
     sent = []
     original = primary.send_consensus_message
 
     def spying(to, message):
         if to == joiner.node_id and isinstance(message, AppendEntries):
-            sent.append((len(message.entries), joiner.consensus is not None))
+            seqnos = [entry.txid.seqno for entry in message.entries]
+            sent.append((seqnos, joiner.consensus is not None))
         original(to, message)
 
     primary.send_consensus_message = spying
     return sent
+
+
+def spy_applied(joiner):
+    """Record the seqno of every replicated entry ``joiner`` applies."""
+    applied = []
+    original = joiner.apply_replicated_entry
+
+    def spying(entry):
+        applied.append(entry.txid.seqno)
+        return original(entry)
+
+    joiner.apply_replicated_entry = spying
+    return applied
 
 
 def spy_failure_acks(joiner):
@@ -340,15 +422,17 @@ def spy_held_at_install(joiner):
 
 
 class TestSuffixBehindChunks:
-    """The primary streams a learner's ledger suffix at its chunk request;
-    the joiner holds it until install."""
+    """The primary sends a learner its ledger suffix at admission, behind
+    the chunks on the same ordered stream; the joiner holds what overtakes
+    a chunk until install."""
 
     @pytest.mark.parametrize("duplicate_request", [False, True])
     def test_the_suffix_is_sent_once(self, duplicate_request):
-        """Every suffix entry reaches the joiner in exactly one
-        AppendEntries, before install, and none is rejected. A duplicated
-        StateChunkRequest (a retry after a lost response) is served again
-        but sends no second burst: ``next_index`` is not rewound."""
+        """Every suffix entry reaches the joiner in one AppendEntries per
+        admission, sent before install, and none is rejected. A duplicated
+        JoinRequest is admitted twice, so it draws a second burst and a
+        second suffix, yet the joiner converges with no failure ack and
+        applies each entry once."""
         service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         primary = service.primary_node()
@@ -358,34 +442,40 @@ class TestSuffixBehindChunks:
 
             def duplicating_send(src, dst, payload, extra_delay=0.0, ordered=False):
                 original_send(src, dst, payload, extra_delay, ordered)
-                if isinstance(payload, wire.StateChunkRequest):
+                if isinstance(payload, wire.JoinRequest):
                     original_send(src, dst, payload, extra_delay, ordered)
 
             service.network.send = duplicating_send
         joiner = make_joiner(service, "joiner-once")
         appends = spy_appends(primary, joiner)
         failures = spy_failure_acks(joiner)
+        applied = spy_applied(joiner)
         catch_up(service, joiner)
         service.run(0.1)  # heartbeats, and any late duplicate
+        admissions = 2 if duplicate_request else 1
         base = joiner.ledger.base_seqno
-        assert sum(n for n, _ in appends) == primary.ledger.last_seqno - base
-        # The suffix went out before install, not at the next push.
-        assert sum(n for n, installed in appends if not installed) > 0
+        sends = Counter(seqno for seqnos, _ in appends for seqno in seqnos)
+        assert sorted(sends) == list(range(base + 1, primary.ledger.last_seqno + 1))
+        assert max(sends.values()) == admissions
+        # The suffix went out at admission, not at the next push.
+        assert any(seqnos for seqnos, installed in appends if not installed)
         assert not failures
+        assert applied == list(range(base + 1, primary.ledger.last_seqno + 1))
         served = [r for r, _ in responses_in(sent)]
-        expected = -(-len(requests_in(sent)[0].chunk_ids) // join.JOIN_CHUNK_BATCH)
-        assert len(served) == (2 if duplicate_request else 1) * expected
+        needed = statetransfer.manifest_chunk_ids(primary.snapshots.latest.metadata)
+        expected = -(-len(needed) // join.JOIN_CHUNK_BATCH)
+        assert len(served) == admissions * expected
 
-    def test_a_frame_is_authenticated_before_it_is_held(self, monkeypatch):
+    def test_a_frame_is_authenticated_before_it_is_held(self):
         """Mid-transfer, a frame with a flipped byte is rejected and a
         replay of a held frame is dropped; neither is held or dispatched at
         install."""
-        monkeypatch.setattr(snapshots, "state_transfer_cost", lambda n: n * 1e-6)
         service = make_service(n_nodes=3, node_config=chunked_config())
         fill(service, 60)
         frames = []
-        original_send = service.network.send
         joiner = make_joiner(service, "joiner-forged")
+        spike_first_chunk(service, joiner.node_id)
+        original_send = service.network.send
 
         def spying_send(src, dst, payload, extra_delay=0.0, ordered=False):
             if dst == joiner.node_id and isinstance(payload, SealedMessage):
@@ -463,10 +553,114 @@ class TestSuffixBehindChunks:
         assert joiner.join._transfer is None
         assert joiner.consensus is None
         stalled[0] = False
+        # The retried join's suffix overtakes its spiked first chunk, so
+        # its install dispatches held frames of its own.
+        spike_first_chunk(service, joiner.node_id)
         catch_up(service, joiner)
         (dispatched,) = installs
         assert dispatched
         assert not any(raw is old for raw in dispatched for old in abandoned.held)
+
+
+class TestPushIsUntrusted:
+    """``JoinRequest.held_chunks`` and the pushed chunks cross the host: they
+    decide what the primary sends, never what the joiner installs."""
+
+    def test_a_rewritten_held_set_never_installs_a_missing_chunk(self):
+        """A host that rewrites the request to claim every chunk starves
+        the joiner of its push. The joiner does not install without every
+        chunk verified, and the join completes once the rewrite stops."""
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        needed = statetransfer.manifest_chunk_ids(
+            service.primary_node().snapshots.latest.metadata
+        )
+        sent = spy_chunk_traffic(service)
+        rewriting = [True]
+        original_send = service.network.send
+
+        def rewriting_send(src, dst, payload, extra_delay=0.0, ordered=False):
+            if rewriting[0] and isinstance(payload, wire.JoinRequest):
+                payload = dataclasses.replace(payload, held_chunks=tuple(needed))
+            original_send(src, dst, payload, extra_delay, ordered)
+
+        service.network.send = rewriting_send
+        joiner = make_joiner(service, "joiner-starved")
+        installed = []
+        original_install = joiner.join._complete_install
+
+        def checked_install():
+            have = joiner.join._transfer.have
+            assert sorted(have) == sorted(needed)
+            for chunk_id, blob in have.items():
+                statetransfer.verify_chunk_blob(chunk_id, blob)
+            installed.append(len(have))
+            original_install()
+
+        joiner.join._complete_install = checked_install
+        service.run(1.5)
+        assert joiner.consensus is None and not installed
+        assert not responses_in(sent)
+        rewriting[0] = False
+        catch_up(service, joiner)
+        assert installed == [len(needed)]
+        assert requests_in(sent)[-1].held_chunks == ()
+
+    def test_a_chunk_failing_its_address_is_pushed_again(self):
+        """A chunk the host corrupts in flight is not stored. The joiner
+        re-sends its request at once, listing the chunks it has verified,
+        and installs from the next push well before the retry timer."""
+        service = make_service(n_nodes=3, node_config=chunked_config())
+        fill(service, 60)
+        corrupted = []
+        sent = spy_chunk_traffic(service)
+        original_send = service.network.send
+
+        def corrupting_send(src, dst, payload, extra_delay=0.0, ordered=False):
+            if isinstance(payload, wire.StateChunkResponse) and not corrupted:
+                (chunk_id, blob), *rest = payload.chunks
+                corrupted.append(chunk_id)
+                bad = (chunk_id, bytes([blob[0] ^ 1]) + blob[1:])
+                payload = dataclasses.replace(payload, chunks=(bad, *rest))
+            original_send(src, dst, payload, extra_delay, ordered)
+
+        service.network.send = corrupting_send
+        joiner = make_joiner(service, "joiner-corrupted")
+        service.run_until(
+            lambda: joiner.consensus is not None, timeout=join.JOIN_RETRY_INTERVAL / 2
+        )
+        first, retry = requests_in(sent)
+        assert first.held_chunks == ()
+        assert retry.held_chunks and corrupted[0] not in retry.held_chunks
+        assert corrupted[0] in joiner.storage.state_chunk_ids()
+        catch_up(service, joiner)
+
+
+def test_no_chunk_is_delivered_before_its_join_response(monkeypatch):
+    """The pushed chunk travels ordered behind its JoinResponse. Pushing
+    one 512-byte chunk adds about 1 µs of wire time to the response's,
+    far less than the link's 50 µs jitter, so only the ordering keeps it
+    behind: over seeds 0-19 the response is always delivered first."""
+    for seed in range(20):
+        service = make_service(n_nodes=3, node_config=chunked_config(), seed=seed)
+        fill(service, 25)
+        primary = service.primary_node()
+        chunk_ids = statetransfer.manifest_chunk_ids(primary.snapshots.latest.metadata)
+        storage = HostStorage()
+        for chunk_id in chunk_ids[1:]:
+            storage.write_state_chunk(chunk_id, primary.storage.read_state_chunk(chunk_id))
+        joiner = make_joiner(service, "joiner-ordered", storage=storage)
+        delivered = []
+        for kind in (wire.JoinResponse, wire.StateChunkResponse):
+            handler = joiner._handlers[kind]
+            joiner._handlers[kind] = (
+                lambda src, message, handler=handler: (
+                    delivered.append(type(message)), handler(src, message)
+                )
+            )
+        service.run_until(lambda: len(delivered) == 2, timeout=0.1)
+        assert delivered == [wire.JoinResponse, wire.StateChunkResponse], seed
+        assert joiner.consensus is not None
 
 
 def _traced_join(seed):
@@ -479,6 +673,7 @@ def _traced_join(seed):
     fill(service, 60)
     RUNTIME_STATS.reset()
     joiner = make_joiner(service, "joiner-traced")
+    spike_first_chunk(service, joiner.node_id)
     catch_up(service, joiner)
     service.run(0.1)
     return tracer.digest, tracer.event_count, RUNTIME_STATS.get(
@@ -490,7 +685,7 @@ def test_a_snapshot_join_replays_to_the_same_trace_digest():
     """A snapshot join, held frames included, is deterministic: two runs
     of one seed fold the same events and RNG draws."""
     first = _traced_join(7)
-    assert first[2] > 0  # the suffix reached the joiner before install
+    assert first[2] > 0  # the suffix overtook the spiked chunk
     assert _traced_join(7) == first
 
 

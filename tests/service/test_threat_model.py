@@ -97,7 +97,7 @@ class TestUntrustedHost:
         named = (
             wire.JoinRequest, wire.JoinResponse,
             wire.ForwardedRequest, wire.ForwardedResponse,
-            wire.StateChunkRequest, wire.StateChunkResponse,
+            wire.StateChunkResponse,
         )
         between_nodes = [
             payload for src, dst, payload in captured
