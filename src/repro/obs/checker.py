@@ -24,7 +24,9 @@ cost is linear in the trace:
 - *The fold's guards*, on the event's own node: an append lands only at
   ``len(log) + 1``, a truncate may not cut below the commit, a commit may
   neither pass the observed log nor regress.
-- *Election safety*, over every node's ``(view, role)`` pair: O(nodes).
+- *Election safety*, over every node's ``(view, role)`` pair: O(nodes),
+  only after an event that changes a role or a view (an election, a
+  primacy, a step-down, or a commit that raises the node's view).
 - *Commit agreement* and *commit at a signature*, only when a node's
   commit advances: the entry it now commits must be a signature, and its
   newly committed slice is compared with the longest committed prefix seen
@@ -156,6 +158,9 @@ class TraceChecker:
         attrs = span.attrs
         self.result.events_checked += 1
         agrees = True
+        # Appends and truncates change no role and no view, so only the
+        # other events can break election safety.
+        elects = False
 
         if span.name == "ledger.append":
             seqno, view = attrs["seqno"], attrs["view"]
@@ -194,6 +199,7 @@ class TraceChecker:
                 del fold.log[seqno:]
         elif span.name == "consensus.commit":
             seqno, view = attrs["seqno"], attrs["view"]
+            elects = view > fold.view
             fold.view = max(fold.view, view)
             if not fold.gapped and seqno > len(fold.log):
                 return self._fail(
@@ -210,17 +216,20 @@ class TraceChecker:
                 )
             fold.commit = seqno
         elif span.name == "consensus.become_primary":
+            elects = True
             fold.role = model.PRIMARY
             fold.view = attrs["view"]
         elif span.name == "consensus.step_down":
+            elects = True
             fold.role = model.BACKUP
             fold.view = max(fold.view, attrs["view"])
         elif span.name == "consensus.election":
+            elects = True
             fold.role = model.BACKUP  # candidate: not a primary yet
             fold.view = max(fold.view, attrs["view"])
 
         self.result.states_checked += 1
-        if not agrees or self._two_primaries():
+        if not agrees or (elects and self._two_primaries()):
             return self._fail(span, model.check_state(self._abstract_state()))
         return None
 

@@ -42,12 +42,22 @@ def redact(value):
     return value
 
 
+# Values ``redact`` passes through untouched, by exact type: a mapping of
+# only these is already safe to export.
+_PLAIN = frozenset((int, str, bool, float, type(None)))
+
+
 def sanitize_attrs(attrs: dict) -> dict:
-    """Redact every value of a span-attribute / label mapping."""
-    return {key: redact(value) for key, value in attrs.items()}
+    """Redact every value of a span-attribute / label mapping. A mapping
+    whose values are all plain (``int``, ``str``, ``bool``, ``float``,
+    ``None``) is returned as is."""
+    for value in attrs.values():
+        if type(value) not in _PLAIN:
+            return {key: redact(value) for key, value in attrs.items()}
+    return attrs
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed, attributed step in a causal trace."""
 
