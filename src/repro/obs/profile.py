@@ -15,8 +15,14 @@ Categories (charged by the instrumentation sites):
 - ``replication_wait`` append -> primary-commit wait for the request's seqno
 - ``forwarding``       backup -> primary forwarding cost
 
-Anything not covered by a charge (network latency, heartbeat alignment) is
-reported as ``uncharged``.
+The categories are exclusive: each stretch of a request's latency counts
+once. A charge sits on the request's timeline from its span's start
+(``queue_wait`` ends there instead), clipped to the request's submit ..
+response. ``replication_wait`` is a wait, not work, so it takes only what
+no other category already holds: the part of the commit wait before the
+response that was not spent signing. Whatever no charge covers (network
+latency, heartbeat alignment) is reported as ``uncharged``, so a request's
+categories and ``uncharged`` sum to its latency.
 """
 
 from __future__ import annotations
@@ -39,14 +45,11 @@ class TraceProfile:
     client: str = ""
     status: int = 0
     n_spans: int = 0
+    uncharged: float = 0.0
 
     @property
     def charged(self) -> float:
         return sum(self.costs.values())
-
-    @property
-    def uncharged(self) -> float:
-        return max(0.0, self.latency - self.charged)
 
     def fractions(self) -> dict[str, float]:
         """category -> fraction of latency, including ``uncharged``."""
@@ -152,16 +155,67 @@ class ProfileReport:
         return "\n".join(lines)
 
 
+# Waits take only the time no work category holds; they rank last.
+_WAITS = frozenset(("replication_wait",))
+
+
+def _claim(covered: list[tuple[float, float]], lo: float, hi: float) -> float:
+    """Add ``[lo, hi)`` to ``covered`` (intervals sorted by start) and
+    return the length of its part no earlier interval covered."""
+    free, cursor = 0.0, lo
+    for start, end in covered:
+        if start >= hi:
+            break
+        if end <= cursor:
+            continue
+        if start > cursor:
+            free += start - cursor
+        cursor = end
+        if cursor >= hi:
+            break
+    if cursor < hi:
+        free += hi - cursor
+    covered.append((lo, hi))
+    covered.sort()
+    return free
+
+
+def _exclusive_costs(root: Span, charged: list[Span]) -> tuple[dict[str, float], float]:
+    """Per-category time of one request, each stretch counted once, and
+    the time no charge covers."""
+    begin, end = root.start, root.end
+    pieces = []
+    for span in charged:
+        for category, seconds in span.costs.items():
+            if category == "queue_wait":
+                lo, hi = span.start - seconds, span.start
+            else:
+                lo, hi = span.start, span.start + seconds
+            pieces.append((category in _WAITS, category, max(lo, begin), min(hi, end)))
+    pieces.sort()
+    covered: list[tuple[float, float]] = []
+    costs: dict[str, float] = {}
+    for _wait, category, lo, hi in pieces:
+        costs[category] = costs.get(category, 0.0) + (
+            _claim(covered, lo, hi) if hi > lo else 0.0
+        )
+    return dict(sorted(costs.items())), _claim(covered, begin, end)
+
+
 def profile_spans(spans: list[Span]) -> ProfileReport:
     """Fold a span list into per-request profiles. Only completed ``request``
     roots count; their trace's spans contribute cost charges."""
-    costs_by_trace: dict[str, dict[str, float]] = {}
+    charged_by_trace: dict[str, list[Span]] = {}
     spans_by_trace: dict[str, int] = {}
     for span in spans:
-        bucket = costs_by_trace.setdefault(span.trace_id, {})
-        spans_by_trace[span.trace_id] = spans_by_trace.get(span.trace_id, 0) + 1
-        for category, seconds in span.costs.items():
-            bucket[category] = bucket.get(category, 0.0) + seconds
+        trace = span.trace_id
+        spans_by_trace[trace] = spans_by_trace.get(trace, 0) + 1
+        if span.costs:
+            charged = charged_by_trace.get(trace)
+            if charged is None:
+                charged_by_trace[trace] = [span]
+            else:
+                charged.append(span)
 
     profiles = []
     for span in spans:
@@ -169,16 +223,20 @@ def profile_spans(spans: list[Span]) -> ProfileReport:
             continue
         if span.attrs.get("detached"):
             continue  # closed artificially at detach time, not a real latency
+        costs, uncharged = _exclusive_costs(
+            span, charged_by_trace.get(span.trace_id, [])
+        )
         profiles.append(
             TraceProfile(
                 trace_id=span.trace_id,
                 latency=span.duration,
                 start=span.start,
-                costs=dict(costs_by_trace.get(span.trace_id, {})),
+                costs=costs,
                 path=span.attrs.get("path", ""),
                 client=span.attrs.get("client", ""),
                 status=span.attrs.get("status", 0),
                 n_spans=spans_by_trace.get(span.trace_id, 0),
+                uncharged=uncharged,
             )
         )
     return ProfileReport(profiles)

@@ -256,6 +256,22 @@ class TestCausalTree:
         # The rendered report mentions the replication-wait attribution.
         assert "requests:" in report.format_text()
 
+    def test_profile_categories_are_exclusive(self, traced):
+        """Each stretch of a request's latency counts once: the categories
+        and ``uncharged`` sum to the latency, and none exceeds it."""
+        _service, collector, _fastpath = traced
+        report = profile_spans(collector.spans)
+        assert report.count >= WRITES
+        for profile in report.profiles:
+            fractions = profile.fractions()
+            assert abs(sum(fractions.values()) - 1.0) <= 1e-9, fractions
+            assert all(0.0 <= f <= 1.0 for f in fractions.values()), fractions
+            assert profile.uncharged >= 0.0
+        # Signed writes are where the commit wait and the signing delay
+        # overlap; the overlap counts once.
+        signed = [p for p in report.profiles if "signing" in p.costs]
+        assert signed and all("replication_wait" in p.costs for p in signed)
+
     def test_metrics_registry_saw_the_run(self, traced):
         _service, collector, _fastpath = traced
         snapshot = collector.registry.snapshot()
