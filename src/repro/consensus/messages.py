@@ -33,7 +33,9 @@ class AppendEntries:
 @dataclass(frozen=True)
 class AppendEntriesResponse:
     """Backup → primary. On failure, ``match_hint`` is the backup's guess at
-    the latest common point so the primary can rewind its next_index."""
+    the latest common point so the primary can rewind its next_index, and
+    ``rejected`` names the append it answers: the seqno of the
+    ``prev_txid`` the backup did not hold."""
 
     view: int
     sender: str
@@ -43,6 +45,7 @@ class AppendEntriesResponse:
     # stale uncommitted suffix must never count toward match_index.
     last_seqno: int = 0
     match_hint: int = 0  # on failure: guessed latest common seqno
+    rejected: int = 0  # on failure: the prev_txid seqno rejected
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,13 @@ class RequestVoteResponse:
 # but not the canonical codec's sorted dicts: a kind byte, then a header of
 # big-endian integers ending with the length of the UTF-8 node id that
 # follows it. An AppendEntries then carries each entry as a 4-byte length
-# and its memoized ``LedgerEntry.encode()`` bytes.
+# and its memoized ``LedgerEntry.encode()`` bytes. A failed
+# AppendEntriesResponse has its own kind and layout (it names the seqno it
+# rejected), so a success ack's bytes are those it always had.
 
 _AE = struct.Struct(">BQQQQIH")  # view, prev txid, commit, #entries
 _AER = struct.Struct(">BQ?QQH")  # view, success, last seqno, match hint
+_AEF = struct.Struct(">BQQQH")  # failure ack: view, match hint, rejected seqno
 _RV = struct.Struct(">BQQQH")  # view, last signature txid
 _RVR = struct.Struct(">BQ?H")  # view, granted
 _LAYOUTS = {
@@ -82,6 +88,7 @@ _LAYOUTS = {
     1: (AppendEntriesResponse, _AER),
     2: (RequestVote, _RV),
     3: (RequestVoteResponse, _RVR),
+    4: (AppendEntriesResponse, _AEF),
 }
 _LENGTH = struct.Struct(">I")
 
@@ -126,10 +133,16 @@ def _encode_message_uncached(message: object) -> bytes:
         return b"".join(parts)
     if isinstance(message, AppendEntriesResponse):
         node = message.sender.encode()
-        header = _AER.pack(
-            1, message.view, message.success, message.last_seqno,
-            message.match_hint, len(node),
-        )
+        if message.success and not message.rejected:
+            header = _AER.pack(
+                1, message.view, True, message.last_seqno, message.match_hint, len(node)
+            )
+        elif not message.success and not message.last_seqno:
+            header = _AEF.pack(
+                4, message.view, message.match_hint, message.rejected, len(node)
+            )
+        else:
+            raise ConsensusError("an ack names a covered seqno or a rejected one, not both")
     elif isinstance(message, RequestVote):
         node = message.candidate_id.encode()
         sig = message.last_signature_txid
@@ -146,7 +159,8 @@ def decode_message(data: bytes) -> object:
     """Deserialize a consensus message from its wire layout. The bytes come
     off the network: anything malformed raises :class:`ConsensusError`."""
     try:
-        kind, layout = _LAYOUTS[data[0]]
+        code = data[0]
+        kind, layout = _LAYOUTS[code]
         _, view, *fields, id_length = layout.unpack_from(data)
         offset = layout.size + id_length
         if offset > len(data):
@@ -164,6 +178,11 @@ def decode_message(data: bytes) -> object:
             message = kind(view, node, TxID(prev_view, prev_seqno), tuple(entries), commit)
         elif kind is RequestVote:
             message = kind(view, node, TxID(*fields))
+        elif code == 4:
+            match_hint, rejected = fields
+            message = kind(view, node, False, 0, match_hint, rejected)
+        elif code == 1 and not fields[0]:
+            raise ConsensusError("a failure ack travels in its own layout")
         else:
             message = kind(view, node, *fields)
     except (IndexError, KeyError, ValueError, struct.error, KVError, LedgerError) as exc:

@@ -33,6 +33,7 @@ from repro.consensus.state import Role, TxStatus, ViewHistory, transaction_statu
 from repro.errors import ConsensusError
 from repro.ledger.entry import LedgerEntry, TxID
 from repro.ledger.ledger import Ledger
+from repro.obs.metrics import RUNTIME_STATS
 from repro.sim.scheduler import EventHandle, Scheduler
 
 
@@ -119,6 +120,10 @@ class ConsensusNode:
         self._next_index: dict[str, int] = {}
         self._match_index: dict[str, int] = {}
         self._last_ack: dict[str, float] = {}
+        # peer -> (prev seqno of the re-sent window in flight, the
+        # next_index before the rewind) while windows sent once are re-sent
+        # one at a time after a rejection.
+        self._resending: dict[str, tuple[int, int]] = {}
         self._votes: set[str] = set()
 
         self._election_timer: EventHandle | None = None
@@ -255,6 +260,7 @@ class ConsensusNode:
         self._next_index = {}
         self._match_index = {}
         self._last_ack = {}
+        self._resending = {}
         for peer in self._replication_targets():
             self._next_index[peer] = opening.txid.seqno
             self._match_index[peer] = 0
@@ -347,6 +353,7 @@ class ConsensusNode:
         self.learners.add(node_id)
         self._next_index[node_id] = max(1, next_seqno)
         self._match_index[node_id] = 0
+        self._resending.pop(node_id, None)
         self._last_ack[node_id] = self.scheduler.now
 
     def note_retiring(self, node_id: str) -> None:
@@ -366,6 +373,7 @@ class ConsensusNode:
         self._next_index.pop(node_id, None)
         self._match_index.pop(node_id, None)
         self._last_ack.pop(node_id, None)
+        self._resending.pop(node_id, None)
 
     def freeze_writes(self) -> None:
         """This node's own retirement committed: stop accepting writes and
@@ -413,8 +421,15 @@ class ConsensusNode:
         append to that peer, whose ``prev_txid`` the peer does not hold;
         the failure ack then rewinds ``next_index`` to the peer's
         ``match_hint`` and re-sends one window
-        (:meth:`on_append_entries_response`).
+        (:meth:`on_append_entries_response`). While windows are re-sent
+        one at a time, this (the heartbeat) re-sends the one in flight and
+        nothing else.
         """
+        resending = self._resending.get(peer)
+        if resending is not None:
+            self._next_index[peer] = resending[0] + 1
+            self._resend_window(peer, resending[1], shared)
+            return
         while self._send_window(peer, shared).entries:
             if self._next_index[peer] > self.ledger.last_seqno:
                 return
@@ -462,6 +477,15 @@ class ConsensusNode:
             self._next_index[peer] = message.entries[-1].txid.seqno + 1
         return message
 
+    def _resend_window(
+        self, peer: str, frontier: int, shared: dict[int, AppendEntries] | None = None
+    ) -> None:
+        """Re-send ``peer`` one window from its ``next_index``; until it is
+        acked, the peer gets nothing else. ``frontier`` is where windows
+        sent once end and bursts resume."""
+        message = self._send_window(peer, shared)
+        self._resending[peer] = (message.prev_txid.seqno, frontier)
+
     def replicate_now(self) -> None:
         """Push new entries to peers immediately (called after the host
         appends user transactions, so writes don't wait for the heartbeat)."""
@@ -477,7 +501,7 @@ class ConsensusNode:
         """Send ``peer`` every window from its ``next_index`` on, if it is
         missing any. ``next_index`` is not rewound, so a second call sends
         only what was appended since the first."""
-        if self.role is not Role.PRIMARY:
+        if self.role is not Role.PRIMARY or peer in self._resending:
             return
         if self._next_index.get(peer, 1) <= self.ledger.last_seqno:
             self._send_append_entries(peer, shared)
@@ -489,7 +513,8 @@ class ConsensusNode:
             self.host.send_consensus_message(
                 message.leader_id,
                 AppendEntriesResponse(
-                    view=self.view, sender=self.node_id, success=False, match_hint=0
+                    view=self.view, sender=self.node_id, success=False, match_hint=0,
+                    rejected=message.prev_txid.seqno,
                 ),
             )
             return
@@ -504,7 +529,8 @@ class ConsensusNode:
             self.host.send_consensus_message(
                 message.leader_id,
                 AppendEntriesResponse(
-                    view=self.view, sender=self.node_id, success=False, match_hint=hint
+                    view=self.view, sender=self.node_id, success=False, match_hint=hint,
+                    rejected=message.prev_txid.seqno,
                 ),
             )
             return
@@ -591,18 +617,40 @@ class ConsensusNode:
             )
             if advanced:
                 self._try_advance_commit()
+            resending = self._resending.get(peer)
+            if resending is not None:
+                if self._match_index[peer] < self._next_index[peer] - 1:
+                    return  # the re-sent window in flight is not acked yet
+                if self._next_index[peer] < resending[1]:
+                    # Windows this peer was sent once go again one at a
+                    # time, so no re-send can be overtaken and rejected.
+                    self._resend_window(peer, resending[1])
+                    return
+                del self._resending[peer]
             if self._next_index[peer] <= self.ledger.last_seqno:
                 # Entries appended since, or a burst cut short by a
                 # rewind: send the rest of what the peer is missing.
                 self._send_append_entries(peer)
         else:
+            # A rejection answers one window, named by the prev seqno it
+            # did not hold. After a lost or overtaken window every later
+            # frame of its burst is rejected too; only the first rejection
+            # is news. While re-sending, act only on one that answers the
+            # window in flight (the current rewind point); drop as stale
+            # one whose peer held less than it has acked since (a peer
+            # holds every entry it acked in this view).
+            resending = self._resending.get(peer)
+            if message.match_hint < self._match_index.get(peer, 0) or (
+                resending is not None and message.rejected != resending[0]
+            ):
+                RUNTIME_STATS.inc("consensus.stale_rejections")
+                return
             current = self._next_index.get(peer, self.ledger.last_seqno + 1)
             self._next_index[peer] = max(1, min(current - 1, message.match_hint + 1))
-            # One window, not a burst: after a lost window every later
-            # frame of its burst is rejected too, and each rejection must
-            # cost one window. The success ack for this window resumes
-            # the burst.
-            self._send_window(peer)
+            # One window, not a burst: the re-sends go one at a time.
+            self._resend_window(
+                peer, current if resending is None else max(current, resending[1])
+            )
 
     # ------------------------------------------------------------------
     # Commit (sections 4.1 & 4.4)

@@ -1,5 +1,7 @@
 """Tests for the consensus wire codec (messages sealed between enclaves)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,14 +46,18 @@ _MESSAGES = st.one_of(
         st.integers(0, len(_POOL)).map(lambda n: _POOL[:n]),
         _U64,
     ),
-    st.builds(AppendEntriesResponse, _U64, _NODE_IDS, st.booleans(), _U64, _U64),
+    st.builds(AppendEntriesResponse, _U64, _NODE_IDS, st.just(True), _U64, _U64),
+    st.builds(
+        AppendEntriesResponse, _U64, _NODE_IDS, st.just(False), st.just(0), _U64, _U64
+    ),
     st.builds(RequestVote, _U64, _NODE_IDS, _TXIDS),
     st.builds(RequestVoteResponse, _U64, _NODE_IDS, st.booleans()),
 )
 # One message of each kind; node ids go beyond ASCII.
 _SAMPLES = [
     AppendEntries(7, "nœud-1", TxID(6, 300), _POOL[:3], 2**64 - 1),
-    AppendEntriesResponse(7, "узел-2", False, 0, 256),
+    AppendEntriesResponse(7, "узел-2", True, 256),
+    AppendEntriesResponse(7, "узел-2", False, 0, 256, 300),
     RequestVote(2**32, "ノード", TxID(7, 255)),
     RequestVoteResponse(8, "n0", True),
 ]
@@ -78,8 +84,21 @@ class TestCodecRoundtrip:
         for message in (
             AppendEntriesResponse(view=3, sender="n1", success=True, last_seqno=42),
             AppendEntriesResponse(view=3, sender="n1", success=False, match_hint=7),
+            AppendEntriesResponse(
+                view=3, sender="n1", success=False, match_hint=7, rejected=9
+            ),
         ):
             assert decode_message(encode_message(message)) == message
+
+    def test_a_success_ack_keeps_its_layout(self):
+        message = AppendEntriesResponse(view=3, sender="n1", success=True, last_seqno=42)
+        assert encode_message(message) == struct.pack(">BQ?QQH", 1, 3, True, 42, 0, 2) + b"n1"
+
+    def test_a_failure_ack_names_the_seqno_it_rejected(self):
+        message = AppendEntriesResponse(
+            view=3, sender="n1", success=False, match_hint=7, rejected=9
+        )
+        assert encode_message(message) == struct.pack(">BQQQH", 4, 3, 7, 9, 2) + b"n1"
 
     def test_request_vote(self):
         message = RequestVote(view=5, candidate_id="n4", last_signature_txid=TxID(3, 4))
@@ -132,6 +151,19 @@ class TestCodecErrors:
                 decode_message(data[:cut])
         with pytest.raises(ConsensusError):
             decode_message(data + b"\x00")
+
+    def test_a_failure_in_the_success_layout_is_refused(self):
+        data = struct.pack(">BQ?QQH", 1, 3, False, 0, 7, 2) + b"n1"
+        with pytest.raises(ConsensusError):
+            decode_message(data)
+
+    def test_an_ack_that_is_both_kinds_is_refused(self):
+        for message in (
+            AppendEntriesResponse(3, "n1", True, last_seqno=4, rejected=2),
+            AppendEntriesResponse(3, "n1", False, last_seqno=4, rejected=2),
+        ):
+            with pytest.raises(ConsensusError):
+                encode_message(message)
 
     def test_bad_utf8_node_id(self):
         data = encode_message(RequestVoteResponse(view=1, sender="n0", granted=True))
