@@ -15,6 +15,12 @@ sorted keys), and the trace checker's verdict:
 A change that moves a digest on purpose re-records it here in its own
 commit and names the cause. ``python tests/obs/test_output_pins.py``
 prints the current values.
+
+Re-recorded once since, for "Drop stale AppendEntries rejections": a
+failure ack is one byte shorter in its own layout (the write load's old
+primary sends one: ``net.bytes_sent`` of n0 falls by 1, every span holds),
+and the chaos schedule drops stale rejections instead of re-sending
+windows, which shifts its later latency draws (every value moved).
 """
 
 from __future__ import annotations
@@ -36,14 +42,14 @@ CHAOS_SEED = 3
 PINS = {
     "write_load": {
         "spans_sha256": "eb5c4b21198be549438832c5d550172e83a745b60973e59cc08614599e3ad158",
-        "metrics_sha256": "59168474cf7a87b22e2c342cefc909583b6bbc805b881ac968b129bf45c4f073",
+        "metrics_sha256": "3984c01be307a46668bafbfc669bb3e5bda1776ddebabbfcbd02666813d58c59",
         "check": (True, 475, 475, False, ["n0", "n1", "n2", "n3", "n4"]),
     },
     "chaos": {
-        "spans_sha256": "b9eb47caee6a11222c48a6b0b26efe249eb50142b90e989083b51183588fe565",
-        "metrics_sha256": "a756c9bbc0adcab5dfd55316da379c4d1fda4bbfe0ab97f498c1e39a6a0402da",
+        "spans_sha256": "44536f9db5edfd132a2607ba17755cf948779cb4a55f1bffd906b99923f46a2f",
+        "metrics_sha256": "c84a0d865ca9e0aa09fa843909ed6c3d9a2be07baff963231ce70373baad6f0a",
         "check": (
-            True, 2734, 2734, False, ["n0", "n1", "n2", "n3", "n4", "n5", "n6"]
+            True, 1886, 1886, False, ["n0", "n1", "n2", "n3", "n4", "n5", "n6"]
         ),
     },
 }
