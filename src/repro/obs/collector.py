@@ -99,26 +99,41 @@ def _walk_size(value: object, depth: int) -> int:
     if kind == _OPAQUE:
         return 16
     # A container: 2 bytes plus its members one level down. Strings and
-    # ints, the commonest members, are sized here without a call.
+    # ints, the commonest members, are sized in the loops without a call.
     depth += 1
     if depth > _MAX_DEPTH:
         members = 2 * len(value) if kind == _MAP else len(value) if kind == _SEQ else len(kind)
         return 2 + 8 * members
-    if kind == _MAP:
-        items = [member for pair in value.items() for member in pair]
-    elif kind == _SEQ:
-        items = value
-    else:
-        items = [getattr(value, name) for name in kind]
     total = 2
-    for item in items:
-        cls = type(item)
-        if cls is str:
-            total += len(item)
-        elif cls is int:
-            total += 8
-        else:
-            total += _walk_size(item, depth)
+    if kind == _MAP:
+        for key, item in value.items():
+            total += len(key) if type(key) is str else _walk_size(key, depth)
+            cls = type(item)
+            if cls is str:
+                total += len(item)
+            elif cls is int:
+                total += 8
+            else:
+                total += _walk_size(item, depth)
+    elif kind == _SEQ:
+        for item in value:
+            cls = type(item)
+            if cls is str:
+                total += len(item)
+            elif cls is int:
+                total += 8
+            else:
+                total += _walk_size(item, depth)
+    else:
+        for name in kind:
+            item = getattr(value, name)
+            cls = type(item)
+            if cls is str:
+                total += len(item)
+            elif cls is int:
+                total += 8
+            else:
+                total += _walk_size(item, depth)
     return total
 
 

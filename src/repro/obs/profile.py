@@ -186,12 +186,16 @@ def _exclusive_costs(root: Span, charged: list[Span]) -> tuple[dict[str, float],
     begin, end = root.start, root.end
     pieces = []
     for span in charged:
+        start = span.start
         for category, seconds in span.costs.items():
             if category == "queue_wait":
-                lo, hi = span.start - seconds, span.start
+                lo, hi = start - seconds, start
             else:
-                lo, hi = span.start, span.start + seconds
-            pieces.append((category in _WAITS, category, max(lo, begin), min(hi, end)))
+                lo, hi = start, start + seconds
+            pieces.append((
+                category in _WAITS, category,
+                lo if lo > begin else begin, hi if hi < end else end,
+            ))
     pieces.sort()
     covered: list[tuple[float, float]] = []
     costs: dict[str, float] = {}
@@ -199,7 +203,7 @@ def _exclusive_costs(root: Span, charged: list[Span]) -> tuple[dict[str, float],
         costs[category] = costs.get(category, 0.0) + (
             _claim(covered, lo, hi) if hi > lo else 0.0
         )
-    return dict(sorted(costs.items())), _claim(covered, begin, end)
+    return costs, _claim(covered, begin, end)
 
 
 def profile_spans(spans: list[Span]) -> ProfileReport:
@@ -207,6 +211,7 @@ def profile_spans(spans: list[Span]) -> ProfileReport:
     roots count; their trace's spans contribute cost charges."""
     charged_by_trace: dict[str, list[Span]] = {}
     spans_by_trace: dict[str, int] = {}
+    requests = []
     for span in spans:
         trace = span.trace_id
         spans_by_trace[trace] = spans_by_trace.get(trace, 0) + 1
@@ -216,13 +221,13 @@ def profile_spans(spans: list[Span]) -> ProfileReport:
                 charged_by_trace[trace] = [span]
             else:
                 charged.append(span)
+        if span.name == "request" and span.parent_id is None:
+            requests.append(span)
 
     profiles = []
-    for span in spans:
-        if span.name != "request" or not span.is_root or span.end is None:
-            continue
-        if span.attrs.get("detached"):
-            continue  # closed artificially at detach time, not a real latency
+    for span in requests:
+        if span.end is None or span.attrs.get("detached"):
+            continue  # unanswered, or closed at detach time: no real latency
         costs, uncharged = _exclusive_costs(
             span, charged_by_trace.get(span.trace_id, [])
         )
