@@ -67,7 +67,7 @@ _MAX_DEPTH = 6
 
 
 def _classify(cls: type) -> object:
-    if cls is type(None) or issubclass(cls, bool):
+    if issubclass(cls, bool):
         kind = _ONE
     elif issubclass(cls, (int, float)):
         kind = _EIGHT

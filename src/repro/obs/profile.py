@@ -155,10 +155,6 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-# Waits take only the time no work category holds; they rank last.
-_WAITS = frozenset(("replication_wait",))
-
-
 def _claim(covered: list[tuple[float, float]], lo: float, hi: float) -> float:
     """Add ``[lo, hi)`` to ``covered`` (intervals sorted by start) and
     return the length of its part no earlier interval covered."""
@@ -192,8 +188,9 @@ def _exclusive_costs(root: Span, charged: list[Span]) -> tuple[dict[str, float],
                 lo, hi = start - seconds, start
             else:
                 lo, hi = start, start + seconds
+            # The wait ranks last: it takes only time no work holds.
             pieces.append((
-                category in _WAITS, category,
+                category == "replication_wait", category,
                 lo if lo > begin else begin, hi if hi < end else end,
             ))
     pieces.sort()
